@@ -567,24 +567,10 @@ class PostingsView:
         freqs = np.zeros(len(t), dtype=np.uint32)
         if len(t) == 0 or self.n_blocks == 0:
             return mask, freqs
-        d = self.directory
-        lasts = d["last_docid"].astype(np.int64)
-        firsts = d["first_docid"].astype(np.int64)
-        bi = np.searchsorted(lasts, t)  # first block whose last ≥ target
-        inb = bi < self.n_blocks
-        sub = np.flatnonzero(inb)
-        sub = sub[firsts[bi[sub]] <= t[sub]]
-        needed = np.unique(bi[sub])
-        if len(needed) * 4 >= self.n_blocks:
-            # candidates touch most blocks: the batched full decode (one
-            # unpackbits per width) beats a per-block Python loop
-            ids, fr = self.decode_all()
-            pos = np.searchsorted(ids, t)
-            safe = np.minimum(pos, len(ids) - 1)
-            ok = ids[safe] == t
-            mask[ok] = True
-            freqs[ok] = fr[pos[ok]]
-            return mask, freqs
+        plan = self._probe_plan(t)
+        if plan is None:
+            return probe_decoded(*self.decode_all(), t)
+        bi, sub, needed = plan
         for b in needed:
             sel = sub[bi[sub] == b]
             ids, fr = self.decode_block(int(b))
@@ -596,6 +582,29 @@ class PostingsView:
             freqs[hit] = fr[pos[ok]]
         return mask, freqs
 
+    def probe_decodes_all(self, targets: np.ndarray) -> bool:
+        """Whether ``lookup_docs(targets)`` answers from a full decode."""
+        t = np.asarray(targets, dtype=np.int64)
+        return len(t) > 0 and self.n_blocks > 0 and self._probe_plan(t) is None
+
+    def _probe_plan(self, t: np.ndarray):
+        """Blocks a sorted int64 target list touches → ``(bi, sub,
+        needed)``: each target's block, the targets inside their block's
+        [first, last] range, and the distinct blocks among those. None
+        when the candidates touch ¼ of the blocks or more: then the
+        batched full decode (one unpackbits per width) beats a per-block
+        Python loop."""
+        d = self.directory
+        lasts = d["last_docid"].astype(np.int64)
+        firsts = d["first_docid"].astype(np.int64)
+        bi = np.searchsorted(lasts, t)  # first block whose last ≥ target
+        sub = np.flatnonzero(bi < self.n_blocks)
+        sub = sub[firsts[bi[sub]] <= t[sub]]
+        needed = np.unique(bi[sub])
+        if len(needed) * 4 >= self.n_blocks:
+            return None
+        return bi, sub, needed
+
     def _freq_offset(self, bi: int) -> int:
         d = self.directory[bi]
         off = int(d["data_offset"])
@@ -604,6 +613,23 @@ class PostingsView:
         else:
             off += packed_size(int(d["block_len"]), int(d["docid_width"]))
         return off
+
+
+def probe_decoded(
+    ids: np.ndarray, freqs: np.ndarray, t: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``lookup_docs`` over already-decoded (ids, freqs) of one term: →
+    ``(mask, freqs)`` aligned with the sorted int64 targets ``t``."""
+    mask = np.zeros(len(t), dtype=bool)
+    out = np.zeros(len(t), dtype=np.uint32)
+    if len(t) == 0 or len(ids) == 0:
+        return mask, out
+    pos = np.searchsorted(ids, t)
+    safe = np.minimum(pos, len(ids) - 1)
+    ok = ids[safe] == t
+    mask[ok] = True
+    out[ok] = freqs[pos[ok]]
+    return mask, out
 
 
 def _gather(data: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -43,6 +43,7 @@ from lucene_ray.codecs.postings import (
     decode_postings_batch,
     encode_postings,
     encode_postings_batch,
+    probe_decoded,
 )
 from lucene_ray.codecs.forutil import _POW2, pack, packed_size, unpack
 from lucene_ray.codecs.feature import encode_feature_values
@@ -1536,6 +1537,25 @@ class SegmentReader:
                 self._decode_cache_bytes = hit[0].nbytes + hit[1].nbytes
             self._decode_cache_post[key] = hit
         return hit
+
+    def lookup_docs(
+        self, info: TermInfo, targets: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``postings(info).lookup_docs(targets)`` through the decode
+        cache: answered from :meth:`decoded` when the term's arrays are
+        cached already, or when the probe would decode the whole list
+        anyway (its candidates reach ¼ of the blocks), so a warm
+        conjunction probe decodes nothing. Otherwise the per-block probe
+        runs and leaves the cache alone."""
+        if (info.part, info.post_off) not in self._decode_cache_post:
+            view = self.postings(info)
+            if not (
+                isinstance(view, PostingsView)
+                and view.probe_decodes_all(targets)
+            ):
+                return view.lookup_docs(targets)
+        ids, freqs = self.decoded(info)
+        return probe_decoded(ids, freqs, np.asarray(targets, dtype=np.int64))
 
     def decoded_many(
         self, infos: List[TermInfo]

@@ -103,6 +103,10 @@ from lucene_ray.search.multiterm import (
 
 F32 = np.float32
 
+# exact-phrase keys are uint32 (the positions' own dtype, so building
+# them needs no cast) while the candidates' key space fits
+_KEY32_SPACE = int(np.iinfo(np.uint32).max)
+
 
 def _sort_key(vals: np.ndarray) -> np.ndarray:
     """Order-preserving numeric view of a sort column: datetime64 (any
@@ -656,16 +660,15 @@ class IndexSearcher:
             offs = np.zeros(len(ids) + 1, dtype=np.int64)
             np.cumsum(freqs, out=offs[1:])
             decoded.append((ids, offs, pos))
-        common = decoded[0][0]
-        for ids, _, _ in decoded[1:]:
-            common = np.intersect1d(common, ids, assume_unique=True)
+        common = self._doc_conjunction([d[0] for d in decoded])
+        rows = [np.searchsorted(ids, common) for ids, _, _ in decoded]
         out: List[int] = []
         n = len(q.terms)
         budget = q.slop + n  # max allowed window width
-        for d in common:
+        for ci, d in enumerate(common):
             per_term = []
-            for ids, offs, pos in decoded:
-                j = int(np.searchsorted(ids, d))
+            for (_, offs, pos), r in zip(decoded, rows):
+                j = int(r[ci])
                 per_term.append(pos[offs[j] : offs[j + 1]].astype(np.int64))
             if _span_near_match(per_term, budget, q.in_order):
                 out.append(int(d))
@@ -1002,6 +1005,20 @@ class IndexSearcher:
         safe = np.minimum(pos, len(sorted_ids) - 1)
         return sorted_ids[safe] == targets
 
+    @staticmethod
+    def _doc_conjunction(id_arrays: Sequence[np.ndarray]) -> np.ndarray:
+        """Sorted docids present in every sorted, unique array of
+        ``id_arrays``: the rarest array leads and each other one filters
+        the survivors by ``searchsorted`` membership (no concatenate +
+        sort as in ``np.intersect1d``)."""
+        arrays = sorted(id_arrays, key=len)
+        cand = arrays[0]
+        for ids in arrays[1:]:
+            if len(cand) == 0:
+                break
+            cand = cand[IndexSearcher._member(ids, cand)]
+        return cand
+
     def _eval_bool(
         self, q: BooleanQuery, seg_idx: int, states
     ) -> SegmentResult:
@@ -1010,8 +1027,9 @@ class IndexSearcher:
         (round-1 VERDICT: dense masks cost ~100 MB per clause on merged
         multi-million-doc segments). Pure term conjunctions take the
         leapfrog path (``_eval_conj_terms``) that decodes only postings
-        blocks containing surviving candidates, the role of
-        ``BlockMaxConjunctionScorer``/``ConjunctionDISI``
+        blocks containing surviving candidates, or reads a term's whole
+        list from the reader's decode cache when the probe needs most of
+        it, the role of ``BlockMaxConjunctionScorer``/``ConjunctionDISI``
         (``core/search/BlockMaxConjunctionScorer.java``)."""
         fast = self._eval_conj_terms(q, seg_idx, states)
         if fast is not None:
@@ -1064,9 +1082,11 @@ class IndexSearcher:
         self, q: BooleanQuery, seg_idx: int, states
     ) -> Optional[SegmentResult]:
         """Leapfrog term conjunction: lead = rarest term decoded in full;
-        every other term probed via ``PostingsView.lookup_docs`` so only
-        blocks holding surviving candidates decode. Returns None when the
-        query shape doesn't qualify (then the general sparse path runs)."""
+        every other term (MUST/FILTER and MUST_NOT alike) probed via
+        ``SegmentReader.lookup_docs``, so only blocks holding surviving
+        candidates decode, and a probe that needs the whole list reads it
+        from the reader's decode cache. Returns None when the query shape
+        doesn't qualify (then the general sparse path runs)."""
         occurs = {o for o, _ in q.clauses}
         if SHOULD in occurs or not occurs & {MUST, FILTER}:
             return None
@@ -1095,7 +1115,7 @@ class IndexSearcher:
         for oi in order[1:]:
             if len(cand) == 0:
                 return empty
-            m, fr = seg.postings(infos[int(oi)]).lookup_docs(cand)
+            m, fr = seg.lookup_docs(infos[int(oi)], cand)
             cand = cand[m]
             for k in freqs_by_clause:
                 freqs_by_clause[k] = freqs_by_clause[k][m]
@@ -1106,7 +1126,7 @@ class IndexSearcher:
             ti = states[keys[id(s)]][0][seg_idx]
             if ti is None:
                 continue
-            m, _ = seg.postings(ti).lookup_docs(cand)
+            m, _ = seg.lookup_docs(ti, cand)
             keep = ~m
             cand = cand[keep]
             for k in freqs_by_clause:
@@ -1173,11 +1193,7 @@ class IndexSearcher:
             by_term = dict(zip(terms, decoded))
             if any(by_term[t] is None for t in req):
                 return empty
-            cand = by_term[req[0]][0]
-            for t in req[1:]:
-                cand = np.intersect1d(
-                    cand, by_term[t][0], assume_unique=True
-                )
+            cand = self._doc_conjunction([by_term[t][0] for t in req])
         else:
             doc_sets = [d[0] for d in decoded if d is not None]
             if not doc_sets:
@@ -1239,7 +1255,7 @@ class IndexSearcher:
             np.cumsum(freqs, out=offs[1:])
             decoded.append((ids, offs, pos))
         if q.slop == 0:
-            ids, freqs = self._exact_phrase_hits(decoded, int(seg.n_docs))
+            ids, freqs = self._exact_phrase_hits(decoded)
             if len(ids) == 0:
                 return empty
             return ids, freqs
@@ -1287,36 +1303,67 @@ class IndexSearcher:
         return self._live(seg, SegmentResult(ids, scores))
 
     @staticmethod
-    def _exact_phrase_hits(
-        decoded, n_docs: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized exact phrase over per-slot (ids, offs, pos) tuples:
-        intersect int64 keys docid << shift | (pos - slot_index + n_slots).
-        The +n_slots offset keeps the low field strictly positive (pos < i
-        would otherwise underflow into the previous docid's key space) and
-        the shift adapts to the longest document so high positions can't
-        collide either (ADVICE r01: fixed 2^21 assumption).
+    def _exact_phrase_hits(decoded) -> Tuple[np.ndarray, np.ndarray]:
+        """Exact phrase over per-slot (ids, offs, pos) tuples, linear in
+        the candidates' positions — no sort, no ``np.unique``:
+
+        1. candidates = the slots' doc conjunction (rarest first);
+        2. each slot's positions are gathered for the candidates only (a
+           slot whose docs are exactly the candidates is used as is);
+        3. candidate j owns the key range ``[base[j], base[j+1])``, base =
+           exclusive cumsum of (its last position over all slots + nterms
+           + 1) — positions ascend within a doc, so the last is the max;
+           slot i's occurrence at p keys to ``base[j] + p - i + nterms``,
+           which stays inside candidate j's range;
+        4. a counter array over the key space marks slot 0's keys; each
+           later slot keeps the keys every earlier slot marked (one
+           gather) and marks them in turn;
+        5. phrase freq per doc = the last slot's surviving keys summed
+           over each doc's run of positions (every posting has tf >= 1).
+
+        The key space is the candidates' own token span (never candidates
+        x the longest document); keys are uint32 while it fits, else
+        int64.
         → (docids uint32, phrase freqs uint32); empties when no match."""
+        none = (np.empty(0, np.uint32), np.empty(0, np.uint32))
+        cand = IndexSearcher._doc_conjunction([ids for ids, _, _ in decoded])
+        if len(cand) == 0:
+            return none
         nterms = len(decoded)
-        max_pos = max((int(p.max()) if len(p) else 0) for _, _, p in decoded)
-        shift = max(21, int(max_pos + nterms + 1).bit_length())
-        if n_docs >= 1 << (63 - shift):
-            raise OverflowError(
-                f"phrase key space exhausted: n_docs={n_docs}, "
-                f"max position={max_pos}"
-            )
-        keys = None
-        for i, (ids, offs, pos) in enumerate(decoded):
-            docid_per_pos = np.repeat(
-                ids.astype(np.int64), np.diff(offs).astype(np.int64)
-            )
-            k = (docid_per_pos << shift) + (pos.astype(np.int64) - i + nterms)
-            keys = k if keys is None else np.intersect1d(keys, k, assume_unique=True)
-            if len(keys) == 0:
-                return np.empty(0, np.uint32), np.empty(0, np.uint32)
-        docs = (keys >> shift).astype(np.uint32)
-        ids, freqs32 = np.unique(docs, return_counts=True)
-        return ids, freqs32.astype(np.uint32)
+        slots = []  # per slot: candidates' positions, per-doc counts, ends
+        last = np.zeros(len(cand), dtype=np.int64)
+        for ids, offs, pos in decoded:
+            cnt = np.diff(offs)
+            if len(ids) != len(cand):
+                keep = np.zeros(len(ids), dtype=bool)
+                keep[np.searchsorted(ids, cand)] = True
+                pos = pos[np.repeat(keep, cnt)]
+                cnt = cnt[keep]
+            ends = np.cumsum(cnt)
+            np.maximum(last, pos[ends - 1], out=last)
+            slots.append((pos, cnt, ends))
+        span = last + (nterms + 1)
+        base = np.cumsum(span) - span
+        space = int(base[-1] + span[-1])
+        kdt = np.uint32 if space <= _KEY32_SPACE else np.int64
+        base = base.astype(kdt)
+        mark = np.zeros(space, dtype=np.min_scalar_type(nterms))
+        for i, (pos, cnt, ends) in enumerate(slots):
+            keys = np.repeat(base + (nterms - i), cnt)
+            np.add(keys, pos, out=keys, casting="unsafe")
+            if i == nterms - 1:
+                break
+            if i:
+                keys = keys[np.take(mark, keys) == i]
+                if len(keys) == 0:
+                    return none
+            mark[keys] = i + 1
+        # the last slot's occurrences every earlier slot marked; a
+        # one-slot phrase matches at every position (mark is all 0)
+        hit = np.take(mark, keys) == nterms - 1
+        freqs = np.add.reduceat(hit, ends - cnt, dtype=np.int64)
+        found = freqs > 0
+        return cand[found].astype(np.uint32), freqs[found].astype(np.uint32)
 
     def _eval_multi_phrase(
         self, q: MultiPhraseQuery, seg_idx: int, states
@@ -1368,7 +1415,7 @@ class IndexSearcher:
             np.cumsum(counts, out=offs[1:])
             decoded.append((ids, offs, upos))
         if q.slop == 0:
-            ids, freqs = self._exact_phrase_hits(decoded, int(seg.n_docs))
+            ids, freqs = self._exact_phrase_hits(decoded)
             if len(ids) == 0:
                 return SegmentResult(np.empty(0, np.uint32), np.empty(0, F32))
             freqs = freqs.astype(F32)
@@ -1422,15 +1469,14 @@ class IndexSearcher:
         semantics (see search/sloppy.py): per-doc float phrase freq =
         Σ 1/(1+matchLength) over the greedy least-position match stream,
         repeat groups handled."""
-        common = decoded[0][0]
-        for ids, _, _ in decoded[1:]:
-            common = np.intersect1d(common, ids, assume_unique=True)
+        common = IndexSearcher._doc_conjunction([d[0] for d in decoded])
+        rows = [np.searchsorted(ids, common) for ids, _, _ in decoded]
         out_ids: List[int] = []
         out_freq: List[np.float32] = []
-        for d in common:
+        for ci, d in enumerate(common):
             per_term = []
-            for ids, offs, pos in decoded:
-                j = int(np.searchsorted(ids, d))
+            for (_, offs, pos), r in zip(decoded, rows):
+                j = int(r[ci])
                 per_term.append(pos[offs[j] : offs[j + 1]].astype(np.int64))
             freq = sloppy_phrase_freq(q.terms, per_term, q.slop)
             if freq > 0:

@@ -1,0 +1,121 @@
+"""The exact-phrase kernel (``IndexSearcher._exact_phrase_hits``) against a
+brute-force per-doc reference, over generated postings: 2-4 slots, the same
+term in several slots, matches at position 0, empty intersections, holes in
+the position stream, positions at and above 2^21 (and the int64 key path),
+and deduplicated multi-phrase union slots (several terms stacked at one
+position)."""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lucene_ray.search.searcher as searcher_mod
+from lucene_ray.search.searcher import IndexSearcher
+
+VOCAB = ("zzw", "a", "b", "c")
+BIG = 1 << 21
+
+
+@st.composite
+def corpora(draw, big: bool = False):
+    """→ {docid: {position: set of terms}}: sparse docids, positions with
+    holes, optionally starting at or past 2^21, 1-2 terms per position."""
+    docids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True))
+    docs = {}
+    for d in sorted(docids):
+        n = draw(st.integers(0, 12))
+        gaps = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+        p = draw(st.integers(0, 1)) + (draw(st.sampled_from([0, BIG, BIG + 5])) if big else 0)
+        doc = {}
+        for g in gaps:
+            doc[p] = draw(st.sets(st.sampled_from(VOCAB), min_size=1, max_size=2))
+            p += g
+        docs[d] = doc
+    return docs
+
+
+slot_lists = st.lists(
+    st.frozensets(st.sampled_from(VOCAB), min_size=1, max_size=2),
+    min_size=2,
+    max_size=4,
+)
+
+
+def slot_postings(docs, slot):
+    """One slot's (ids, offs, pos): per doc the sorted, deduplicated
+    positions holding any of the slot's terms — a single term's postings,
+    or a multi-phrase union slot."""
+    ids, pos = [], []
+    offs = [0]
+    for d in sorted(docs):
+        hits = sorted(p for p, terms in docs[d].items() if terms & slot)
+        if hits:
+            ids.append(d)
+            pos += hits
+            offs.append(len(pos))
+    return (
+        np.array(ids, dtype=np.uint32),
+        np.array(offs, dtype=np.int64),
+        np.array(pos, dtype=np.uint32),
+    )
+
+
+def brute_force(docs, slots):
+    out = {}
+    for d, doc in docs.items():
+        f = sum(
+            all(doc.get(p + i, set()) & s for i, s in enumerate(slots))
+            for p in doc
+        )
+        if f:
+            out[d] = f
+    return out
+
+
+def kernel(docs, slots):
+    ids, freqs = IndexSearcher._exact_phrase_hits(
+        [slot_postings(docs, s) for s in slots]
+    )
+    assert ids.dtype == np.uint32 and freqs.dtype == np.uint32
+    assert np.all(np.diff(ids.astype(np.int64)) > 0)
+    return dict(zip(ids.tolist(), freqs.tolist()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpora(), slot_lists)
+def test_matches_brute_force(docs, slots):
+    assert kernel(docs, slots) == brute_force(docs, slots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpora(big=True), slot_lists)
+def test_positions_past_2_21(docs, slots):
+    """Docs starting at or past 2^21: once with 32-bit keys, and once with
+    the 32-bit key space capped below 2^21, so every candidate whose
+    positions reach 2^21 pushes the key space over the cap and the int64
+    keys run."""
+    want = brute_force(docs, slots)
+    assert kernel(docs, slots) == want
+    with mock.patch.object(searcher_mod, "_KEY32_SPACE", BIG - 1):
+        assert kernel(docs, slots) == want
+
+
+def test_fixed_cases():
+    zzw, a, b = frozenset({"zzw"}), frozenset({"a"}), frozenset({"b"})
+    run = {7: {0: {"zzw"}, 1: {"zzw"}, 2: {"zzw"}, 4: {"zzw"}}}
+    # the same term in two slots: overlapping matches at 0 and 1
+    assert kernel(run, [zzw, zzw]) == {7: 2}
+    assert kernel(run, [zzw, zzw, zzw]) == {7: 1}
+    # a phrase at position 0 of each doc
+    docs = {0: {0: {"a"}, 1: {"b"}}, 3: {0: {"a"}, 1: {"b"}, 2: {"a"}, 3: {"b"}}}
+    assert kernel(docs, [a, b]) == {0: 1, 3: 2}
+    # empty intersections: no common doc, and common docs but no match
+    assert kernel({1: {0: {"a"}}, 2: {0: {"b"}}}, [a, b]) == {}
+    assert kernel({1: {0: {"b"}, 1: {"a"}}}, [a, b]) == {}
+    # a term absent from the segment
+    assert kernel(docs, [a, frozenset({"c"})]) == {}
+    # stacked terms: a union slot counts the shared position once
+    stacked = {5: {0: {"a", "b"}, 1: {"c"}}}
+    assert kernel(stacked, [frozenset({"a", "b"}), frozenset({"c"})]) == {5: 1}

@@ -22,10 +22,15 @@ DOCS = "/root/testdata/sf0.001/documents.parquet"
 
 
 @pytest.fixture(scope="module")
-def searcher(ray_session, tmp_path_factory):
+def index_dir(ray_session, tmp_path_factory):
     d = str(tmp_path_factory.mktemp("sbidx"))
     build_index(DOCS, d, IndexConfig(rows_per_segment=120))
-    return IndexSearcher(d)
+    return d
+
+
+@pytest.fixture(scope="module")
+def searcher(index_dir):
+    return IndexSearcher(index_dir)
 
 
 def _eval_reference(s, q, seg_idx, states):
@@ -125,6 +130,40 @@ class TestSparseEqualsDense:
         r2 = searcher.search("+the +data -spark", k=10, mode="exhaustive")
         assert list(r["docids"]) == list(r2["docids"])
         assert np.array_equal(r["scores"], r2["scores"])
+
+
+class TestWarmConjunctionDecodes:
+    def test_second_run_decodes_nothing(self, index_dir, monkeypatch):
+        """A warm head-term ``+a +b -c`` answers every probe (MUST and
+        MUST_NOT alike) from the reader's decode cache: the second run
+        makes zero ``PostingsView.decode_all`` calls."""
+        from lucene_ray.codecs.postings import PostingsView
+
+        calls = []
+        decode_all = PostingsView.decode_all
+
+        def counting(view):
+            calls.append(1)
+            return decode_all(view)
+
+        monkeypatch.setattr(PostingsView, "decode_all", counting)
+        s = IndexSearcher(index_dir)
+        q = "+query +window -scan"
+        want = s.search(q, k=10, mode="exhaustive")
+        s = IndexSearcher(index_dir)  # cold again
+        runs = []
+        for _ in range(2):
+            n0 = len(calls)
+            runs.append(s.search(q, k=10))
+            runs[-1]["decodes"] = len(calls) - n0
+        assert runs[0]["decodes"] > 0
+        assert runs[1]["decodes"] == 0
+        for r in runs:
+            assert list(r["docids"]) == list(want["docids"])
+            assert r["scores"].tobytes() == want["scores"].tobytes()
+            assert (r["total_hits"], r["relation"]) == (
+                want["total_hits"], want["relation"]
+            )
 
 
 class TestLookupDocs:

@@ -1,0 +1,82 @@
+"""Mean latency per query class of one in-process ``IndexSearcher``.
+
+Runs the seeded Zipf query stream of the ``serve_zipf`` benchmark
+workload (``perfbench.common.zipf_queries``) in order against one
+searcher, so first touches and repeats fall as they do when serving, and
+prints the mean milliseconds per class (term / disjunction / conjunction
+/ phrase, ``perfbench.common.query_class``).
+
+``--check`` then re-runs every query with ``mode="exhaustive"`` and
+asserts that the top-10 docids and float32 scores are equal. For phrases
+and conjunctions it also asserts ``total_hits`` and ``relation``; the
+pruned term and disjunction queries report ``GTE`` counts by design.
+
+Usage: python tools/query_class_profile.py <index_dir> [--seed N] [--n N] [--check]
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+import time
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+import numpy as np
+
+from lucene_ray.search.searcher import IndexSearcher
+from perfbench.common import QUERY_CLASSES, query_class, zipf_queries
+
+K = 10
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("index_dir")
+    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--n", type=int, default=1200)
+    ap.add_argument("--check", action="store_true")
+    args = ap.parse_args()
+
+    queries = zipf_queries(args.seed, args.n)
+    searcher = IndexSearcher(args.index_dir)
+    ms = {c: [] for c in QUERY_CLASSES}
+    results = []
+    t_all = time.perf_counter()
+    for q in queries:
+        t0 = time.perf_counter()
+        results.append(searcher.search(q, k=K))
+        ms[query_class(q)].append((time.perf_counter() - t0) * 1e3)
+    total_s = time.perf_counter() - t_all
+
+    print(f"{args.n} queries, seed {args.seed}, "
+          f"{len(searcher.segments)} segments, total {total_s:.2f} s")
+    print(f"{'class':<12} {'n':>5} {'mean_ms':>9} {'total_s':>8}")
+    for c in QUERY_CLASSES:
+        v = ms[c]
+        mean = sum(v) / len(v) if v else 0.0
+        print(f"{c:<12} {len(v):>5} {mean:>9.2f} {sum(v) / 1e3:>8.2f}")
+
+    if not args.check:
+        return 0
+    bad = 0
+    for q, got in zip(queries, results):
+        want = searcher.search(q, k=K, mode="exhaustive")
+        same = np.array_equal(got["docids"], want["docids"]) and (
+            np.asarray(got["scores"], np.float32).tobytes()
+            == np.asarray(want["scores"], np.float32).tobytes()
+        )
+        if query_class(q) in ("conjunction", "phrase"):
+            same = same and (got["total_hits"], got["relation"]) == (
+                want["total_hits"], want["relation"]
+            )
+        if not same:
+            bad += 1
+            print(f"MISMATCH {q!r}")
+    print(f"check: {len(queries) - bad}/{len(queries)} equal to exhaustive")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
