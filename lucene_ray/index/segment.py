@@ -60,6 +60,7 @@ from lucene_ray.index.deletes import load_deleted
 from lucene_ray.index.points import build_point_files
 from lucene_ray.index.geo import GeoBlocks, build_geo_files
 from lucene_ray.index.ranges import RangeBlocks, build_range_files
+from lucene_ray.search.querycache import LRUCache
 
 META_NAME = "meta.json"
 
@@ -1327,9 +1328,7 @@ class SegmentReader:
         self._points_cache: Dict[str, tuple] = {}
         self._geo_cache: Dict[str, GeoBlocks] = {}
         self._ranges_cache: Dict[str, RangeBlocks] = {}
-        self._decode_cache_post: Dict[tuple, tuple] = {}
-        self._decode_cache_pos: Dict[tuple, np.ndarray] = {}
-        self._decode_cache_bytes = 0
+        self.decode_cache = LRUCache(self.DECODE_CACHE_BYTES)
         self._bucket_cfg_n = self.n_parts
 
     # -- term dict ---------------------------------------------------------
@@ -1516,26 +1515,19 @@ class SegmentReader:
             return PostingsView(blob)
         return format_for_name(info.fmt).view(blob)
 
-    # decode caches: the LRUQueryCache role (``core/search/LRUQueryCache``)
-    # for a vectorized engine — what's worth caching per reader is the
-    # DECODED posting/position arrays of hot terms, reused across queries
-    # in the same searcher actor. Byte-capped; on overflow the cache
-    # clears wholesale (segments are immutable, so entries never go stale
-    # and refilling is cheap relative to tracking true LRU order).
+    # decode cache: what's worth caching per reader is the DECODED
+    # posting/position arrays of hot terms, reused across queries in the
+    # same searcher actor. Keys are ("post", part, post_off) and
+    # ("pos", part, pos_off).
     DECODE_CACHE_BYTES = 128 << 20
 
     def decoded(self, info: TermInfo) -> Tuple[np.ndarray, np.ndarray]:
         """Cached ``postings(info).decode_all()``."""
-        key = (info.part, info.post_off)
-        hit = self._decode_cache_post.get(key)
+        key = ("post", info.part, info.post_off)
+        hit = self.decode_cache.get(key)
         if hit is None:
             hit = self.postings(info).decode_all()
-            self._decode_cache_bytes += hit[0].nbytes + hit[1].nbytes
-            if self._decode_cache_bytes > self.DECODE_CACHE_BYTES:
-                self._decode_cache_post.clear()
-                self._decode_cache_pos.clear()
-                self._decode_cache_bytes = hit[0].nbytes + hit[1].nbytes
-            self._decode_cache_post[key] = hit
+            self.decode_cache.put(key, hit, hit[0].nbytes + hit[1].nbytes)
         return hit
 
     def lookup_docs(
@@ -1547,7 +1539,7 @@ class SegmentReader:
         anyway (its candidates reach ¼ of the blocks), so a warm
         conjunction probe decodes nothing. Otherwise the per-block probe
         runs and leaves the cache alone."""
-        if (info.part, info.post_off) not in self._decode_cache_post:
+        if ("post", info.part, info.post_off) not in self.decode_cache:
             view = self.postings(info)
             if not (
                 isinstance(view, PostingsView)
@@ -1569,43 +1561,35 @@ class SegmentReader:
         out: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * len(infos)
         by_part: Dict[int, List[int]] = {}
         for i, info in enumerate(infos):
-            hit = self._decode_cache_post.get((info.part, info.post_off))
-            if hit is not None:
-                out[i] = hit
-            elif info.fmt != "ray104":
+            if info.fmt != "ray104":
                 out[i] = self.decoded(info)
-            else:
+                continue
+            out[i] = self.decode_cache.get(("post", info.part, info.post_off))
+            if out[i] is None:
                 by_part.setdefault(info.part, []).append(i)
         for part, idxs in by_part.items():
             offs = np.array([infos[i].post_off for i in idxs], dtype=np.int64)
             lens = np.array([infos[i].post_len for i in idxs], dtype=np.int64)
             decoded = decode_postings_batch(self._post_mm[part], offs, lens)
             for i, hit in zip(idxs, decoded):
-                self._decode_cache_bytes += hit[0].nbytes + hit[1].nbytes
-                if self._decode_cache_bytes > self.DECODE_CACHE_BYTES:
-                    self._decode_cache_post.clear()
-                    self._decode_cache_pos.clear()
-                    self._decode_cache_bytes = hit[0].nbytes + hit[1].nbytes
-                self._decode_cache_post[(part, infos[i].post_off)] = hit
-                out[i] = hit
+                out[i] = self.decode_cache.put(
+                    ("post", part, infos[i].post_off),
+                    hit,
+                    hit[0].nbytes + hit[1].nbytes,
+                )
         return out  # type: ignore[return-value]
 
     def positions(self, info: TermInfo) -> np.ndarray:
         mm = self._pos_mm[info.part]
         if mm is None or info.pos_len == 0:
             raise ValueError("segment has no positions")
-        key = (info.part, info.pos_off)
-        hit = self._decode_cache_pos.get(key)
+        key = ("pos", info.part, info.pos_off)
+        hit = self.decode_cache.get(key)
         if hit is None:
             hit = decode_uint_blocks(
                 mm[info.pos_off : info.pos_off + info.pos_len]
             )
-            self._decode_cache_bytes += hit.nbytes
-            if self._decode_cache_bytes > self.DECODE_CACHE_BYTES:
-                self._decode_cache_post.clear()
-                self._decode_cache_pos.clear()
-                self._decode_cache_bytes = hit.nbytes
-            self._decode_cache_pos[key] = hit
+            self.decode_cache.put(key, hit, hit.nbytes)
         return hit
 
     def offsets_for(self, info: TermInfo) -> Tuple[np.ndarray, np.ndarray]:

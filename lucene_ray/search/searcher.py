@@ -88,7 +88,7 @@ from lucene_ray.search.query import (
     rewrite as rewrite_query,
 )
 from lucene_ray.search.explain import Explanation
-from lucene_ray.search.querycache import LRUQueryCache
+from lucene_ray.search.querycache import LRUCache, LRUQueryCache
 from lucene_ray.search.sloppy import sloppy_phrase_freq
 
 # sentinel: "caller did not pass query_cache" (None means disabled)
@@ -212,6 +212,11 @@ def _sum_field_stats(all_fs: List[dict]) -> dict:
 class IndexSearcher:
     """Open once (per process / per Ray actor), search many times."""
 
+    CACHE_BYTES = 256 << 20
+    # estimated size of one small cached Python object (a TermInfo is
+    # about 210 bytes, a scorer less)
+    _OBJ_BYTES = 256
+
     def __init__(
         self,
         index_dir,
@@ -317,7 +322,6 @@ class IndexSearcher:
             format_for_name(s.fmt_for_key("")).has_impacts
             for s in self.segments
         )
-        self._scorer_cache: Dict[tuple, object] = {}
         # non-default (keyword) field stats: doc_count + sum_ttf per field
         # (FieldInfos / per-field Terms stats role). Keyword fields omit
         # norms, so their scorer sees norm byte 1 (length 1) — the
@@ -337,10 +341,9 @@ class IndexSearcher:
             self.config if not getattr(self.config, "synonyms", ())
             else replace(self.config, synonyms=())
         )
-        self._states_cache: Dict[str, List[Optional[TermInfo]]] = {}
-        self._gmax_cache: Dict[tuple, np.ndarray] = {}
-        # weight-independent BM25 score denominators per (segment, term)
-        self._denom_cache: Dict[tuple, np.ndarray] = {}
+        # cross-query reuse: term states, WAND window bounds + BM25
+        # denominators per (segment, term), similarity scorers
+        self.cache = LRUCache(self.CACHE_BYTES)
         # constant-score match-set cache (LRUQueryCache role); pass
         # query_cache=None to disable
         self.query_cache: Optional[LRUQueryCache] = (
@@ -355,17 +358,18 @@ class IndexSearcher:
         ``TermStates`` reuse + ``LRUQueryCache`` (``core/index/TermStates.java``,
         ``core/search/LRUQueryCache.java``); segments are immutable so
         entries never go stale."""
-        cache = self._states_cache
         out = {}
         for t in set(terms):
-            hit = cache.get(t)
+            hit = self.cache.get(("states", t))
             if hit is None:
                 infos = [seg.lookup(t) for seg in self.segments]
                 df = sum(ti.df for ti in infos if ti is not None)
                 ttf = sum(ti.ttf for ti in infos if ti is not None)
-                hit = (infos, df, ttf)
-                if len(cache) < 100_000:
-                    cache[t] = hit
+                hit = self.cache.put(
+                    ("states", t),
+                    (infos, df, ttf),
+                    self._OBJ_BYTES * (1 + len(infos)),
+                )
             # shard mode: the cache holds LOCAL df/ttf sums; the global
             # stats exchanged across shards apply at read time so cached
             # entries never go stale across override changes
@@ -425,12 +429,30 @@ class IndexSearcher:
     def _generic_scorer(self, fieldname: str, df: int, ttf: int, boost: float):
         """Per-(field, term-stats, boost) scorer for a non-BM25 similarity,
         cached — the Weight-holds-SimScorer role."""
-        key = (fieldname, df, ttf, float(boost))
-        hit = self._scorer_cache.get(key)
+        key = ("scorer", fieldname, df, ttf, float(boost))
+        hit = self.cache.get(key)
         if hit is None:
             dc, sttf = self._field_stats(fieldname)
-            hit = self.sim.scorer(boost, max(1, dc), max(1, sttf), df, ttf)
-            self._scorer_cache[key] = hit
+            hit = self.cache.put(
+                key,
+                self.sim.scorer(boost, max(1, dc), max(1, sttf), df, ttf),
+                self._OBJ_BYTES,
+            )
+        return hit
+
+    def _multi_scorer(self, boost: float, stats: List[Tuple[int, int]]):
+        """Cached ``Similarity.scorer_multi`` over the default field for
+        a phrase's per-term (df, ttf) stats."""
+        key = ("multi_scorer", tuple(stats), float(boost))
+        hit = self.cache.get(key)
+        if hit is None:
+            hit = self.cache.put(
+                key,
+                self.sim.scorer_multi(
+                    boost, max(1, self.doc_count), max(1, self.sum_ttf), stats
+                ),
+                self._OBJ_BYTES,
+            )
         return hit
 
     def _score_postings(
@@ -1289,16 +1311,9 @@ class IndexSearcher:
         else:
             # PhraseWeight hands ALL the terms' stats to Similarity.scorer
             # (PhraseQuery.java getStats); scored at the phrase freq
-            key = ("__phrase__", tuple(q.terms), float(q.boost))
-            sc = self._scorer_cache.get(key)
-            if sc is None:
-                sc = self.sim.scorer_multi(
-                    q.boost,
-                    max(1, self.doc_count),
-                    max(1, self.sum_ttf),
-                    [(states[t][1], states[t][2]) for t in q.terms],
-                )
-                self._scorer_cache[key] = sc
+            sc = self._multi_scorer(
+                q.boost, [(states[t][1], states[t][2]) for t in q.terms]
+            )
             scores = sc.score(freqs, seg.norms[ids])
         return self._live(seg, SegmentResult(ids, scores))
 
@@ -1444,20 +1459,14 @@ class IndexSearcher:
             inv = self.norm_inverse[seg.norms[ids]]
             scores = w - w / (F32(1.0) + freqs.astype(F32) * inv)
         else:
-            key = ("__mphrase__", tuple(q.positions), float(q.boost))
-            sc = self._scorer_cache.get(key)
-            if sc is None:
-                sc = self.sim.scorer_multi(
-                    q.boost,
-                    max(1, self.doc_count),
-                    max(1, self.sum_ttf),
-                    [
-                        (states[t][1], states[t][2])
-                        for t in occurrences
-                        if states[t][1] > 0
-                    ],
-                )
-                self._scorer_cache[key] = sc
+            sc = self._multi_scorer(
+                q.boost,
+                [
+                    (states[t][1], states[t][2])
+                    for t in occurrences
+                    if states[t][1] > 0
+                ],
+            )
             scores = sc.score(freqs, seg.norms[ids])
         return self._live(seg, SegmentResult(ids, scores))
 
@@ -2870,6 +2879,24 @@ class IndexSearcher:
             }
         )
 
+    def _wand_term(self, si: int, ti: TermInfo) -> Tuple[np.ndarray, np.ndarray]:
+        """Weight-independent WAND inputs of one term on segment ``si``,
+        cached: its per-window bound factors (``window_gmax``) and its
+        BM25 denominators ``1 + freq·normInv`` per posting, so a repeat
+        query pays one subtract+divide per posting."""
+        key = ("wand", si, ti.part, ti.post_off)
+        hit = self.cache.get(key)
+        if hit is None:
+            seg = self.segments[si]
+            view = seg.postings(ti)
+            wgm = window_gmax(
+                view, block_gmax(view, self.norm_inverse), seg.n_docs
+            )
+            ids, freqs = seg.decoded(ti)
+            d = F32(1.0) + freqs.astype(F32) * self.norm_inverse[seg.norms[ids]]
+            hit = self.cache.put(key, (wgm, d), wgm.nbytes + d.nbytes)
+        return hit
+
     def _search_wand(
         self, terms: List[TermQuery], k: int, after=None,
         total_hits_threshold: int = 1000,
@@ -2891,23 +2918,7 @@ class IndexSearcher:
             ]
             if not live:
                 continue
-            gmaxes = []
-            wgmaxes = []
-            for ti, _ in live:
-                key = (si, ti.part, ti.post_off)
-                gm = self._gmax_cache.get(key)
-                if gm is None:
-                    gm = block_gmax(seg.postings(ti), self.norm_inverse)
-                    if len(self._gmax_cache) < 1_000_000:
-                        self._gmax_cache[key] = gm
-                wkey = (si, ti.part, ti.post_off, "w")
-                wgm = self._gmax_cache.get(wkey)
-                if wgm is None:
-                    wgm = window_gmax(seg.postings(ti), gm, seg.n_docs)
-                    if len(self._gmax_cache) < 1_000_000:
-                        self._gmax_cache[wkey] = wgm
-                gmaxes.append(gm)
-                wgmaxes.append(wgm)
+            bounds = [self._wand_term(si, ti) for ti, _ in live]
             after_local = (
                 (after[0], int(after[1]) - seg.base_docid)
                 if after is not None
@@ -2917,16 +2928,14 @@ class IndexSearcher:
                 seg,
                 [ti for ti, _ in live],
                 [w for _, w in live],
-                self.norm_inverse,
                 k,
                 theta,
-                gmaxes,
-                wgmaxes,
+                [wgm for wgm, _ in bounds],
+                [d for _, d in bounds],
                 after=after_local,
                 total_hits_threshold=total_hits_threshold,
                 evaluated_so_far=total,
                 deleted=seg.deleted,
-                denom_cache=self._denom_cache,
             )
             total += ev
             any_pruned = any_pruned or pruned

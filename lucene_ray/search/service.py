@@ -11,8 +11,10 @@ pyarrow import + index open ≈ 1 s) — noise when measuring serving
 throughput. ``SearcherService`` keeps the actors alive across calls:
 
 - N detached-scope ``SearcherWorker`` actors, each holding one warm
-  ``IndexSearcher`` (mmapped segments + term-state/gmax/denominator
-  caches that persist across queries, the production steady state);
+  ``IndexSearcher`` (mmapped segments, each reader's decode cache and
+  the searcher's byte-bounded LRU of term states, WAND window bounds and
+  BM25 denominators, all persisting across queries: the production
+  steady state);
 - queries submitted as pyarrow-table shards round-robin across the pool
   (``submit`` returns object refs; ``search`` gathers);
 - ``warmup`` pushes one tiny batch through every actor so the first

@@ -24,7 +24,7 @@ across slices (``core/search/MaxScoreAccumulator.java``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -39,8 +39,9 @@ def block_gmax(view: PostingsView, norm_inverse: np.ndarray) -> np.ndarray:
     """Weight-independent bound factor per block: ``max over the impact
     frontier of 1 - 1/(1 + freq * normInv)``. The block score bound is
     ``weight * gmax`` (score = weight * g(freq, norm) algebraically), so
-    this can be cached per (segment, term) across queries — the role of
-    ``MaxScoreCache`` (``core/search/MaxScoreCache.java:35-119``)."""
+    it depends only on (segment, term) — the role of ``MaxScoreCache``
+    (``core/search/MaxScoreCache.java:35-119``); :func:`window_gmax`
+    folds it to the window bounds the searcher caches."""
     out = np.empty(view.n_blocks, dtype=F32)
     one = F32(1.0)
     for bi in range(view.n_blocks):
@@ -60,9 +61,9 @@ def window_gmax(
 
     The window upper bound used for skipping is ``Σ_terms w·max_blocks
     gmax`` — the weight distributes over the max, so this array depends
-    only on (segment, term) and is cached across queries next to
-    ``block_gmax`` (extending the MaxScoreCache role to window
-    granularity). Removes the per-query Python loop over blocks."""
+    only on (segment, term) and is cached across queries (the
+    MaxScoreCache role at window granularity). Removes the per-query
+    Python loop over blocks."""
     n_win = (n_docs + WINDOW - 1) // WINDOW
     d = view.directory
     first = d["first_docid"].astype(np.int64)
@@ -80,57 +81,26 @@ def window_gmax(
     return wmax
 
 
-class _TermCursor:
-    """Lazy per-term block decoder with bound metadata."""
-
-    def __init__(
-        self,
-        view: PostingsView,
-        weight: np.float32,
-        norm_inverse: np.ndarray,
-        gmax: Optional[np.ndarray] = None,
-    ):
-        self.view = view
-        self.weight = weight
-        self.norm_inverse = norm_inverse
-        d = view.directory
-        self.first = d["first_docid"].astype(np.int64)
-        self.last = d["last_docid"].astype(np.int64)
-        if gmax is None:
-            gmax = block_gmax(view, norm_inverse)
-        self.bounds = (weight * gmax).astype(F32)
-        self._cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-    def block(self, bi: int) -> Tuple[np.ndarray, np.ndarray]:
-        hit = self._cache.get(bi)
-        if hit is None:
-            hit = self.view.decode_block(bi)
-            self._cache[bi] = hit
-        return hit
-
-    def blocks_overlapping(self, lo: int, hi: int) -> np.ndarray:
-        """Block indices intersecting docid range [lo, hi)."""
-        s = int(np.searchsorted(self.last, lo, side="left"))
-        e = int(np.searchsorted(self.first, hi, side="left"))
-        return np.arange(s, e)
-
-
 def wand_topk(
     seg: SegmentReader,
     term_infos: List[Optional[TermInfo]],
     weights: List[np.float32],
-    norm_inverse: np.ndarray,
     k: int,
-    theta: float = -np.inf,
-    gmaxes: Optional[List[Optional[np.ndarray]]] = None,
-    wgmaxes: Optional[List[Optional[np.ndarray]]] = None,
+    theta: float,
+    wgmaxes: List[np.ndarray],
+    denoms: List[np.ndarray],
     after: Optional[Tuple[float, int]] = None,
     total_hits_threshold: int = 1000,
     evaluated_so_far: int = 0,
     deleted: Optional[np.ndarray] = None,
-    denom_cache: Optional[dict] = None,
 ) -> Tuple[np.ndarray, np.ndarray, float, bool, int]:
     """Top-k of a SHOULD-disjunction of terms over one segment.
+
+    ``wgmaxes[i]``: term i's :func:`window_gmax`; ``denoms[i]``: its
+    weight-independent BM25 denominators ``1 + freq·normInv`` aligned
+    with its postings (the engine's documented ``w - w/d`` algebra). Both
+    depend only on (segment, term), so the caller caches them across
+    queries.
 
     Returns ``(docids, scores, theta_out, pruned, evaluated_matches)``;
     docids local, result exact top-k by (score desc, docid asc).
@@ -148,13 +118,9 @@ def wand_topk(
     reference's ``TotalHitCountCollector`` / threshold-1000 behavior
     (``core/search/IndexSearcher.java:100``, ``TotalHits.java``).
     """
-    if gmaxes is None:
-        gmaxes = [None] * len(term_infos)
-    if wgmaxes is None:
-        wgmaxes = [None] * len(term_infos)
     live = [
-        (ti, w, gm, wgm)
-        for ti, w, gm, wgm in zip(term_infos, weights, gmaxes, wgmaxes)
+        (ti, w, wgm, d)
+        for ti, w, wgm, d in zip(term_infos, weights, wgmaxes, denoms)
         if ti is not None
     ]
     if not live:
@@ -171,33 +137,12 @@ def wand_topk(
     # path, so pruning moves to the accumulate stage.)
     terms_data = []
     ub = np.zeros(n_win, dtype=np.float64)
-    norms = seg.norms
-    for ti, w, gm, wgm in live:
-        view = seg.postings(ti)
-        if wgm is None:
-            if gm is None:
-                gm = block_gmax(view, norm_inverse)
-            wgm = window_gmax(view, gm, n)
+    for ti, w, wgm, d in live:
         # f64 w·max(gmax) ≥ every f32 per-block bound up to one f32 ulp,
         # covered by the 1e-6 relative skip margin below
         ub += float(w) * wgm
-        ids, freqs = seg.decoded(ti)  # reader-level decode cache
-        # the BM25 denominator (1 + freq·normInv) is weight-independent:
-        # cache it per (term, segment) so repeat queries pay one
-        # subtract+divide instead of the gather+cast+mul+add chain.
-        # ``w - w/d`` is the engine's documented (oracle-matched) algebra.
-        dkey = (id(seg), ti.part, ti.post_off)
-        d = denom_cache.get(dkey) if denom_cache is not None else None
-        if d is None:
-            d = F32(1.0) + freqs.astype(F32) * norm_inverse[norms[ids]]
-            if denom_cache is not None:
-                # byte-budget the cache (entries are df-length f32 arrays)
-                used = denom_cache.get("__bytes__", 0)
-                if used + d.nbytes <= 256 * 1024 * 1024:
-                    denom_cache[dkey] = d
-                    denom_cache["__bytes__"] = used + d.nbytes
-        scores = w - w / d
-        terms_data.append((ids, scores))
+        ids, _ = seg.decoded(ti)  # reader-level decode cache
+        terms_data.append((ids, w - w / d))
 
     cand_ids: List[np.ndarray] = []
     cand_scores: List[np.ndarray] = []

@@ -1,5 +1,7 @@
-"""LRUQueryCache: constant-score match-set caching for range and
-multi-term queries, LRU eviction, deletes applied after cache lookup."""
+"""LRUCache, the one cache policy, and its users: LRUQueryCache
+(constant-score match-set caching for range and multi-term queries, LRU
+eviction, deletes applied after cache lookup), the reader's decode cache
+and the searcher's term-state / WAND / scorer cache."""
 
 import numpy as np
 import pytest
@@ -8,7 +10,10 @@ from lucene_ray.index.build import build_index
 from lucene_ray.index.config import IndexConfig
 from lucene_ray.index.deletes import delete_by_keys
 from lucene_ray.search.query import PrefixQuery, RangeQuery, parse_query
-from lucene_ray.search.querycache import LRUQueryCache
+from lucene_ray.codecs.postings import PostingsView
+from lucene_ray.index.config import FIELD_SEP
+from lucene_ray.index.segment import SegmentReader
+from lucene_ray.search.querycache import LRUCache, LRUQueryCache
 from lucene_ray.search.searcher import IndexSearcher
 
 DOCS = "/root/testdata/sf0.001/documents.parquet"
@@ -96,3 +101,139 @@ class TestDeletesAfterCache:
         after = s2.search("st*", k=10**9, mode="exhaustive")
         assert not set(victims) & set(after["keys"])
         assert len(after["keys"]) == len(before["keys"]) - 3
+
+
+class TestLRUCache:
+    def test_evicts_least_recent_under_byte_bound(self):
+        c = LRUCache(max_bytes=30)
+        for key in "abc":
+            c.put(key, key.upper(), 10)
+        assert c.get("a") == "A"  # a is now the most recent
+        c.put("d", "D", 10)  # 40 bytes > 30: evict b, the least recent
+        assert "b" not in c
+        assert all(key in c for key in "acd")
+        assert c.nbytes == 30 and len(c) == 3
+        c.put("e", "E", 20)  # evicts c, then a
+        assert "c" not in c and "a" not in c
+        assert c.nbytes == 30 and len(c) == 2
+
+    def test_max_entries(self):
+        c = LRUCache(max_bytes=10**9, max_entries=2)
+        for key in "abc":
+            c.put(key, key, 1)
+        assert "a" not in c and len(c) == 2
+
+    def test_replacing_a_key_recounts_its_bytes(self):
+        c = LRUCache(max_bytes=100)
+        c.put("a", 1, 40)
+        c.put("a", 2, 10)
+        assert c.get("a") == 2 and c.nbytes == 10 and len(c) == 1
+
+    def test_oversize_entry_returned_not_kept(self):
+        c = LRUCache(max_bytes=10)
+        c.put("a", "A", 5)
+        big = np.zeros(4)
+        assert c.put("big", big, 11) is big
+        assert "big" not in c
+        assert "a" in c and c.nbytes == 5
+
+    def test_contains_neither_counts_nor_reorders(self):
+        c = LRUCache(max_bytes=20)
+        c.put("a", 1, 10)
+        c.put("b", 2, 10)
+        assert "a" in c and "zz" not in c
+        assert (c.hits, c.misses) == (0, 0)
+        c.put("c", 3, 10)  # a stays least recent despite the `in`
+        assert "a" not in c and "b" in c
+
+    def test_hit_and_miss_counters(self):
+        c = LRUCache(max_bytes=100)
+        assert c.get("a") is None
+        c.put("a", 1, 1)
+        assert c.get("a") == 1 and c.get("a") == 1 and c.get("b") is None
+        assert (c.hits, c.misses) == (2, 2)
+
+
+def _text_infos(seg):
+    """The default-field terms of ``seg``'s first bucket."""
+    return [seg.lookup(t) for t in seg.terms_list(0) if FIELD_SEP not in t]
+
+
+class TestCacheBounds:
+    def test_reader_keeps_a_hot_term_past_the_byte_bound(
+        self, idx, monkeypatch
+    ):
+        monkeypatch.setattr(SegmentReader, "DECODE_CACHE_BYTES", 4096)
+        seg = IndexSearcher(idx).segments[0]
+        calls = []
+        orig = PostingsView.decode_all
+
+        def counting(view):
+            calls.append(1)
+            return orig(view)
+
+        monkeypatch.setattr(PostingsView, "decode_all", counting)
+        hot, *others = _text_infos(seg)
+        seg.decoded(hot)
+        total = 0
+        for info in others:
+            ids, freqs = seg.decoded(info)
+            total += ids.nbytes + freqs.nbytes
+            seg.decoded(hot)  # re-touched after every other term
+        assert total > 4 * 4096  # the bound overflowed several times
+        assert len(calls) == 1 + len(others)  # hot was decoded once
+        assert seg.decode_cache.nbytes <= 4096
+
+    def test_searcher_caches_new_terms_after_the_bound_fills(
+        self, idx, monkeypatch
+    ):
+        monkeypatch.setattr(IndexSearcher, "CACHE_BYTES", 64 << 10)
+        s = IndexSearcher(idx)
+        terms = [f"zzq{i}" for i in range(2000)]  # absent terms: states only
+        s.term_states(terms)
+        assert s.cache.nbytes <= 64 << 10
+        assert len(s.cache) < len(terms)  # the bound evicted entries
+        s.term_states(["data"])
+        misses = s.cache.misses
+        s.term_states(["data"])
+        assert s.cache.misses == misses  # first seen after the fill, cached
+        assert s.cache.nbytes <= 64 << 10
+
+
+WORK_QUERIES = [
+    "data",
+    "data stream",
+    "stream window batch",
+    "+data +stream",
+    "+data -window",
+    '"data stream"',
+    '"stream window"',
+    "st*",
+]
+
+
+class TestCacheWork:
+    """Exact cache traffic of a fixed query list on the fixed 150-doc
+    segment index: deterministic work counters, not wall time."""
+
+    @staticmethod
+    def _counts(s):
+        return (
+            sum(seg.decode_cache.hits for seg in s.segments),
+            sum(seg.decode_cache.misses for seg in s.segments),
+            s.cache.hits,
+            s.cache.misses,
+        )
+
+    def test_pinned_hits_and_misses(self, idx):
+        s = IndexSearcher(idx)
+        assert len(s.segments) == 4
+        for q in WORK_QUERIES:
+            s.search(q, k=10)
+        first = self._counts(s)
+        for q in WORK_QUERIES:
+            s.search(q, k=10)
+        second = tuple(b - a for a, b in zip(first, self._counts(s)))
+        # (reader hits, reader misses, searcher hits, searcher misses)
+        assert first == (64, 28, 18, 20)
+        assert second == (76, 0, 38, 0)  # a second pass misses nothing

@@ -4,7 +4,9 @@ Runs the seeded Zipf query stream of the ``serve_zipf`` benchmark
 workload (``perfbench.common.zipf_queries``) in order against one
 searcher, so first touches and repeats fall as they do when serving, and
 prints the mean milliseconds per class (term / disjunction / conjunction
-/ phrase, ``perfbench.common.query_class``).
+/ phrase, ``perfbench.common.query_class``), then one line per cache
+(the readers' decode caches summed, the searcher cache, the query cache)
+with its hits, misses and megabytes held.
 
 ``--check`` then re-runs every query with ``mode="exhaustive"`` and
 asserts that the top-10 docids and float32 scores are equal. For phrases
@@ -57,6 +59,17 @@ def main() -> int:
         v = ms[c]
         mean = sum(v) / len(v) if v else 0.0
         print(f"{c:<12} {len(v):>5} {mean:>9.2f} {sum(v) / 1e3:>8.2f}")
+
+    caches = {
+        "decode": [seg.decode_cache for seg in searcher.segments],
+        "searcher": [searcher.cache],
+        "query": [searcher.query_cache] if searcher.query_cache else [],
+    }
+    for name, cs in caches.items():
+        hits = sum(c.hits for c in cs)
+        misses = sum(c.misses for c in cs)
+        mb = sum(c.nbytes for c in cs) / 2**20
+        print(f"cache {name:<9} hits {hits:>7} misses {misses:>7} {mb:>8.1f} MB")
 
     if not args.check:
         return 0
