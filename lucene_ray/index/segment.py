@@ -130,15 +130,22 @@ def encode_uint_blocks_batch(values: np.ndarray, starts: np.ndarray) -> List[byt
     return out  # type: ignore[return-value]
 
 
+_BLOCK_INDEX = np.arange(256, dtype=np.int64)
+
+
 def decode_uint_blocks(buf) -> np.ndarray:
-    """Decode a packed uint run; full 256-value blocks sharing a width are
-    gathered and unpacked in one ``np.unpackbits`` call (hot for head-term
-    positions: 100k+ values per term)."""
+    """Decode a packed uint run. One or two blocks (most terms' positions)
+    unpack block by block. Longer runs walk the block headers once (each
+    block's offset depends on every earlier width, a plain-int chain),
+    then unpack all blocks of one width together: value j of a block sits
+    at bit ``j·w`` of its data, so the overlapping big-endian 8-byte word
+    read at its first byte holds it whole (``w + 7 <= 39`` bits), and one
+    shift and mask extract it."""
     buf = np.frombuffer(buf, dtype=np.uint8)
     n = int(buf[:4].view("<u4")[0])
-    out = np.empty(n, dtype=np.uint32)
     n_blocks = (n + 255) // 256
     if n_blocks <= 2:
+        out = np.empty(n, dtype=np.uint32)
         off = 4
         for lo in range(0, n, 256):
             cnt = min(256, n - lo)
@@ -148,33 +155,29 @@ def decode_uint_blocks(buf) -> np.ndarray:
             out[lo : lo + cnt] = unpack(buf[off : off + nb], cnt, w)
             off += nb
         return out
-    # scan widths/offsets first (tiny), then batch same-width full blocks
-    widths = np.empty(n_blocks, dtype=np.int64)
-    offs = np.empty(n_blocks, dtype=np.int64)
+    # zero padding: the last block may be partial, and every value's
+    # word (at most 32·32 + 8 bytes past its block start) stays in bounds
+    padded = np.zeros(len(buf) + 1032, dtype=np.uint8)
+    padded[: len(buf)] = buf
+    raw = memoryview(padded)
+    heads = [0] * n_blocks
     off = 4
-    for bi in range(n_blocks):
-        cnt = min(256, n - bi * 256)
-        widths[bi] = buf[off]
-        offs[bi] = off + 1
-        off += 1 + packed_size(cnt, int(buf[off]))
-    full = np.arange(n_blocks) < (n // 256)
-    for bi in np.flatnonzero(~full):
-        cnt = n - bi * 256
-        w = int(widths[bi])
-        out[bi * 256 :] = unpack(buf[offs[bi] : offs[bi] + packed_size(cnt, w)], cnt, w)
-    for w in np.unique(widths[full]):
-        w = int(w)
-        sel = np.flatnonzero(full & (widths == w))
-        if w == 0:
-            for bi in sel:
-                out[bi * 256 : bi * 256 + 256] = 0
-            continue
-        nb = 256 * w // 8
-        big = np.concatenate([buf[offs[bi] : offs[bi] + nb] for bi in sel])
-        vals = unpack(big, 256 * len(sel), w).reshape(len(sel), 256)
-        for j, bi in enumerate(sel):
-            out[bi * 256 : bi * 256 + 256] = vals[j]
-    return out
+    for bi in range(n_blocks):  # every block but the last is full: 32·w bytes
+        heads[bi] = off
+        off += 1 + 32 * raw[off]
+    heads = np.array(heads, dtype=np.int64)
+    widths = padded[heads]
+    words = np.ndarray(len(buf) + 1024, dtype=">u8", buffer=padded, strides=(1,))
+    out = np.empty((n_blocks, 256), dtype=np.uint32)
+    for w in np.unique(widths).tolist():
+        sel = np.flatnonzero(widths == w)
+        bit = _BLOCK_INDEX * w
+        first = (heads[sel] + 1)[:, None] + (bit >> 3)
+        vals = words[first].astype(np.uint64)
+        vals >>= (64 - w - (bit & 7)).astype(np.uint64)
+        vals &= np.uint64((1 << w) - 1)
+        out[sel] = vals
+    return out.ravel()[:n]
 
 
 def decode_uint_blocks_batch(
@@ -1579,17 +1582,28 @@ class SegmentReader:
                 )
         return out  # type: ignore[return-value]
 
-    def positions(self, info: TermInfo) -> np.ndarray:
+    def positional(
+        self, info: TermInfo
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A term's ``(ids, offs, pos)``: its docids, the uint32 start of
+        each doc's run in ``pos`` (``len(ids) + 1`` entries, the freqs'
+        exclusive cumsum) and its positions — one decode-cache entry,
+        counted at the bytes of all three arrays."""
         mm = self._pos_mm[info.part]
         if mm is None or info.pos_len == 0:
             raise ValueError("segment has no positions")
         key = ("pos", info.part, info.pos_off)
         hit = self.decode_cache.get(key)
         if hit is None:
-            hit = decode_uint_blocks(
+            ids, freqs = self.decoded(info)
+            offs = np.zeros(len(ids) + 1, dtype=np.uint32)
+            np.cumsum(freqs, out=offs[1:])
+            pos = decode_uint_blocks(
                 mm[info.pos_off : info.pos_off + info.pos_len]
             )
-            self.decode_cache.put(key, hit, hit.nbytes)
+            hit = self.decode_cache.put(
+                key, (ids, offs, pos), ids.nbytes + offs.nbytes + pos.nbytes
+            )
         return hit
 
     def offsets_for(self, info: TermInfo) -> Tuple[np.ndarray, np.ndarray]:

@@ -14,13 +14,14 @@ Semantics:
 - global merge: (score desc, segment index asc, docid asc) exactly
   ``TopDocs.merge`` (``core/search/TopDocs.java:203-228``).
 - exhaustive path reports ``total_hits`` with relation EQ; the WAND path
-  (search/wand.py) reports GTE past the 1000-hit threshold
-  (``core/search/IndexSearcher.java:100``).
+  (search/wand.py) and the exact-phrase path (``_search_phrase``) report
+  GTE past the 1000-hit threshold (``core/search/IndexSearcher.java:100``).
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -102,6 +103,11 @@ from lucene_ray.search.multiterm import (
 )
 
 F32 = np.float32
+
+# hits counted exactly before a pruned top-k may skip candidates and
+# report GTE: Lucene's default ``totalHitsThreshold``
+# (``core/search/IndexSearcher.java:100``)
+TOTAL_HITS_THRESHOLD = 1000
 
 # exact-phrase keys are uint32 (the positions' own dtype, so building
 # them needs no cast) while the candidates' key space fits
@@ -675,13 +681,7 @@ class IndexSearcher:
         infos = [states[t][0][seg_idx] for t in q.terms]
         if any(ti is None for ti in infos):
             return SegmentResult(np.empty(0, np.uint32), np.empty(0, F32))
-        decoded = []
-        for ti in infos:
-            ids, freqs = seg.decoded(ti)
-            pos = seg.positions(ti)
-            offs = np.zeros(len(ids) + 1, dtype=np.int64)
-            np.cumsum(freqs, out=offs[1:])
-            decoded.append((ids, offs, pos))
+        decoded = [seg.positional(ti) for ti in infos]
         common = self._doc_conjunction([d[0] for d in decoded])
         rows = [np.searchsorted(ids, common) for ids, _, _ in decoded]
         out: List[int] = []
@@ -1200,11 +1200,7 @@ class IndexSearcher:
             if ti is None:
                 decoded.append(None)
                 continue
-            ids, freqs = seg.decoded(ti)
-            pos = seg.positions(ti)
-            offs = np.zeros(len(ids) + 1, dtype=np.int64)
-            np.cumsum(freqs, out=offs[1:])
-            decoded.append((ids, offs, pos))
+            decoded.append(seg.positional(ti))
         # candidates: intersect the REQUIRED leaves' postings (terms a
         # match must contain — interval_required_terms handles or /
         # not_containing asymmetries); nothing required → union of all
@@ -1269,13 +1265,7 @@ class IndexSearcher:
         empty = (np.empty(0, np.uint32), np.empty(0, F32))
         if any(ti is None for ti in infos):
             return empty
-        decoded = []
-        for ti in infos:
-            ids, freqs = seg.decoded(ti)
-            pos = seg.positions(ti)
-            offs = np.zeros(len(ids) + 1, dtype=np.int64)
-            np.cumsum(freqs, out=offs[1:])
-            decoded.append((ids, offs, pos))
+        decoded = [seg.positional(ti) for ti in infos]
         if q.slop == 0:
             ids, freqs = self._exact_phrase_hits(decoded)
             if len(ids) == 0:
@@ -1289,6 +1279,25 @@ class IndexSearcher:
             np.array(out_freq, dtype=F32),  # float sloppy freqs
         )
 
+    def _phrase_weight(
+        self, boost: float, terms: Sequence[str], states
+    ) -> np.float32:
+        """BM25 phrase weight: boost · Σ idf(term), the idfs summed in
+        float64 then narrowed (``idfExplain``)."""
+        idf_sum = float(
+            np.sum([float(bm25_idf(states[t][1], self.doc_count)) for t in terms])
+        )
+        return F32(boost) * F32(idf_sum)
+
+    def _phrase_scores(
+        self, seg, w: np.float32, ids: np.ndarray, freqs: np.ndarray
+    ) -> np.ndarray:
+        """BM25 of default-field docs ``ids`` at phrase freqs ``freqs``.
+        Every float32 step is monotone in the freq, so at any freq ≥ the
+        true one it bounds the exact score from above (w ≥ 0)."""
+        inv = self.norm_inverse[seg.norms[ids]]
+        return w - w / (F32(1.0) + freqs.astype(F32) * inv)
+
     def _eval_phrase(self, q: PhraseQuery, seg_idx: int, states) -> SegmentResult:
         """Exact / sloppy phrase via positions intersection
         (``core/search/ExactPhraseMatcher.java`` semantics; scoring = BM25
@@ -1297,17 +1306,9 @@ class IndexSearcher:
         ids, freqs = self._phrase_matches(q, seg_idx, states)
         if len(ids) == 0:
             return SegmentResult(np.empty(0, np.uint32), np.empty(0, F32))
-        # fall through to scoring
         if self.is_bm25:
-            # weight = boost * Σ idf(term) (double-sum then narrow: idfExplain)
-            idf_sum = float(
-                np.sum(
-                    [float(bm25_idf(states[t][1], self.doc_count)) for t in q.terms]
-                )
-            )
-            w = F32(q.boost) * F32(idf_sum)
-            inv = self.norm_inverse[seg.norms[ids]]
-            scores = w - w / (F32(1.0) + freqs.astype(F32) * inv)
+            w = self._phrase_weight(q.boost, q.terms, states)
+            scores = self._phrase_scores(seg, w, ids, freqs)
         else:
             # PhraseWeight hands ALL the terms' stats to Similarity.scorer
             # (PhraseQuery.java getStats); scored at the phrase freq
@@ -1318,13 +1319,20 @@ class IndexSearcher:
         return self._live(seg, SegmentResult(ids, scores))
 
     @staticmethod
-    def _exact_phrase_hits(decoded) -> Tuple[np.ndarray, np.ndarray]:
+    def _exact_phrase_hits(
+        decoded, cand: Optional[np.ndarray] = None, rows=None
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Exact phrase over per-slot (ids, offs, pos) tuples, linear in
         the candidates' positions — no sort, no ``np.unique``:
 
-        1. candidates = the slots' doc conjunction (rarest first);
-        2. each slot's positions are gathered for the candidates only (a
-           slot whose docs are exactly the candidates is used as is);
+        1. candidates = ``cand`` (sorted docids, a subset of the slots'
+           doc conjunction), by default the whole conjunction (rarest
+           first); ``rows`` may give, per slot, the candidates' indices
+           in that slot's docs (None: the slot's docs are the
+           candidates), else they are looked up;
+        2. each slot's positions are gathered for the candidates only, one
+           index range per candidate (a slot whose docs are exactly the
+           candidates is used as is);
         3. candidate j owns the key range ``[base[j], base[j+1])``, base =
            exclusive cumsum of (its last position over all slots + nterms
            + 1) — positions ascend within a doc, so the last is the max;
@@ -1339,24 +1347,41 @@ class IndexSearcher:
         The key space is the candidates' own token span (never candidates
         x the longest document); keys are uint32 while it fits, else
         int64.
-        → (docids uint32, phrase freqs uint32); empties when no match."""
+        → (docids uint32, phrase freqs uint32) of the matching
+        candidates; empties when none match."""
         none = (np.empty(0, np.uint32), np.empty(0, np.uint32))
-        cand = IndexSearcher._doc_conjunction([ids for ids, _, _ in decoded])
+        if cand is None:
+            cand = IndexSearcher._doc_conjunction([ids for ids, _, _ in decoded])
         if len(cand) == 0:
             return none
         nterms = len(decoded)
         slots = []  # per slot: candidates' positions, per-doc counts, ends
+        gathered = {}  # a term filling several slots is gathered once
         last = np.zeros(len(cand), dtype=np.int64)
-        for ids, offs, pos in decoded:
-            cnt = np.diff(offs)
-            if len(ids) != len(cand):
-                keep = np.zeros(len(ids), dtype=bool)
-                keep[np.searchsorted(ids, cand)] = True
-                pos = pos[np.repeat(keep, cnt)]
-                cnt = cnt[keep]
-            ends = np.cumsum(cnt)
+        for i, slot in enumerate(decoded):
+            if id(slot) in gathered:
+                slots.append(gathered[id(slot)])
+                continue
+            ids, offs, pos = slot
+            if rows is not None:
+                row = rows[i]
+            else:
+                row = None if len(ids) == len(cand) else np.searchsorted(ids, cand)
+            if row is None:
+                cnt = np.diff(offs).astype(np.int64)
+                ends = np.cumsum(cnt)
+            else:
+                lo = offs[row].astype(np.int64)
+                cnt = offs[row + 1] - lo
+                ends = np.cumsum(cnt)
+                # candidate j's run lo[j] + [0, cnt[j]) lands at
+                # ends[j] - cnt[j] + [0, cnt[j]) of the gathered positions
+                idx = np.repeat(lo - (ends - cnt), cnt)
+                idx += np.arange(len(idx))
+                pos = pos[idx]
             np.maximum(last, pos[ends - 1], out=last)
-            slots.append((pos, cnt, ends))
+            gathered[id(slot)] = (pos, cnt, ends)
+            slots.append(gathered[id(slot)])
         span = last + (nterms + 1)
         base = np.cumsum(span) - span
         space = int(base[-1] + span[-1])
@@ -1403,11 +1428,7 @@ class IndexSearcher:
                 # a slot none of whose terms exist can never match
                 return SegmentResult(np.empty(0, np.uint32), np.empty(0, F32))
             if len(infos) == 1:
-                ids, freqs = seg.decoded(infos[0])
-                pos = seg.positions(infos[0])
-                offs = np.zeros(len(ids) + 1, dtype=np.int64)
-                np.cumsum(freqs, out=offs[1:])
-                decoded.append((ids, offs, pos))
+                decoded.append(seg.positional(infos[0]))
                 continue
             # union the slot: merge (docid, pos) pairs of every member,
             # sorted + deduped — one pseudo-term posting list
@@ -1417,7 +1438,7 @@ class IndexSearcher:
                 doc_parts.append(
                     np.repeat(ids.astype(np.int64), freqs.astype(np.int64))
                 )
-                pos_parts.append(seg.positions(ti).astype(np.int64))
+                pos_parts.append(seg.positional(ti)[2].astype(np.int64))
             alldocs = np.concatenate(doc_parts)
             allpos = np.concatenate(pos_parts)
             max_pos = int(allpos.max()) if len(allpos) else 0
@@ -1444,28 +1465,15 @@ class IndexSearcher:
             ids = np.array(out_ids, dtype=np.uint32)
             freqs = np.array(out_freq, dtype=F32)
         # idf: one contribution per term OCCURRENCE with df > 0
-        occurrences = [t for slot in q.positions for t in slot]
+        occurrences = [
+            t for slot in q.positions for t in slot if states[t][1] > 0
+        ]
         if self.is_bm25:
-            idf_sum = float(
-                np.sum(
-                    [
-                        float(bm25_idf(states[t][1], self.doc_count))
-                        for t in occurrences
-                        if states[t][1] > 0
-                    ]
-                )
-            )
-            w = F32(q.boost) * F32(idf_sum)
-            inv = self.norm_inverse[seg.norms[ids]]
-            scores = w - w / (F32(1.0) + freqs.astype(F32) * inv)
+            w = self._phrase_weight(q.boost, occurrences, states)
+            scores = self._phrase_scores(seg, w, ids, freqs)
         else:
             sc = self._multi_scorer(
-                q.boost,
-                [
-                    (states[t][1], states[t][2])
-                    for t in occurrences
-                    if states[t][1] > 0
-                ],
+                q.boost, [(states[t][1], states[t][2]) for t in occurrences]
             )
             scores = sc.score(freqs, seg.norms[ids])
         return self._live(seg, SegmentResult(ids, scores))
@@ -1592,8 +1600,9 @@ class IndexSearcher:
         top-k with TopDocs.merge tie-breaking.
 
         ``mode``: "auto" uses block-max pruning for eligible disjunctions
-        (rank-identical by construction), "exhaustive" forces full scoring,
-        "wand" forces pruning (errors if ineligible).
+        and per-doc bounds for exact BM25 phrases (both rank-identical by
+        construction), "exhaustive" forces full scoring, "wand" forces
+        block-max pruning (errors if ineligible).
 
         ``after=(score, global_docid)`` — cursor pagination: only hits
         strictly after that sort position are returned
@@ -1624,8 +1633,17 @@ class IndexSearcher:
                     return self._search_wand(terms, k, after=after)
                 if mode == "wand":
                     raise ValueError("query not eligible for WAND pruning")
+                if (
+                    isinstance(query, PhraseQuery)
+                    and query.slop == 0
+                    and len(query.terms) >= 2
+                    and query.boost > 0
+                    and after is None
+                    and k > 0
+                ):
+                    return self._search_phrase(query, k)
         states = self.term_states(query_terms(query))
-        rows = []  # (neg_score, seg_idx, docid) for merge ordering
+        per_seg = []
         total = 0
         for si in range(len(self.segments)):
             r = self._eval(query, si, states)
@@ -1637,24 +1655,27 @@ class IndexSearcher:
                     (r.scores == a_score) & (r.docids.astype(np.int64) > a_doc)
                 )
                 r = SegmentResult(r.docids[keep], r.scores[keep])
-            ids, scores = self._topk_segment(r, k)
-            for d, s in zip(ids, scores):
-                rows.append((-float(s), si, int(d)))
-        rows.sort()
-        rows = rows[:k]
-        docids = np.array(
-            [self.segments[si].base_docid + d for _, si, d in rows], dtype=np.int64
-        )
-        scores = np.array([-s for s, _, _ in rows], dtype=np.float32)
-        keys = [
-            self.segments[si].docmap[d].as_py() for _, si, d in rows
-        ]
+            per_seg.append((si, *self._topk_segment(r, k)))
+        return self._top_docs(per_seg, k, total, "EQ")
+
+    def _top_docs(self, per_seg, k: int, total: int, relation: str) -> dict:
+        """Merge per-segment top-k ``(seg_idx, docids, scores)`` lists into
+        the global top k in ``TopDocs.merge`` order (score desc, segment
+        index asc, docid asc)."""
+        rows = sorted(
+            (-float(s), si, int(d))
+            for si, ids, scores in per_seg
+            for d, s in zip(ids, scores)
+        )[:k]
         return {
-            "docids": docids,
-            "keys": keys,
-            "scores": scores,
+            "docids": np.array(
+                [self.segments[si].base_docid + d for _, si, d in rows],
+                dtype=np.int64,
+            ),
+            "keys": [self.segments[si].docmap[d].as_py() for _, si, d in rows],
+            "scores": np.array([-s for s, _, _ in rows], dtype=np.float32),
             "total_hits": total,
-            "relation": "EQ",
+            "relation": relation,
         }
 
     def _rewrite_join(self, q: JoinQuery) -> Query:
@@ -2899,11 +2920,11 @@ class IndexSearcher:
 
     def _search_wand(
         self, terms: List[TermQuery], k: int, after=None,
-        total_hits_threshold: int = 1000,
+        total_hits_threshold: int = TOTAL_HITS_THRESHOLD,
     ) -> dict:
         states = self.term_states([t.term for t in terms])
         theta = -np.inf
-        rows = []
+        per_seg = []
         total = 0
         any_pruned = False
         for si, seg in enumerate(self.segments):
@@ -2939,43 +2960,180 @@ class IndexSearcher:
             )
             total += ev
             any_pruned = any_pruned or pruned
-            for d, s in zip(ids, scores):
-                rows.append((-float(s), si, int(d)))
-        rows.sort()
-        rows = rows[:k]
-        docids = np.array(
-            [self.segments[si].base_docid + d for _, si, d in rows], dtype=np.int64
+            per_seg.append((si, ids, scores))
+        return self._top_docs(
+            per_seg, k, total, "GTE" if any_pruned else "EQ"
         )
-        scores = np.array([-s for s, _, _ in rows], dtype=np.float32)
-        keys = [self.segments[si].docmap[d].as_py() for _, si, d in rows]
-        return {
-            "docids": docids,
-            "keys": keys,
-            "scores": scores,
-            "total_hits": total,
-            "relation": "GTE" if any_pruned else "EQ",
-        }
+
+    def _search_phrase(self, q: PhraseQuery, k: int) -> dict:
+        """Top-k of an exact BM25 phrase that reads positions only for
+        docs whose score bound can reach the top k — the bound-then-verify
+        shape of Koios (PAPERS.md), per document:
+
+        1. per segment, the rarest-first doc conjunction of the terms'
+           postings, deleted docs dropped. A doc's phrase freq is at most
+           its smallest tf over the slots (``minTf``), so its BM25 at
+           ``minTf`` bounds its score (``_phrase_bound``); no positions
+           are read;
+        2. the candidates of all segments are verified by
+           ``_exact_phrase_hits`` in chunks of descending bound: the
+           first holds the ``2 · TOTAL_HITS_THRESHOLD`` best bounds (up
+           to that many candidates are all verified at once), each later
+           one enough to count the missing hits twice over at the hit
+           rate seen so far. Once ``TOTAL_HITS_THRESHOLD`` hits are
+           counted and θ, the k-th best exact score, is known, only the
+           candidates whose bound is ≥ θ are verified (a tie with θ may
+           still win the docid tie-break);
+        3. relation is GTE only if a candidate was never verified, and
+           then ``total_hits`` ≥ ``TOTAL_HITS_THRESHOLD`` (Lucene's
+           TotalHits rule).
+
+        The top k equals the exhaustive path's bit for bit: verified docs
+        score through the same ``_phrase_scores`` as ``_eval_phrase``, and
+        a skipped doc scores ≤ its bound < θ (the rank-identity argument
+        of search/wand.py)."""
+        states = self.term_states(q.terms)
+        w = self._phrase_weight(q.boost, q.terms, states)
+        slots_of = Counter(q.terms)
+        # per segment: (seg_idx, infos, postings by term, sorted live
+        # candidates, per term the candidates' rows in its postings or
+        # None where its docs are the candidates)
+        segs = []
+        for si, seg in enumerate(self.segments):
+            infos = [states[t][0][si] for t in q.terms]
+            if any(ti is None for ti in infos):
+                continue
+            post = {t: seg.decoded(states[t][0][si]) for t in slots_of}
+            cand = self._doc_conjunction([ids for ids, _ in post.values()])
+            if seg.deleted is not None:
+                cand = cand[~seg.deleted[cand]]
+            if len(cand):
+                rows = {
+                    t: None if len(ids) == len(cand) else np.searchsorted(ids, cand)
+                    for t, (ids, _) in post.items()
+                }
+                segs.append((si, infos, post, cand, rows))
+        # candidate i of the concatenation is segs[j]'s candidate
+        # i - starts[j], for starts[j] <= i < starts[j + 1]
+        starts = np.cumsum([0] + [len(c[3]) for c in segs])
+        n = int(starts[-1])
+        # a first chunk of twice the threshold counts the threshold at
+        # once for a phrase matching every other candidate; a lone chunk
+        # needs no bounds
+        step = 2 * TOTAL_HITS_THRESHOLD
+        bound = None
+        if n > step and w > 0:
+            bound = np.concatenate(
+                [
+                    self._phrase_bound(self.segments[si], w, slots_of, post, cand, rows)
+                    for si, _, post, cand, rows in segs
+                ]
+            )
+        hits = [([], []) for _ in segs]
+        top = np.empty(0, F32)  # the k best exact scores so far
+        total = n_verified = 0
+        hi = np.inf  # every candidate with bound >= hi is verified
+        while True:
+            # the next chunk: the candidates with bound in [lo, hi)
+            theta_known = total >= TOTAL_HITS_THRESHOLD and len(top) >= k
+            if theta_known:
+                lo = float(top.min())
+            else:
+                rest = () if bound is None else bound[bound < hi]
+                lo = (
+                    float(np.partition(rest, len(rest) - step)[len(rest) - step])
+                    if len(rest) > step
+                    else -np.inf
+                )
+            chunk = (
+                np.arange(n)
+                if bound is None
+                else np.flatnonzero((bound >= lo) & (bound < hi))
+            )
+            n_verified += len(chunk)
+            cuts = np.searchsorted(chunk, starts)
+            verified = [top]
+            for j, (si, infos, _, cand, rows) in enumerate(segs):
+                sub = chunk[cuts[j] : cuts[j + 1]] - starts[j]
+                if len(sub) == 0:
+                    continue
+                if len(sub) < len(cand):
+                    rows = {t: sub if r is None else r[sub] for t, r in rows.items()}
+                seg = self.segments[si]
+                ids, freqs = self._exact_phrase_hits(
+                    [seg.positional(ti) for ti in infos],
+                    cand[sub],
+                    [rows[t] for t in q.terms],
+                )
+                scores = self._phrase_scores(seg, w, ids, freqs)
+                hits[j][0].append(ids)
+                hits[j][1].append(scores)
+                verified.append(scores)
+                total += len(ids)
+            top = np.concatenate(verified)
+            if len(top) > k:
+                top = np.partition(top, len(top) - k)[len(top) - k :]
+            hi = lo
+            if theta_known or lo == -np.inf:
+                break
+            # enough candidates to count the missing hits twice over at
+            # the hit rate so far (all of them once the count is reached)
+            missing = TOTAL_HITS_THRESHOLD - total
+            step = int(2 * missing * n_verified / max(total, 1)) if missing > 0 else n
+        per_seg = [
+            (si, *self._topk_segment(
+                SegmentResult(np.concatenate(ids), np.concatenate(scores)), k
+            ))
+            for (si, *_), (ids, scores) in zip(segs, hits)
+            if ids
+        ]
+        # a candidate bounded below θ was never verified
+        skipped = bound is not None and bool((bound < hi).any())
+        return self._top_docs(per_seg, k, total, "GTE" if skipped else "EQ")
+
+    def _phrase_bound(
+        self, seg, w: np.float32, slots_of: Counter, post, cand: np.ndarray, rows
+    ) -> np.ndarray:
+        """Per-candidate upper bound of an exact phrase's BM25: the score
+        at the smallest tf over the phrase's terms. A term filling r slots
+        counts tf - (r - 1): a match is counted at its occurrence in the
+        term's last slot, and the first match's r - 1 occurrences in the
+        term's earlier slots lie before every such occurrence."""
+        min_tf = None
+        for t, (_, freqs) in post.items():
+            if rows[t] is not None:
+                freqs = freqs[rows[t]]
+            if slots_of[t] > 1:
+                freqs = np.maximum(freqs.astype(np.int64) - (slots_of[t] - 1), 0)
+            min_tf = freqs if min_tf is None else np.minimum(min_tf, freqs)
+        return self._phrase_scores(seg, w, cand, min_tf)
 
     def search_batch(
         self, qids: Sequence, queries: Sequence[str], k: int = 10
     ) -> pa.Table:
-        """Vectorizable entry for actor pools: one row per (qid, rank)."""
-        out_qid, out_rank, out_key, out_docid, out_score = [], [], [], [], []
-        for qid, qtext in zip(qids, queries):
-            res = self.search(qtext, k)
-            for r in range(len(res["docids"])):
-                out_qid.append(qid)
-                out_rank.append(r)
-                out_key.append(res["keys"][r])
-                out_docid.append(int(res["docids"][r]))
-                out_score.append(float(res["scores"][r]))
+        """Vectorizable entry for actor pools: one row per (qid, rank),
+        columns assembled by numpy concatenation. The schema does not
+        depend on the hits: qid has the Arrow type of ``qids``, key the
+        type of the index's document keys."""
+        res = [self.search(q, k) for q in queries]
+        counts = np.array([len(r["docids"]) for r in res], dtype=np.int64)
+        firsts = np.repeat(np.cumsum(counts) - counts, counts)
+        key_type = self.segments[0].docmap.type if self.segments else pa.null()
         return pa.table(
             {
-                "qid": pa.array(out_qid),
-                "rank": pa.array(out_rank, pa.int32()),
-                "key": pa.array(out_key),
-                "docid": pa.array(out_docid, pa.int64()),
-                "score": pa.array(out_score, pa.float32()),
+                "qid": pa.array(qids).take(
+                    np.repeat(np.arange(len(res)), counts)
+                ),
+                "rank": (np.arange(len(firsts)) - firsts).astype(np.int32),
+                "key": pa.array(
+                    [key for r in res for key in r["keys"]], type=key_type
+                ),
+                "docid": np.concatenate(
+                    [np.empty(0, np.int64)] + [r["docids"] for r in res]
+                ),
+                "score": np.concatenate(
+                    [np.empty(0, np.float32)] + [r["scores"] for r in res]
+                ),
             }
         )
 

@@ -136,3 +136,58 @@ def test_segment_decoded_many_matches_scalar(ray_session, tmp_path):
     again = seg.decoded_many(infos)
     for (gi, gt), (ai, at) in zip(got, again):
         assert gi is ai and gt is at
+
+
+@st.composite
+def uint_block_runs(draw):
+    """(blob, values) of a hand-packed uint run: 1-6 blocks, each with a
+    drawn width 0-32 and values below 2^width (not always reaching it), a
+    partial last block of 1-256 values, so runs mix widths freely."""
+    from lucene_ray.codecs.forutil import pack
+
+    n_blocks = draw(st.integers(1, 6))
+    last = draw(st.integers(1, 256))
+    parts, values = [], []
+    for bi in range(n_blocks):
+        cnt = 256 if bi < n_blocks - 1 else last
+        w = draw(st.integers(0, 32))
+        seed = draw(st.integers(0, 2**32 - 1))
+        vals = np.random.default_rng(seed).integers(
+            0, 1 << w, size=cnt, dtype=np.uint64
+        ).astype(np.uint32)
+        parts.append(bytes([w]) + pack(vals, w))
+        values.append(vals)
+    n = 256 * (n_blocks - 1) + last
+    return np.array([n], "<u4").tobytes() + b"".join(parts), np.concatenate(values)
+
+
+def _unpack_per_block(blob):
+    """Reference decoder: one ``forutil.unpack`` per block."""
+    from lucene_ray.codecs.forutil import packed_size, unpack
+
+    buf = np.frombuffer(blob, dtype=np.uint8)
+    n = int(buf[:4].view("<u4")[0])
+    out, off = [], 4
+    for lo in range(0, n, 256):
+        cnt, w = min(256, n - lo), int(buf[off])
+        nb = packed_size(cnt, w)
+        out.append(unpack(buf[off + 1 : off + 1 + nb], cnt, w))
+        off += 1 + nb
+    return np.concatenate(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(uint_block_runs())
+def test_uint_blocks_word_gather_matches_per_block_unpack(run):
+    """The batched decode (3+ blocks: one word gather per width) and the
+    1-2 block path equal per-block ``unpack`` bit for bit, at every width
+    0-32, with a partial last block and mixed widths."""
+    from lucene_ray.index.segment import decode_uint_blocks
+
+    blob, values = run
+    got = decode_uint_blocks(blob)
+    assert got.dtype == np.uint32
+    assert got.tobytes() == _unpack_per_block(blob).tobytes() == values.tobytes()
+    # a memory-mapped source hands a uint8 slice, not bytes
+    framed = np.frombuffer(b"\xff" * 3 + blob + b"\xff" * 5, dtype=np.uint8)
+    assert decode_uint_blocks(framed[3 : 3 + len(blob)]).tobytes() == got.tobytes()

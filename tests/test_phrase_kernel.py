@@ -2,8 +2,8 @@
 brute-force per-doc reference, over generated postings: 2-4 slots, the same
 term in several slots, matches at position 0, empty intersections, holes in
 the position stream, positions at and above 2^21 (and the int64 key path),
-and deduplicated multi-phrase union slots (several terms stacked at one
-position)."""
+deduplicated multi-phrase union slots (several terms stacked at one
+position), and candidate subsets of the conjunction."""
 
 from unittest import mock
 
@@ -74,9 +74,12 @@ def brute_force(docs, slots):
     return out
 
 
-def kernel(docs, slots):
+def kernel(docs, slots, cand=None):
+    # a slot set repeated in the phrase passes the same postings object,
+    # as a reader's cache does for a repeated term
+    postings = {}
     ids, freqs = IndexSearcher._exact_phrase_hits(
-        [slot_postings(docs, s) for s in slots]
+        [postings.setdefault(s, slot_postings(docs, s)) for s in slots], cand
     )
     assert ids.dtype == np.uint32 and freqs.dtype == np.uint32
     assert np.all(np.diff(ids.astype(np.int64)) > 0)
@@ -87,6 +90,20 @@ def kernel(docs, slots):
 @given(corpora(), slot_lists)
 def test_matches_brute_force(docs, slots):
     assert kernel(docs, slots) == brute_force(docs, slots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpora(), slot_lists, st.data())
+def test_candidate_subset(docs, slots, data):
+    """Verifying a sorted subset of the conjunction finds exactly the
+    subset's matches: runs gathered per candidate, never the slot's
+    whole position stream."""
+    both = IndexSearcher._doc_conjunction(
+        [slot_postings(docs, s)[0] for s in slots]
+    ).tolist()
+    cand = sorted(data.draw(st.lists(st.sampled_from(both), unique=True))) if both else []
+    want = {d: f for d, f in brute_force(docs, slots).items() if d in cand}
+    assert kernel(docs, slots, np.array(cand, dtype=np.uint32)) == want
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,7 +7,7 @@ import ray.data
 
 from lucene_ray.index.build import build_index
 from lucene_ray.index.config import IndexConfig
-from lucene_ray.search.searcher import search_dataset
+from lucene_ray.search.searcher import IndexSearcher, search_dataset
 from lucene_ray.search.service import SearcherService
 
 DOCS = "/root/testdata/sf0.001/documents.parquet"
@@ -88,3 +88,33 @@ def test_maybe_refresh_picks_up_new_generation(ray_session, tmp_path):
     svc.shutdown()
     assert before <= after
     assert any(int(k) >= 250 for k in after)
+
+
+BATCH_SCHEMA = pa.schema(
+    [
+        ("qid", pa.int64()),
+        ("rank", pa.int32()),
+        ("key", pa.int64()),  # the corpus's doc_id column
+        ("docid", pa.int64()),
+        ("score", pa.float32()),
+    ]
+)
+
+
+def test_search_batch_schema_and_rows(index_dir):
+    """``search_batch``: one row per (qid, rank) under one schema, whether
+    the batch has hits or none; rows equal per-query ``search``."""
+    s = IndexSearcher(index_dir)
+    qids = [7, 3, 11, 5, 9]
+    t = s.search_batch(qids, QUERIES, k=5)
+    assert t.schema == BATCH_SCHEMA
+    want = []
+    for qid, q in zip(qids, QUERIES):
+        r = s.search(q, 5)
+        want += [
+            {"qid": qid, "rank": i, "key": key, "docid": int(d), "score": float(sc)}
+            for i, (key, d, sc) in enumerate(zip(r["keys"], r["docids"], r["scores"]))
+        ]
+    assert t.to_pylist() == want and t.num_rows > 5
+    empty = s.search_batch([1, 2], ["zzz_nohit", "zzz_nohit zzz_other"], k=5)
+    assert empty.schema == BATCH_SCHEMA and empty.num_rows == 0
