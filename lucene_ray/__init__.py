@@ -10,8 +10,9 @@ reference Lucene fork (kaivalnp/lucene) expressed in idiomatic Ray Data:
 - postings with delta-gap + FOR/PFor block compression and per-block
   max-impact metadata,
 - tiered size-ratio segment merging,
-- top-k BM25 (k1=1.2, b=0.75) with block-max WAND pruning served from
-  stateful searcher actor pools over memory-mapped shards.
+- top-k BM25 (k1=1.2, b=0.75) with bound-then-verify top-k for terms,
+  disjunctions and exact phrases, served from stateful searcher actor
+  pools over memory-mapped shards.
 
 Nothing here is a port: the reference tells us WHAT to compute (semantics
 cited per-module as ``file:line`` into /root/reference), the execution

@@ -11,7 +11,7 @@ Two registered formats:
 
 - ``ray104`` — the default block codec (256-doc FOR/bitset blocks, PFor
   freqs, competitive impacts; ``codecs/postings.py``). Impacts present →
-  WAND-prunable.
+  the pruned top-k paths run.
 - ``plain`` — uncompressed u32 docids + freqs behind a tiny header, the
   debugging/interchange role of ``SimpleTextPostingsFormat``
   (``codecs/src/java/org/apache/lucene/codecs/simpletext/
@@ -23,7 +23,7 @@ Two registered formats:
 A format implements ``encode_batch`` (term-major flat pair arrays →
 per-term blobs) and ``view`` (blob → reader object exposing
 ``decode_all()`` and ``lookup_docs()``; the ray104 view additionally
-exposes the block directory consumed by WAND).
+exposes the block directory and impacts that CheckIndex validates).
 """
 
 from __future__ import annotations

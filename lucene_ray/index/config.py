@@ -114,7 +114,8 @@ class IndexConfig:
     # ``codecs/spi.py``'s registry at write, merge, and read time; the
     # chosen names are recorded in segment meta so readers need no
     # config. Non-impact formats (e.g. "plain") make their fields'
-    # queries run exhaustively (rank-identical; WAND needs impacts).
+    # queries run exhaustively (rank-identical; the pruned paths need
+    # impacts).
     postings_format: str = "ray104"
     per_field_formats: Tuple[Tuple[str, str], ...] = ()
     # point_cols — NUMERIC/timestamp ``dv_cols`` entries that also get a

@@ -6,8 +6,9 @@ segment) match-set caching for constant-score clauses, the role of
 
 ``LRUCache`` holds every cross-query reuse in a searcher process: the
 reader's decoded postings/positions (``SegmentReader``), the searcher's
-term states, WAND window bounds, BM25 denominators and similarity
-scorers (``IndexSearcher``), and the query cache below. Segments are
+term states, index-wide term arrays (docids, BM25 denominators, run
+maxima) and similarity scorers (``IndexSearcher``), and the query cache
+below. Segments are
 immutable, so entries never go stale; the bounds only cap memory in
 long-lived serving actors. This module imports nothing from the package,
 so the index layer can use it.

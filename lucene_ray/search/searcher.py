@@ -13,9 +13,10 @@ Semantics:
   (``core/search/TopScoreDocCollector.java:94-162`` / ``HitQueue``).
 - global merge: (score desc, segment index asc, docid asc) exactly
   ``TopDocs.merge`` (``core/search/TopDocs.java:203-228``).
-- exhaustive path reports ``total_hits`` with relation EQ; the WAND path
-  (search/wand.py) and the exact-phrase path (``_search_phrase``) report
-  GTE past the 1000-hit threshold (``core/search/IndexSearcher.java:100``).
+- exhaustive and term/disjunction (``_search_wand``) paths report
+  ``total_hits`` with relation EQ; the exact-phrase path
+  (``_search_phrase``) reports GTE past the 1000-hit threshold
+  (``core/search/IndexSearcher.java:100``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from lucene_ray.codecs.smallfloat import LENGTH_TABLE_INT
 from lucene_ray.search.bm25 import BM25Similarity, idf as bm25_idf
 from lucene_ray.search.expressions import Expression
 from lucene_ray.search.similarities import similarity_for_name
-from lucene_ray.search.wand import block_gmax, wand_topk, window_gmax
 from lucene_ray.search.intervals import (
     eval_source as interval_eval_source,
     interval_freq,
@@ -219,6 +219,10 @@ class IndexSearcher:
     """Open once (per process / per Ray actor), search many times."""
 
     CACHE_BYTES = 256 << 20
+    # postings per run of a term's index-wide arrays: the granularity of
+    # the score bounds that choose the top-k candidates of a term or
+    # disjunction (``_search_wand``); one codec block
+    RUN = 128
     # estimated size of one small cached Python object (a TermInfo is
     # about 210 bytes, a scorer less)
     _OBJ_BYTES = 256
@@ -320,10 +324,11 @@ class IndexSearcher:
         self.norm_inverse = (
             self.sim.norm_inverse_cache(avgdl) if self.is_bm25 else None
         )
-        # WAND needs per-block impacts: if any segment stores the text
-        # field in a non-impact postings format ("plain" SPI codec), the
-        # pruned path is unavailable and eligible queries fall back to
-        # exhaustive scoring (rank-identical either way)
+        # the pruned paths (terms and disjunctions, exact phrases) run
+        # only on impact-bearing text formats: if any segment stores the
+        # text field in a non-impact postings format ("plain" SPI codec),
+        # eligible queries fall back to exhaustive scoring (rank-identical
+        # either way) and mode="wand" is refused
         self.text_has_impacts = all(
             format_for_name(s.fmt_for_key("")).has_impacts
             for s in self.segments
@@ -347,8 +352,8 @@ class IndexSearcher:
             self.config if not getattr(self.config, "synonyms", ())
             else replace(self.config, synonyms=())
         )
-        # cross-query reuse: term states, WAND window bounds + BM25
-        # denominators per (segment, term), similarity scorers
+        # cross-query reuse: term states, index-wide term arrays (docids,
+        # BM25 denominators, run maxima), similarity scorers
         self.cache = LRUCache(self.CACHE_BYTES)
         # constant-score match-set cache (LRUQueryCache role); pass
         # query_cache=None to disable
@@ -1599,15 +1604,17 @@ class IndexSearcher:
         """→ {"docids", "keys", "scores", "total_hits", "relation"} global
         top-k with TopDocs.merge tie-breaking.
 
-        ``mode``: "auto" uses block-max pruning for eligible disjunctions
-        and per-doc bounds for exact BM25 phrases (both rank-identical by
+        ``mode``: "auto" uses run-max bounds over index-wide term arrays
+        for terms and SHOULD disjunctions of terms (``_search_wand``) and
+        per-doc bounds for exact BM25 phrases (both rank-identical by
         construction), "exhaustive" forces full scoring, "wand" forces
-        block-max pruning (errors if ineligible).
+        the term/disjunction path (errors if ineligible).
 
         ``after=(score, global_docid)`` — cursor pagination: only hits
         strictly after that sort position are returned
-        (``IndexSearcher.searchAfter``, ``core/search/IndexSearcher.java:587-599``;
-        forces the exhaustive path)."""
+        (``IndexSearcher.searchAfter``, ``core/search/IndexSearcher.java:587-599``);
+        terms and disjunctions apply it in their own pass, other queries
+        (phrases included) run exhaustively."""
         if isinstance(query, str):
             query = parse_query(query, self.analyzer)
         else:
@@ -1649,11 +1656,8 @@ class IndexSearcher:
             r = self._eval(query, si, states)
             total += len(r.docids)
             if after is not None:
-                a_score = np.float32(after[0])
-                a_doc = int(after[1]) - self.segments[si].base_docid
-                keep = (r.scores < a_score) | (
-                    (r.scores == a_score) & (r.docids.astype(np.int64) > a_doc)
-                )
+                base = self.segments[si].base_docid
+                keep = self._past((after[0], int(after[1]) - base), r.scores, r.docids)
                 r = SegmentResult(r.docids[keep], r.scores[keep])
             per_seg.append((si, *self._topk_segment(r, k)))
         return self._top_docs(per_seg, k, total, "EQ")
@@ -2900,69 +2904,139 @@ class IndexSearcher:
             }
         )
 
-    def _wand_term(self, si: int, ti: TermInfo) -> Tuple[np.ndarray, np.ndarray]:
-        """Weight-independent WAND inputs of one term on segment ``si``,
-        cached: its per-window bound factors (``window_gmax``) and its
-        BM25 denominators ``1 + freq·normInv`` per posting, so a repeat
-        query pays one subtract+divide per posting."""
-        key = ("wand", si, ti.part, ti.post_off)
+    def _term_postings(
+        self, term: str, infos: List[Optional[TermInfo]]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Index-wide arrays of one text term, cached under ``("term",
+        term)``: its live postings' global docids (uint32, ascending, as
+        segment bases ascend with segment index), their BM25
+        denominators ``1 + freq·normInv`` and the largest denominator of
+        each run of ``RUN`` postings. None depends on the query weight
+        w: a posting scores ``w - w/den``, and ``w - w/max(den)`` is the
+        exact float32 maximum of a run's scores (both float32 steps are
+        monotone in ``den``)."""
+        key = ("term", term)
         hit = self.cache.get(key)
         if hit is None:
-            seg = self.segments[si]
-            view = seg.postings(ti)
-            wgm = window_gmax(
-                view, block_gmax(view, self.norm_inverse), seg.n_docs
+            ids, dens = [np.empty(0, np.uint32)], [np.empty(0, F32)]
+            for seg, ti in zip(self.segments, infos):
+                if ti is None:
+                    continue
+                sids, freqs = seg.decoded(ti)
+                den = F32(1.0) + freqs.astype(F32) * self.norm_inverse[seg.norms[sids]]
+                if seg.deleted is not None:
+                    live = ~seg.deleted[sids]
+                    sids, den = sids[live], den[live]
+                ids.append(sids.astype(np.uint32) + np.uint32(seg.base_docid))
+                dens.append(den)
+            ids, den = np.concatenate(ids), np.concatenate(dens)
+            run_max = (
+                np.maximum.reduceat(den, np.arange(0, len(den), self.RUN))
+                if len(den)
+                else den
             )
-            ids, freqs = seg.decoded(ti)
-            d = F32(1.0) + freqs.astype(F32) * self.norm_inverse[seg.norms[ids]]
-            hit = self.cache.put(key, (wgm, d), wgm.nbytes + d.nbytes)
+            hit = self.cache.put(
+                key, (ids, den, run_max), ids.nbytes + den.nbytes + run_max.nbytes
+            )
         return hit
 
-    def _search_wand(
-        self, terms: List[TermQuery], k: int, after=None,
-        total_hits_threshold: int = TOTAL_HITS_THRESHOLD,
-    ) -> dict:
+    def _search_wand(self, terms: List[TermQuery], k: int, after=None) -> dict:
+        """Top-k of a text term or a SHOULD disjunction of text terms in
+        one pass over the terms' index-wide arrays (``_term_postings``),
+        with exact hit counts (relation EQ):
+
+        - a term scores ``w - w/den``; a disjunction adds its terms'
+          scores in clause order into one float32 accumulator over the
+          index's docids, the exhaustive path's sums;
+        - θ, a lower bound of the k-th best score past the cursor: the
+          k-th best exact score of a sample of at least k distinct live
+          docs past the cursor; per term, the docs of its k runs with the
+          largest maxima; the largest over the terms;
+        - only the runs (``w - w/max(den)`` ≥ θ), then the hits, scoring
+          ≥ θ reach the final selection (``_topk_segment``), in (score
+          desc, global docid asc) order, which is ``TopDocs.merge``
+          order — the bound-then-verify role of ``MaxScoreBulkScorer``
+          (``core/search/MaxScoreBulkScorer.java:26-127``).
+
+        A weight below zero turns the run maxima into minima, so such a
+        query selects from every hit."""
         states = self.term_states([t.term for t in terms])
-        theta = -np.inf
-        per_seg = []
-        total = 0
-        any_pruned = False
-        for si, seg in enumerate(self.segments):
-            infos = [states[t.term][0][si] for t in terms]
-            weights = [
-                self._term_weight(states[t.term][1], t.boost) for t in terms
-            ]
-            live = [
-                (ti, w)
-                for ti, w, t in zip(infos, weights, terms)
-                if ti is not None and states[t.term][1] > 0
-            ]
-            if not live:
-                continue
-            bounds = [self._wand_term(si, ti) for ti, _ in live]
-            after_local = (
-                (after[0], int(after[1]) - seg.base_docid)
-                if after is not None
-                else None
-            )
-            ids, scores, theta, pruned, ev = wand_topk(
-                seg,
-                [ti for ti, _ in live],
-                [w for _, w in live],
-                k,
-                theta,
-                [wgm for wgm, _ in bounds],
-                [d for _, d in bounds],
-                after=after_local,
-                total_hits_threshold=total_hits_threshold,
-                evaluated_so_far=total,
-                deleted=seg.deleted,
-            )
-            total += ev
-            any_pruned = any_pruned or pruned
-            per_seg.append((si, ids, scores))
+        clauses = []  # (w, ids, den, run_max) in clause order
+        for t in terms:
+            infos, df, _ = states[t.term]
+            if df > 0:
+                clauses.append(
+                    (self._term_weight(df, t.boost), *self._term_postings(t.term, infos))
+                )
+        if not clauses:
+            return self._top_docs([], k, 0, "EQ")
+        if len(clauses) > 1:
+            n = max(s.base_docid + s.n_docs for s in self.segments)
+            acc = np.zeros(n, F32)
+            matched = np.zeros(n, bool)
+            for w, ids, den, _ in clauses:
+                # intp indices: numpy converts uint32 ones on every use
+                ids = ids.astype(np.intp)
+                np.add.at(acc, ids, w - w / den)
+                matched[ids] = True
+        theta = F32(-np.inf)
+        if k > 0 and all(w >= 0 for w, *_ in clauses):
+            for w, ids, den, run_max in clauses:
+                if len(run_max) <= k:
+                    continue
+                sel = self._run_postings(
+                    np.argpartition(run_max, len(run_max) - k)[len(run_max) - k :],
+                    len(ids),
+                )
+                sample_ids = ids[sel]
+                sample = w - w / den[sel] if len(clauses) == 1 else acc[sample_ids]
+                if after is not None:
+                    sample = sample[self._past(after, sample, sample_ids)]
+                if len(sample) >= k:
+                    theta = max(theta, np.partition(sample, len(sample) - k)[len(sample) - k])
+        if len(clauses) == 1:
+            w, ids, den, run_max = clauses[0]
+            total = len(ids)
+            if theta > -np.inf:
+                sel = self._run_postings(np.flatnonzero(w - w / run_max >= theta), total)
+                ids, den = ids[sel], den[sel]
+            scores = w - w / den
+        else:
+            total = int(np.count_nonzero(matched))
+            ids = np.flatnonzero(acc >= theta if theta > 0 else matched)
+            scores = acc[ids]
+        keep = scores >= theta
+        if after is not None:
+            keep &= self._past(after, scores, ids)
+        ids, scores = self._topk_segment(SegmentResult(ids[keep], scores[keep]), k)
+        ends = [s.base_docid + s.n_docs for s in self.segments]
         return self._top_docs(
-            per_seg, k, total, "GTE" if any_pruned else "EQ"
+            [
+                (si, [d - self.segments[si].base_docid], [sc])
+                for si, d, sc in zip(
+                    np.searchsorted(ends, ids, side="right").tolist(),
+                    ids.tolist(),
+                    scores,
+                )
+            ],
+            k,
+            total,
+            "EQ",
+        )
+
+    def _run_postings(self, runs: np.ndarray, n: int) -> np.ndarray:
+        """Positions of the postings of ``runs`` in a term's ``n``-long
+        index-wide arrays."""
+        sel = (runs[:, None] * self.RUN + np.arange(self.RUN)).ravel()
+        return sel[sel < n]
+
+    @staticmethod
+    def _past(after, scores: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Mask of the hits strictly after the ``after=(score, docid)``
+        cursor in (score desc, docid asc) order."""
+        a_score = F32(after[0])
+        return (scores < a_score) | (
+            (scores == a_score) & (ids.astype(np.int64) > int(after[1]))
         )
 
     def _search_phrase(self, q: PhraseQuery, k: int) -> dict:
@@ -2990,8 +3064,7 @@ class IndexSearcher:
 
         The top k equals the exhaustive path's bit for bit: verified docs
         score through the same ``_phrase_scores`` as ``_eval_phrase``, and
-        a skipped doc scores ≤ its bound < θ (the rank-identity argument
-        of search/wand.py)."""
+        a skipped doc scores ≤ its bound < θ."""
         states = self.term_states(q.terms)
         w = self._phrase_weight(q.boost, q.terms, states)
         slots_of = Counter(q.terms)

@@ -12,9 +12,8 @@ throughput. ``SearcherService`` keeps the actors alive across calls:
 
 - N detached-scope ``SearcherWorker`` actors, each holding one warm
   ``IndexSearcher`` (mmapped segments, each reader's decode cache and
-  the searcher's byte-bounded LRU of term states, WAND window bounds and
-  BM25 denominators, all persisting across queries: the production
-  steady state);
+  the searcher's byte-bounded LRU of term states and index-wide term
+  arrays, all persisting across queries: the production steady state);
 - queries submitted as pyarrow-table shards round-robin across the pool
   (``submit`` returns object refs; ``search`` gathers);
 - ``warmup`` pushes one tiny batch through every actor so the first
@@ -122,8 +121,9 @@ class SearcherService:
         parts = ray.get(refs)
         if not parts:
             return pa.table({})
-        # zero-hit shards carry null-typed key columns; promote like the
-        # Ray-Data surface does when unioning heterogeneous blocks
+        # every part has the same schema, zero-hit ones included
+        # (``IndexSearcher.search_batch``); permissive promotion only
+        # matters for a pool whose actors serve different indexes
         return pa.concat_tables(parts, promote_options="permissive")
 
     def maybe_refresh(self) -> bool:

@@ -27,9 +27,9 @@ analogue (``core/codecs/Codec.java:38-53``): similarities resolvable by
 name so config/serialized pipelines can reference them.
 
 Non-BM25 similarities run on the exhaustive evaluation path only — the
-block-max pruning kernel's impact→bound conversion is derived for the
-BM25 algebra (``search/wand.py``); rank-identical output does not depend
-on pruning.
+pruned paths' score bounds are derived for the BM25 algebra
+(``IndexSearcher._search_wand``, ``_search_phrase``); rank-identical
+output does not depend on pruning.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """LRUCache, the one cache policy, and its users: LRUQueryCache
 (constant-score match-set caching for range and multi-term queries, LRU
 eviction, deletes applied after cache lookup), the reader's decode cache
-and the searcher's term-state / WAND / scorer cache."""
+and the searcher's term-state / term-array / scorer cache."""
 
 import numpy as np
 import pytest
@@ -237,6 +237,8 @@ class TestCacheWork:
         # (reader hits, reader misses, searcher hits, searcher misses);
         # a positions miss also looks up its term's postings, decoded
         # already for the phrase's doc conjunction: 12 of the first
-        # pass's hits
-        assert first == (76, 28, 18, 20)
-        assert second == (76, 0, 38, 0)  # a second pass misses nothing
+        # pass's hits. The 3 term/disjunction queries hold one
+        # ("term", term) entry per term (4 misses, then 1 + 2 + 3 hits a
+        # pass) and read the reader cache only to build one
+        assert first == (52, 28, 12, 8)
+        assert second == (52, 0, 20, 0)  # a second pass misses nothing

@@ -12,7 +12,10 @@ with its hits, misses and megabytes held.
 asserts that the top-10 docids and float32 scores are equal, and that the
 hit count follows the TotalHits rule for every class: an ``EQ`` count
 equals the exhaustive one, and a ``GTE`` count (a pruned path skipped
-candidates) lies between 1000 and the exhaustive one.
+candidates) lies between 1000 and the exhaustive one. For every term and
+disjunction query with a full first page, page 2 through
+``after=(score[-1], docid[-1])`` must equal exhaustive ranks 11-20
+(docids and float32 score bytes).
 
 Usage: python tools/query_class_profile.py <index_dir> [--seed N] [--n N] [--check]
 """
@@ -32,7 +35,17 @@ from lucene_ray.search.searcher import IndexSearcher
 from perfbench.common import QUERY_CLASSES, query_class, zipf_queries
 
 K = 10
-TOTAL_HITS_THRESHOLD = 1000  # the pruned paths count exactly up to here
+TOTAL_HITS_THRESHOLD = 1000  # the pruned exact-phrase path counts exactly up to here
+
+
+def same_hits(got: dict, want: dict, start: int) -> bool:
+    """``got``'s hits equal ``want``'s ranks ``start``.. ``start + K``:
+    docids and float32 score bytes."""
+    ids = want["docids"][start : start + K]
+    scores = np.asarray(want["scores"][start : start + K], np.float32)
+    return np.array_equal(got["docids"], ids) and (
+        np.asarray(got["scores"], np.float32).tobytes() == scores.tobytes()
+    )
 
 
 def main() -> int:
@@ -77,15 +90,15 @@ def main() -> int:
         return 0
     bad = 0
     for q, got in zip(queries, results):
-        want = searcher.search(q, k=K, mode="exhaustive")
-        same = np.array_equal(got["docids"], want["docids"]) and (
-            np.asarray(got["scores"], np.float32).tobytes()
-            == np.asarray(want["scores"], np.float32).tobytes()
-        )
+        want = searcher.search(q, k=2 * K, mode="exhaustive")
+        same = same_hits(got, want, 0)
         if got["relation"] == "EQ":
             same = same and got["total_hits"] == want["total_hits"]
         else:
             same = same and TOTAL_HITS_THRESHOLD <= got["total_hits"] <= want["total_hits"]
+        if query_class(q) in ("term", "disjunction") and len(got["docids"]) == K:
+            after = (float(got["scores"][-1]), int(got["docids"][-1]))
+            same = same and same_hits(searcher.search(q, k=K, after=after), want, K)
         if not same:
             bad += 1
             print(f"MISMATCH {q!r}")
