@@ -1589,22 +1589,25 @@ class SegmentReader:
         each doc's run in ``pos`` (``len(ids) + 1`` entries, the freqs'
         exclusive cumsum) and its positions — one decode-cache entry,
         counted at the bytes of all three arrays."""
-        mm = self._pos_mm[info.part]
-        if mm is None or info.pos_len == 0:
-            raise ValueError("segment has no positions")
         key = ("pos", info.part, info.pos_off)
         hit = self.decode_cache.get(key)
         if hit is None:
+            pos = self.positions(info)
             ids, freqs = self.decoded(info)
             offs = np.zeros(len(ids) + 1, dtype=np.uint32)
             np.cumsum(freqs, out=offs[1:])
-            pos = decode_uint_blocks(
-                mm[info.pos_off : info.pos_off + info.pos_len]
-            )
             hit = self.decode_cache.put(
                 key, (ids, offs, pos), ids.nbytes + offs.nbytes + pos.nbytes
             )
         return hit
+
+    def positions(self, info: TermInfo) -> np.ndarray:
+        """A term's positions, each doc's run in docid order (a run is
+        the doc's freq long), decoded without the decode cache."""
+        mm = self._pos_mm[info.part]
+        if mm is None or info.pos_len == 0:
+            raise ValueError("segment has no positions")
+        return decode_uint_blocks(mm[info.pos_off : info.pos_off + info.pos_len])
 
     def offsets_for(self, info: TermInfo) -> Tuple[np.ndarray, np.ndarray]:
         """Per-position character offsets for a term (the ``.pay`` stream,

@@ -13,8 +13,9 @@ Semantics:
   (``core/search/TopScoreDocCollector.java:94-162`` / ``HitQueue``).
 - global merge: (score desc, segment index asc, docid asc) exactly
   ``TopDocs.merge`` (``core/search/TopDocs.java:203-228``).
-- exhaustive and term/disjunction (``_search_wand``) paths report
-  ``total_hits`` with relation EQ; the exact-phrase path
+- exhaustive, term/disjunction (``_search_wand``) and conjunction
+  (``_search_conj``) paths report ``total_hits`` with relation EQ; the
+  exact-phrase path
   (``_search_phrase``) reports GTE past the 1000-hit threshold
   (``core/search/IndexSearcher.java:100``).
 """
@@ -112,6 +113,14 @@ TOTAL_HITS_THRESHOLD = 1000
 # exact-phrase keys are uint32 (the positions' own dtype, so building
 # them needs no cast) while the candidates' key space fits
 _KEY32_SPACE = int(np.iinfo(np.uint32).max)
+
+# the exact-phrase kernel's passes are memory-bound: it verifies its
+# candidates in blocks of about this many gathered positions, so a
+# block's int64 arrays (512 KB each) stay in a 2 MB per-core L2 cache
+# and are reused by the allocator rather than faulted in afresh; on
+# such a host one unblocked call cost twice as much per position past
+# about 200k positions
+_PHRASE_BLOCK_POSITIONS = 1 << 16
 
 
 def _sort_key(vals: np.ndarray) -> np.ndarray:
@@ -353,7 +362,8 @@ class IndexSearcher:
             else replace(self.config, synonyms=())
         )
         # cross-query reuse: term states, index-wide term arrays (docids,
-        # BM25 denominators, run maxima), similarity scorers
+        # BM25 denominators, run maxima, freqs) and positions, the index-wide
+        # norm inverses, similarity scorers
         self.cache = LRUCache(self.CACHE_BYTES)
         # constant-score match-set cache (LRUQueryCache role); pass
         # query_cache=None to disable
@@ -1294,13 +1304,14 @@ class IndexSearcher:
         )
         return F32(boost) * F32(idf_sum)
 
+    @staticmethod
     def _phrase_scores(
-        self, seg, w: np.float32, ids: np.ndarray, freqs: np.ndarray
+        w: np.float32, inv: np.ndarray, freqs: np.ndarray
     ) -> np.ndarray:
-        """BM25 of default-field docs ``ids`` at phrase freqs ``freqs``.
-        Every float32 step is monotone in the freq, so at any freq ≥ the
-        true one it bounds the exact score from above (w ≥ 0)."""
-        inv = self.norm_inverse[seg.norms[ids]]
+        """BM25 at phrase freqs ``freqs`` of docs whose default-field
+        norm inverses are ``inv``. Every float32 step is monotone in the
+        freq, so at any freq ≥ the true one it bounds the exact score
+        from above (w ≥ 0)."""
         return w - w / (F32(1.0) + freqs.astype(F32) * inv)
 
     def _eval_phrase(self, q: PhraseQuery, seg_idx: int, states) -> SegmentResult:
@@ -1313,7 +1324,7 @@ class IndexSearcher:
             return SegmentResult(np.empty(0, np.uint32), np.empty(0, F32))
         if self.is_bm25:
             w = self._phrase_weight(q.boost, q.terms, states)
-            scores = self._phrase_scores(seg, w, ids, freqs)
+            scores = self._phrase_scores(w, self.norm_inverse[seg.norms[ids]], freqs)
         else:
             # PhraseWeight hands ALL the terms' stats to Similarity.scorer
             # (PhraseQuery.java getStats); scored at the phrase freq
@@ -1334,10 +1345,11 @@ class IndexSearcher:
            doc conjunction), by default the whole conjunction (rarest
            first); ``rows`` may give, per slot, the candidates' indices
            in that slot's docs (None: the slot's docs are the
-           candidates), else they are looked up;
+           candidates), else they are looked up; per term, each
+           candidate's run of positions is ``[lo, lo + cnt)``;
         2. each slot's positions are gathered for the candidates only, one
-           index range per candidate (a slot whose docs are exactly the
-           candidates is used as is);
+           index range per candidate (runs that lie back to back are
+           sliced, not gathered);
         3. candidate j owns the key range ``[base[j], base[j+1])``, base =
            exclusive cumsum of (its last position over all slots + nterms
            + 1) — positions ascend within a doc, so the last is the max;
@@ -1351,41 +1363,73 @@ class IndexSearcher:
 
         The key space is the candidates' own token span (never candidates
         x the longest document); keys are uint32 while it fits, else
-        int64.
+        int64. Steps 2-5 run on blocks of consecutive candidates holding
+        about ``_PHRASE_BLOCK_POSITIONS`` positions each.
         → (docids uint32, phrase freqs uint32) of the matching
         candidates; empties when none match."""
-        none = (np.empty(0, np.uint32), np.empty(0, np.uint32))
         if cand is None:
             cand = IndexSearcher._doc_conjunction([ids for ids, _, _ in decoded])
         if len(cand) == 0:
-            return none
+            return np.empty(0, np.uint32), np.empty(0, np.uint32)
+        runs = {}  # per term (a term filling several slots counts once)
+        for i, slot in enumerate(decoded):
+            ids, offs, _ = slot
+            if id(slot) in runs:
+                continue
+            row = (
+                rows[i]
+                if rows is not None
+                else None if len(ids) == len(cand) else np.searchsorted(ids, cand)
+            )
+            lo, hi = (
+                (offs[:-1], offs[1:]) if row is None else (offs[row], offs[row + 1])
+            )
+            runs[id(slot)] = (lo.astype(np.int64), (hi - lo).astype(np.int64))
+        cum = np.cumsum(sum(cnt for _, cnt in runs.values()))
+        step = _PHRASE_BLOCK_POSITIONS
+        cuts = np.searchsorted(cum, np.arange(step, cum[-1], step)).tolist()
+        bounds = sorted({0, *cuts, len(cand)})
+        out = [
+            IndexSearcher._phrase_block(
+                decoded,
+                cand[a:b],
+                {key: (lo[a:b], cnt[a:b]) for key, (lo, cnt) in runs.items()},
+            )
+            for a, b in zip(bounds, bounds[1:])
+        ]
+        return (
+            np.concatenate([ids for ids, _ in out]),
+            np.concatenate([freqs for _, freqs in out]),
+        )
+
+    @staticmethod
+    def _phrase_block(
+        decoded, cand: np.ndarray, runs
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Steps 2-5 of ``_exact_phrase_hits`` for the sorted candidates
+        ``cand``, whose runs of positions in each term's ``pos`` are
+        ``runs[id(slot)] = (lo, cnt)``."""
+        none = (np.empty(0, np.uint32), np.empty(0, np.uint32))
         nterms = len(decoded)
         slots = []  # per slot: candidates' positions, per-doc counts, ends
         gathered = {}  # a term filling several slots is gathered once
         last = np.zeros(len(cand), dtype=np.int64)
-        for i, slot in enumerate(decoded):
-            if id(slot) in gathered:
-                slots.append(gathered[id(slot)])
-                continue
-            ids, offs, pos = slot
-            if rows is not None:
-                row = rows[i]
-            else:
-                row = None if len(ids) == len(cand) else np.searchsorted(ids, cand)
-            if row is None:
-                cnt = np.diff(offs).astype(np.int64)
+        for slot in decoded:
+            if id(slot) not in gathered:
+                lo, cnt = runs[id(slot)]
                 ends = np.cumsum(cnt)
-            else:
-                lo = offs[row].astype(np.int64)
-                cnt = offs[row + 1] - lo
-                ends = np.cumsum(cnt)
-                # candidate j's run lo[j] + [0, cnt[j]) lands at
-                # ends[j] - cnt[j] + [0, cnt[j]) of the gathered positions
-                idx = np.repeat(lo - (ends - cnt), cnt)
-                idx += np.arange(len(idx))
-                pos = pos[idx]
-            np.maximum(last, pos[ends - 1], out=last)
-            gathered[id(slot)] = (pos, cnt, ends)
+                pos = slot[2]
+                if lo[-1] + cnt[-1] - lo[0] == ends[-1]:  # back to back
+                    pos = pos[lo[0] : lo[0] + ends[-1]]
+                else:
+                    # candidate j's run lo[j] + [0, cnt[j]) lands at
+                    # ends[j] - cnt[j] + [0, cnt[j]) of the gathered
+                    # positions
+                    idx = np.repeat(lo - (ends - cnt), cnt)
+                    idx += np.arange(len(idx))
+                    pos = pos[idx]
+                np.maximum(last, pos[ends - 1], out=last)
+                gathered[id(slot)] = (pos, cnt, ends)
             slots.append(gathered[id(slot)])
         span = last + (nterms + 1)
         base = np.cumsum(span) - span
@@ -1475,7 +1519,7 @@ class IndexSearcher:
         ]
         if self.is_bm25:
             w = self._phrase_weight(q.boost, occurrences, states)
-            scores = self._phrase_scores(seg, w, ids, freqs)
+            scores = self._phrase_scores(w, self.norm_inverse[seg.norms[ids]], freqs)
         else:
             sc = self._multi_scorer(
                 q.boost, [(states[t][1], states[t][2]) for t in occurrences]
@@ -1548,6 +1592,22 @@ class IndexSearcher:
             return subs
         return None
 
+    @staticmethod
+    def _conj_eligible(q: Query) -> bool:
+        """A conjunction of text terms: only MUST, FILTER and MUST_NOT
+        clauses of default-field term queries, one MUST or FILTER at
+        least."""
+        return (
+            isinstance(q, BooleanQuery)
+            and any(o in (MUST, FILTER) for o, _ in q.clauses)
+            and all(
+                o in (MUST, FILTER, MUST_NOT)
+                and isinstance(sub, TermQuery)
+                and sub.field == DEFAULT_FIELD
+                for o, sub in q.clauses
+            )
+        )
+
     def count(self, query) -> int:
         """Exact hit count, no scores — ``IndexSearcher.count``
         (``core/search/IndexSearcher.java:495-526``): constant-score
@@ -1604,17 +1664,30 @@ class IndexSearcher:
         """→ {"docids", "keys", "scores", "total_hits", "relation"} global
         top-k with TopDocs.merge tie-breaking.
 
-        ``mode``: "auto" uses run-max bounds over index-wide term arrays
-        for terms and SHOULD disjunctions of terms (``_search_wand``) and
-        per-doc bounds for exact BM25 phrases (both rank-identical by
-        construction), "exhaustive" forces full scoring, "wand" forces
-        the term/disjunction path (errors if ineligible).
+        ``mode``: "auto" runs BM25 text-term queries as one pass over
+        the terms' index-wide arrays (docids and BM25 denominators of
+        the live postings, cached per term): terms and SHOULD
+        disjunctions of terms with run-max bounds (``_search_wand``),
+        conjunctions of terms (MUST / FILTER, with MUST_NOT exclusions,
+        ``_search_conj``) and exact phrases with per-doc bounds before
+        positions (``_search_phrase``), all rank-identical to full
+        scoring by construction; "exhaustive" forces full per-segment
+        scoring, "wand" forces the term/disjunction path (errors if
+        ineligible).
+
+        ``k`` < 1 returns no hits, with the ``total_hits`` and relation
+        of ``k=1``.
 
         ``after=(score, global_docid)`` — cursor pagination: only hits
         strictly after that sort position are returned
         (``IndexSearcher.searchAfter``, ``core/search/IndexSearcher.java:587-599``);
-        terms and disjunctions apply it in their own pass, other queries
-        (phrases included) run exhaustively."""
+        terms, disjunctions and conjunctions apply it in their own pass,
+        other queries (phrases included) run exhaustively."""
+        if k < 1:
+            r = self.search(query, 1, mode, after)
+            return {
+                **r, "docids": r["docids"][:0], "keys": [], "scores": r["scores"][:0]
+            }
         if isinstance(query, str):
             query = parse_query(query, self.analyzer)
         else:
@@ -1640,13 +1713,14 @@ class IndexSearcher:
                     return self._search_wand(terms, k, after=after)
                 if mode == "wand":
                     raise ValueError("query not eligible for WAND pruning")
+                if self._conj_eligible(query):
+                    return self._search_conj(query, k, after=after)
                 if (
                     isinstance(query, PhraseQuery)
                     and query.slop == 0
                     and len(query.terms) >= 2
                     and query.boost > 0
                     and after is None
-                    and k > 0
                 ):
                     return self._search_phrase(query, k)
         states = self.term_states(query_terms(query))
@@ -2906,37 +2980,44 @@ class IndexSearcher:
 
     def _term_postings(
         self, term: str, infos: List[Optional[TermInfo]]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Index-wide arrays of one text term, cached under ``("term",
         term)``: its live postings' global docids (uint32, ascending, as
         segment bases ascend with segment index), their BM25
-        denominators ``1 + freq·normInv`` and the largest denominator of
-        each run of ``RUN`` postings. None depends on the query weight
-        w: a posting scores ``w - w/den``, and ``w - w/max(den)`` is the
-        exact float32 maximum of a run's scores (both float32 steps are
-        monotone in ``den``)."""
+        denominators ``1 + freq·normInv``, the largest denominator of
+        each run of ``RUN`` postings, and their freqs (the narrowest
+        unsigned dtype that holds them). None depends on the query
+        weight w: a posting scores ``w - w/den``, and ``w - w/max(den)``
+        is the exact float32 maximum of a run's scores (both float32
+        steps are monotone in ``den``). Decoded straight from the codec,
+        so the readers' decode caches keep no copy."""
         key = ("term", term)
         hit = self.cache.get(key)
         if hit is None:
-            ids, dens = [np.empty(0, np.uint32)], [np.empty(0, F32)]
+            ids, dens, tfs = [np.empty(0, np.uint32)], [np.empty(0, F32)], []
             for seg, ti in zip(self.segments, infos):
                 if ti is None:
                     continue
-                sids, freqs = seg.decoded(ti)
+                sids, freqs = seg.postings(ti).decode_all()
                 den = F32(1.0) + freqs.astype(F32) * self.norm_inverse[seg.norms[sids]]
                 if seg.deleted is not None:
                     live = ~seg.deleted[sids]
-                    sids, den = sids[live], den[live]
+                    sids, den, freqs = sids[live], den[live], freqs[live]
                 ids.append(sids.astype(np.uint32) + np.uint32(seg.base_docid))
                 dens.append(den)
+                tfs.append(freqs)
             ids, den = np.concatenate(ids), np.concatenate(dens)
+            tf = np.concatenate([np.empty(0, np.uint8)] + tfs)
+            tf = tf.astype(np.min_scalar_type(int(tf.max()) if len(tf) else 0))
             run_max = (
                 np.maximum.reduceat(den, np.arange(0, len(den), self.RUN))
                 if len(den)
                 else den
             )
             hit = self.cache.put(
-                key, (ids, den, run_max), ids.nbytes + den.nbytes + run_max.nbytes
+                key,
+                (ids, den, run_max, tf),
+                ids.nbytes + den.nbytes + run_max.nbytes + tf.nbytes,
             )
         return hit
 
@@ -2965,13 +3046,12 @@ class IndexSearcher:
         for t in terms:
             infos, df, _ = states[t.term]
             if df > 0:
-                clauses.append(
-                    (self._term_weight(df, t.boost), *self._term_postings(t.term, infos))
-                )
+                ids, den, run_max, _ = self._term_postings(t.term, infos)
+                clauses.append((self._term_weight(df, t.boost), ids, den, run_max))
         if not clauses:
             return self._top_docs([], k, 0, "EQ")
         if len(clauses) > 1:
-            n = max(s.base_docid + s.n_docs for s in self.segments)
+            n = self._max_doc()
             acc = np.zeros(n, F32)
             matched = np.zeros(n, bool)
             for w, ids, den, _ in clauses:
@@ -3008,7 +3088,14 @@ class IndexSearcher:
         keep = scores >= theta
         if after is not None:
             keep &= self._past(after, scores, ids)
-        ids, scores = self._topk_segment(SegmentResult(ids[keep], scores[keep]), k)
+        return self._top_global(ids[keep], scores[keep], k, total, "EQ")
+
+    def _top_global(
+        self, ids: np.ndarray, scores: np.ndarray, k: int, total: int, relation: str
+    ) -> dict:
+        """The top k of hits given by global docids, in (score desc,
+        global docid asc) order, which is ``TopDocs.merge`` order."""
+        ids, scores = self._topk_segment(SegmentResult(ids, scores), k)
         ends = [s.base_docid + s.n_docs for s in self.segments]
         return self._top_docs(
             [
@@ -3021,7 +3108,7 @@ class IndexSearcher:
             ],
             k,
             total,
-            "EQ",
+            relation,
         )
 
     def _run_postings(self, runs: np.ndarray, n: int) -> np.ndarray:
@@ -3039,25 +3126,145 @@ class IndexSearcher:
             (scores == a_score) & (ids.astype(np.int64) > int(after[1]))
         )
 
+    def _max_doc(self) -> int:
+        """One past the largest global docid of the searcher's segments:
+        the length of the dense arrays over its docids."""
+        return max((s.base_docid + s.n_docs for s in self.segments), default=0)
+
+    def _doc_norm_inverse(self) -> np.ndarray:
+        """The default field's float32 norm inverse of every global docid
+        (0 in the docid gaps of a shard), cached under ``("norm_inv",)``."""
+        hit = self.cache.get(("norm_inv",))
+        if hit is None:
+            inv = np.zeros(self._max_doc(), F32)
+            for seg in self.segments:
+                inv[seg.base_docid : seg.base_docid + seg.n_docs] = (
+                    self.norm_inverse[seg.norms]
+                )
+            hit = self.cache.put(("norm_inv",), inv, inv.nbytes)
+        return hit
+
+    def _term_positions(
+        self, term: str, infos: List[Optional[TermInfo]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Positions of one text term's live postings, cached under
+        ``("pos", term)`` and row-aligned with its ``("term", term)``
+        arrays: posting i's positions are ``pos[offs[i] : offs[i + 1]]``,
+        ``offs`` the exclusive cumsum of the term arrays' freqs. Decoded
+        straight from the codec; only a segment with deletions decodes
+        its postings again, for the freqs of the deleted docs' runs."""
+        key = ("pos", term)
+        hit = self.cache.get(key)
+        if hit is None:
+            freqs = self._term_postings(term, infos)[3]
+            pos = [np.empty(0, np.uint32)]
+            for seg, ti in zip(self.segments, infos):
+                if ti is None:
+                    continue
+                spos = seg.positions(ti)
+                if seg.deleted is not None:
+                    sids, sfreqs = seg.postings(ti).decode_all()
+                    spos = spos[np.repeat(~seg.deleted[sids], sfreqs)]
+                pos.append(spos)
+            pos = np.concatenate(pos)
+            offs = np.zeros(
+                len(freqs) + 1, np.uint32 if len(pos) <= _KEY32_SPACE else np.int64
+            )
+            np.cumsum(freqs, dtype=offs.dtype, out=offs[1:])
+            hit = self.cache.put(key, (offs, pos), offs.nbytes + pos.nbytes)
+        return hit
+
+    def _conjunction(
+        self, id_arrays: Sequence[np.ndarray], excluded: Sequence[np.ndarray] = ()
+    ) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """The global docids in every ascending array of ``id_arrays`` and
+        in none of ``excluded`` → ``(cand, rows)``, ``rows[i]`` the
+        candidates' indices in ``id_arrays[i]``. The rarest array leads;
+        each other one, rarer first, maps the candidates to its rows
+        through a dense int32 docid→row array over the searcher's docids
+        (-1 where absent), and each excluded one drops candidates through
+        a dense mask."""
+        n = self._max_doc()
+        order = sorted(range(len(id_arrays)), key=lambda i: len(id_arrays[i]))
+        cand = id_arrays[order[0]]
+        rows: List[Optional[np.ndarray]] = [None] * len(id_arrays)
+        rows[order[0]] = np.arange(len(cand))
+        for i in order[1:]:
+            if len(cand) == 0:
+                rows[i] = np.empty(0, np.int32)
+                continue
+            row_of = np.full(n, -1, np.int32)
+            row_of[id_arrays[i]] = np.arange(len(id_arrays[i]), dtype=np.int32)
+            row = row_of[cand]
+            keep = row >= 0
+            cand = cand[keep]
+            rows = [r if r is None else r[keep] for r in rows]
+            rows[i] = row[keep]
+        for ids in excluded:
+            if len(cand) == 0:
+                break
+            drop = np.zeros(n, bool)
+            drop[ids] = True
+            keep = ~drop[cand]
+            cand = cand[keep]
+            rows = [r[keep] for r in rows]
+        return cand, rows
+
+    def _search_conj(self, q: BooleanQuery, k: int, after=None) -> dict:
+        """Top-k of a conjunction of text terms in one pass over the terms'
+        index-wide arrays (``_term_postings``), with an exact hit count
+        (relation EQ): the MUST and FILTER terms' doc conjunction less the
+        MUST_NOT terms' docs (``_conjunction``); each hit adds ``w -
+        w/den`` of the MUST clauses in clause order into a float32 array
+        (FILTER clauses match unscored), the sums of the per-segment
+        ``_eval_conj_terms`` that ``mode="exhaustive"`` runs."""
+        states = self.term_states([s.term for _, s in q.clauses])
+        req = [(o, s) for o, s in q.clauses if o != MUST_NOT]
+        if any(states[s.term][1] == 0 for _, s in req):
+            return self._top_docs([], k, 0, "EQ")
+        post = [self._term_postings(s.term, states[s.term][0]) for _, s in req]
+        cand, rows = self._conjunction(
+            [ids for ids, *_ in post],
+            [
+                self._term_postings(s.term, states[s.term][0])[0]
+                for o, s in q.clauses
+                if o == MUST_NOT
+            ],
+        )
+        scores = np.zeros(len(cand), F32)
+        for (o, s), (_, den, *_), row in zip(req, post, rows):
+            if o == MUST:
+                w = self._term_weight(states[s.term][1], s.boost)
+                scores += w - w / den[row]
+        total = len(cand)
+        if after is not None:
+            keep = self._past(after, scores, cand)
+            cand, scores = cand[keep], scores[keep]
+        return self._top_global(cand, scores, k, total, "EQ")
+
     def _search_phrase(self, q: PhraseQuery, k: int) -> dict:
         """Top-k of an exact BM25 phrase that reads positions only for
         docs whose score bound can reach the top k — the bound-then-verify
-        shape of Koios (PAPERS.md), per document:
+        shape of Koios (PAPERS.md), per document, over the terms'
+        index-wide arrays:
 
-        1. per segment, the rarest-first doc conjunction of the terms'
-           postings, deleted docs dropped. A doc's phrase freq is at most
-           its smallest tf over the slots (``minTf``), so its BM25 at
-           ``minTf`` bounds its score (``_phrase_bound``); no positions
-           are read;
-        2. the candidates of all segments are verified by
-           ``_exact_phrase_hits`` in chunks of descending bound: the
-           first holds the ``2 · TOTAL_HITS_THRESHOLD`` best bounds (up
-           to that many candidates are all verified at once), each later
-           one enough to count the missing hits twice over at the hit
-           rate seen so far. Once ``TOTAL_HITS_THRESHOLD`` hits are
-           counted and θ, the k-th best exact score, is known, only the
-           candidates whose bound is ≥ θ are verified (a tie with θ may
-           still win the docid tie-break);
+        1. the doc conjunction of the phrase's distinct terms
+           (``_conjunction`` over their ``_term_postings`` docids, live
+           docs only). A doc's phrase freq is at most its smallest tf
+           over the slots, where a term filling r slots counts tf - (r -
+           1): a match is counted at its occurrence in the term's last
+           slot, and the first match's r - 1 occurrences in the term's
+           earlier slots lie before every such occurrence. Its BM25 at
+           that freq bounds its score; the tfs come from the term
+           arrays, so no position is read;
+        2. the candidates are verified by one ``_exact_phrase_hits`` call
+           per chunk of descending bound: the first chunk holds the ``2 ·
+           TOTAL_HITS_THRESHOLD`` best bounds (up to that many candidates
+           are all verified at once), each later one enough to count the
+           missing hits twice over at the hit rate seen so far. Once
+           ``TOTAL_HITS_THRESHOLD`` hits are counted and θ, the k-th best
+           exact score, is known, only the candidates whose bound is ≥ θ
+           are verified (a tie with θ may still win the docid tie-break);
         3. relation is GTE only if a candidate was never verified, and
            then ``total_hits`` ≥ ``TOTAL_HITS_THRESHOLD`` (Lucene's
            TotalHits rule).
@@ -3068,41 +3275,34 @@ class IndexSearcher:
         states = self.term_states(q.terms)
         w = self._phrase_weight(q.boost, q.terms, states)
         slots_of = Counter(q.terms)
-        # per segment: (seg_idx, infos, postings by term, sorted live
-        # candidates, per term the candidates' rows in its postings or
-        # None where its docs are the candidates)
-        segs = []
-        for si, seg in enumerate(self.segments):
-            infos = [states[t][0][si] for t in q.terms]
-            if any(ti is None for ti in infos):
-                continue
-            post = {t: seg.decoded(states[t][0][si]) for t in slots_of}
-            cand = self._doc_conjunction([ids for ids, _ in post.values()])
-            if seg.deleted is not None:
-                cand = cand[~seg.deleted[cand]]
-            if len(cand):
-                rows = {
-                    t: None if len(ids) == len(cand) else np.searchsorted(ids, cand)
-                    for t, (ids, _) in post.items()
-                }
-                segs.append((si, infos, post, cand, rows))
-        # candidate i of the concatenation is segs[j]'s candidate
-        # i - starts[j], for starts[j] <= i < starts[j + 1]
-        starts = np.cumsum([0] + [len(c[3]) for c in segs])
-        n = int(starts[-1])
+        post = {t: self._term_postings(t, states[t][0]) for t in slots_of}
+        cand, rows = self._conjunction([ids for ids, *_ in post.values()])
+        n = len(cand)
+        if n == 0:
+            return self._top_docs([], k, 0, "EQ")
+        pos = {t: self._term_positions(t, states[t][0]) for t in slots_of}
+        # per term: its kernel slot (one object for all the slots it
+        # fills) and the candidates' rows, None where its docs are the
+        # candidates
+        slot = {t: (post[t][0], *pos[t]) for t in slots_of}
+        rows = {
+            t: None if len(post[t][0]) == n else r for t, r in zip(slots_of, rows)
+        }
+        inv = self._doc_norm_inverse()
         # a first chunk of twice the threshold counts the threshold at
         # once for a phrase matching every other candidate; a lone chunk
         # needs no bounds
         step = 2 * TOTAL_HITS_THRESHOLD
         bound = None
         if n > step and w > 0:
-            bound = np.concatenate(
-                [
-                    self._phrase_bound(self.segments[si], w, slots_of, post, cand, rows)
-                    for si, _, post, cand, rows in segs
-                ]
-            )
-        hits = [([], []) for _ in segs]
+            min_tf = None
+            for t, r in rows.items():
+                tf = post[t][3] if r is None else post[t][3][r]
+                if slots_of[t] > 1:
+                    tf = np.maximum(tf.astype(np.int64) - (slots_of[t] - 1), 0)
+                min_tf = tf if min_tf is None else np.minimum(min_tf, tf)
+            bound = self._phrase_scores(w, inv[cand], min_tf)
+        hit_ids, hit_scores = [np.empty(0, np.uint32)], [np.empty(0, F32)]
         top = np.empty(0, F32)  # the k best exact scores so far
         total = n_verified = 0
         hi = np.inf  # every candidate with bound >= hi is verified
@@ -3124,28 +3324,22 @@ class IndexSearcher:
                 else np.flatnonzero((bound >= lo) & (bound < hi))
             )
             n_verified += len(chunk)
-            cuts = np.searchsorted(chunk, starts)
-            verified = [top]
-            for j, (si, infos, _, cand, rows) in enumerate(segs):
-                sub = chunk[cuts[j] : cuts[j + 1]] - starts[j]
-                if len(sub) == 0:
-                    continue
-                if len(sub) < len(cand):
-                    rows = {t: sub if r is None else r[sub] for t, r in rows.items()}
-                seg = self.segments[si]
-                ids, freqs = self._exact_phrase_hits(
-                    [seg.positional(ti) for ti in infos],
-                    cand[sub],
-                    [rows[t] for t in q.terms],
+            if len(chunk):
+                sub = (
+                    rows
+                    if len(chunk) == n
+                    else {t: chunk if r is None else r[chunk] for t, r in rows.items()}
                 )
-                scores = self._phrase_scores(seg, w, ids, freqs)
-                hits[j][0].append(ids)
-                hits[j][1].append(scores)
-                verified.append(scores)
+                ids, freqs = self._exact_phrase_hits(
+                    [slot[t] for t in q.terms], cand[chunk], [sub[t] for t in q.terms]
+                )
+                scores = self._phrase_scores(w, inv[ids], freqs)
+                hit_ids.append(ids)
+                hit_scores.append(scores)
                 total += len(ids)
-            top = np.concatenate(verified)
-            if len(top) > k:
-                top = np.partition(top, len(top) - k)[len(top) - k :]
+                top = np.concatenate([top, scores])
+                if len(top) > k:
+                    top = np.partition(top, len(top) - k)[len(top) - k :]
             hi = lo
             if theta_known or lo == -np.inf:
                 break
@@ -3153,33 +3347,15 @@ class IndexSearcher:
             # the hit rate so far (all of them once the count is reached)
             missing = TOTAL_HITS_THRESHOLD - total
             step = int(2 * missing * n_verified / max(total, 1)) if missing > 0 else n
-        per_seg = [
-            (si, *self._topk_segment(
-                SegmentResult(np.concatenate(ids), np.concatenate(scores)), k
-            ))
-            for (si, *_), (ids, scores) in zip(segs, hits)
-            if ids
-        ]
         # a candidate bounded below θ was never verified
         skipped = bound is not None and bool((bound < hi).any())
-        return self._top_docs(per_seg, k, total, "GTE" if skipped else "EQ")
-
-    def _phrase_bound(
-        self, seg, w: np.float32, slots_of: Counter, post, cand: np.ndarray, rows
-    ) -> np.ndarray:
-        """Per-candidate upper bound of an exact phrase's BM25: the score
-        at the smallest tf over the phrase's terms. A term filling r slots
-        counts tf - (r - 1): a match is counted at its occurrence in the
-        term's last slot, and the first match's r - 1 occurrences in the
-        term's earlier slots lie before every such occurrence."""
-        min_tf = None
-        for t, (_, freqs) in post.items():
-            if rows[t] is not None:
-                freqs = freqs[rows[t]]
-            if slots_of[t] > 1:
-                freqs = np.maximum(freqs.astype(np.int64) - (slots_of[t] - 1), 0)
-            min_tf = freqs if min_tf is None else np.minimum(min_tf, freqs)
-        return self._phrase_scores(seg, w, cand, min_tf)
+        return self._top_global(
+            np.concatenate(hit_ids),
+            np.concatenate(hit_scores),
+            k,
+            total,
+            "GTE" if skipped else "EQ",
+        )
 
     def search_batch(
         self, qids: Sequence, queries: Sequence[str], k: int = 10

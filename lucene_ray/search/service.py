@@ -11,9 +11,13 @@ pyarrow import + index open ≈ 1 s) — noise when measuring serving
 throughput. ``SearcherService`` keeps the actors alive across calls:
 
 - N detached-scope ``SearcherWorker`` actors, each holding one warm
-  ``IndexSearcher`` (mmapped segments, each reader's decode cache and
-  the searcher's byte-bounded LRU of term states and index-wide term
-  arrays, all persisting across queries: the production steady state);
+  ``IndexSearcher``: mmapped segments and the searcher's byte-bounded
+  LRU of term states, index-wide term arrays (live docids, BM25
+  denominators and freqs, read by term, disjunction, conjunction and
+  exact-phrase top-k), index-wide term positions (exact phrases) and the index-wide
+  norm inverses (phrase bounds), all persisting across queries: the
+  production steady state. Each reader's decode cache fills only for
+  queries scored per segment (exhaustive scoring, other query types);
 - queries submitted as pyarrow-table shards round-robin across the pool
   (``submit`` returns object refs; ``search`` gathers);
 - ``warmup`` pushes one tiny batch through every actor so the first

@@ -5,8 +5,8 @@ TotalHits rule (an EQ count is exact; a GTE count lies between the
 threshold and the exact count). Covered: generated multi-segment indexes
 with deletes, repeated terms, k=1, k above the candidate count, low
 thresholds that force pruning on small indexes, candidate counts at
-999/1000/1001 around the default threshold, and a pinned count of the
-candidates the position kernel verifies."""
+999/1000/1001 around the default threshold, and pinned counts of the
+candidates the position kernel verifies and of its calls."""
 
 from unittest import mock
 
@@ -187,3 +187,36 @@ def test_pinned_kernel_candidates(tmp_path, monkeypatch):
         assert_like_exhaustive(s.search(q, 10), want[q], 1000)
         got[q] = sum(seen)
     assert got == PINNED
+
+
+PINNED_CALLS = {
+    # phrase: position-kernel calls, one per chunk of descending bound
+    # ("xa xb" needs a second chunk to count 1000 hits); a pass per
+    # segment made one per (segment, chunk): 3, 3, 6 and 3
+    '"zzw zzw"': 1,
+    '"zzw xa"': 1,
+    '"xa xb"': 2,
+    '"xb xa"': 1,
+}
+
+
+def test_pinned_kernel_calls(tmp_path, monkeypatch):
+    """Position-kernel calls for the phrases of ``PINNED`` on the same
+    3-segment index: the candidates of every segment are verified in one
+    call per chunk."""
+    texts = _zipf_corpus(5, 4500)
+    s = build(str(tmp_path), [texts[:1500], texts[1500:3000], texts[3000:]])
+    kernel = IndexSearcher._exact_phrase_hits
+    calls = []
+
+    def counting(decoded, *cand):
+        calls.append(1)
+        return kernel(decoded, *cand)
+
+    monkeypatch.setattr(IndexSearcher, "_exact_phrase_hits", staticmethod(counting))
+    got = {}
+    for q in PINNED_CALLS:
+        calls.clear()
+        s.search(q, 10)
+        got[q] = len(calls)
+    assert got == PINNED_CALLS

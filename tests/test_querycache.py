@@ -235,10 +235,14 @@ class TestCacheWork:
             s.search(q, k=10)
         second = tuple(b - a for a, b in zip(first, self._counts(s)))
         # (reader hits, reader misses, searcher hits, searcher misses);
-        # a positions miss also looks up its term's postings, decoded
-        # already for the phrase's doc conjunction: 12 of the first
-        # pass's hits. The 3 term/disjunction queries hold one
-        # ("term", term) entry per term (4 misses, then 1 + 2 + 3 hits a
-        # pass) and read the reader cache only to build one
-        assert first == (52, 28, 12, 8)
-        assert second == (52, 0, 20, 0)  # a second pass misses nothing
+        # the term, conjunction and phrase queries read only the searcher
+        # cache: per text term one ("states", t) and one ("term", t)
+        # entry (data, stream, window, batch: 8 misses), per phrase term
+        # one ("pos", t) entry (data, stream, window: 3 misses) and one
+        # ("norm_inv",) entry for the phrase bounds (1 miss); every other
+        # lookup of the first pass hits (0 + 2 + 2 + 4 + 4 + 6 + 7, a
+        # positions miss reading its term's freqs from the term entry).
+        # Only "st*" (exhaustive multi-term scoring) reads the 4 readers'
+        # decode caches
+        assert first == (0, 4, 25, 12)
+        assert second == (4, 0, 34, 0)  # a second pass misses nothing

@@ -12,8 +12,8 @@ with its hits, misses and megabytes held.
 asserts that the top-10 docids and float32 scores are equal, and that the
 hit count follows the TotalHits rule for every class: an ``EQ`` count
 equals the exhaustive one, and a ``GTE`` count (a pruned path skipped
-candidates) lies between 1000 and the exhaustive one. For every term and
-disjunction query with a full first page, page 2 through
+candidates) lies between 1000 and the exhaustive one. For every term,
+disjunction and conjunction query with a full first page, page 2 through
 ``after=(score[-1], docid[-1])`` must equal exhaustive ranks 11-20
 (docids and float32 score bytes).
 
@@ -96,7 +96,8 @@ def main() -> int:
             same = same and got["total_hits"] == want["total_hits"]
         else:
             same = same and TOTAL_HITS_THRESHOLD <= got["total_hits"] <= want["total_hits"]
-        if query_class(q) in ("term", "disjunction") and len(got["docids"]) == K:
+        paged = query_class(q) in ("term", "disjunction", "conjunction")
+        if paged and len(got["docids"]) == K:
             after = (float(got["scores"][-1]), int(got["docids"][-1]))
             same = same and same_hits(searcher.search(q, k=K, after=after), want, K)
         if not same:
