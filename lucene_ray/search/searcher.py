@@ -1373,17 +1373,17 @@ class IndexSearcher:
             return np.empty(0, np.uint32), np.empty(0, np.uint32)
         runs = {}  # per term (a term filling several slots counts once)
         for i, slot in enumerate(decoded):
-            ids, offs, _ = slot
             if id(slot) in runs:
                 continue
-            row = (
-                rows[i]
-                if rows is not None
-                else None if len(ids) == len(cand) else np.searchsorted(ids, cand)
-            )
-            lo, hi = (
-                (offs[:-1], offs[1:]) if row is None else (offs[row], offs[row + 1])
-            )
+            ids, offs, _ = slot
+            if rows is not None:
+                row = rows[i]
+            else:
+                row = None if len(ids) == len(cand) else np.searchsorted(ids, cand)
+            if row is None:
+                lo, hi = offs[:-1], offs[1:]
+            else:
+                lo, hi = offs[row], offs[row + 1]
             runs[id(slot)] = (lo.astype(np.int64), (hi - lo).astype(np.int64))
         cum = np.cumsum(sum(cnt for _, cnt in runs.values()))
         step = _PHRASE_BLOCK_POSITIONS
