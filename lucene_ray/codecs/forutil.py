@@ -29,6 +29,12 @@ def bit_width(max_value: int) -> int:
     return int(max_value).bit_length()
 
 
+def bit_lengths(values: np.ndarray) -> np.ndarray:
+    """``bit_width`` of every value (< 2**53), as int32: the binary
+    exponent ``frexp`` returns is the bit length (0 for 0)."""
+    return np.frexp(np.asarray(values, dtype=np.float64))[1]
+
+
 def pack(values: np.ndarray, width: int) -> bytes:
     """Bit-pack ``values`` (uint32, all < 2**width) into a big-endian
     bitstream padded to a byte boundary. ``width == 0`` packs nothing."""
@@ -36,10 +42,70 @@ def pack(values: np.ndarray, width: int) -> bytes:
         return b""
     if width > 32:
         raise ValueError(f"width > 32: {width}")
-    v = np.ascontiguousarray(values, dtype=np.uint32)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)
-    bits = ((v[:, None] >> shifts) & 1).astype(np.uint8)
-    return np.packbits(bits.ravel()).tobytes()
+    return _pack_be(np.ascontiguousarray(values, dtype=np.uint32), width).tobytes()
+
+
+def _pack_be(v: np.ndarray, width: int) -> np.ndarray:
+    """``pack`` as a uint8 array: each value's big-endian bytes unpacked
+    to bits, the low ``width`` bit columns kept, packed again."""
+    k = 1 if width <= 8 else 2 if width <= 16 else 4
+    bits = np.unpackbits(v.astype(f">u{k}").view(np.uint8)).reshape(-1, 8 * k)
+    return np.packbits(bits[:, 8 * k - width :])
+
+
+def excl_cumsum(x: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sum as int64: ``[0, x0, x0+x1, ...]`` (len(x))."""
+    out = np.zeros(len(x), dtype=np.int64)
+    if len(x) > 1:
+        np.cumsum(x[:-1], out=out[1:])
+    return out
+
+
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat int64 index of many runs: ``arange(s, s + c)`` for every
+    (start, count) pair, concatenated, in one repeat."""
+    counts = np.asarray(counts, dtype=np.int64)
+    total = int(counts.sum())
+    return np.repeat(
+        np.asarray(starts, dtype=np.int64) - excl_cumsum(counts), counts
+    ) + np.arange(total, dtype=np.int64)
+
+
+def put_rows(out: np.ndarray, pos: np.ndarray, rows: np.ndarray) -> None:
+    """Scatter the fixed-width records of ``rows`` (a contiguous array of
+    little-endian values or structs, one record per ``pos``) into the
+    uint8 buffer ``out`` at byte offsets ``pos``."""
+    if len(pos):
+        b = rows.view(np.uint8).reshape(len(pos), -1)
+        out[pos[:, None] + np.arange(b.shape[1])] = b
+
+
+def pack_runs_into(
+    out: np.ndarray,
+    dst: np.ndarray,
+    values: np.ndarray,
+    src: np.ndarray,
+    counts: np.ndarray,
+    widths: np.ndarray,
+) -> None:
+    """Bit-pack many runs into the uint8 buffer ``out``: run i, the
+    ``counts[i]`` values from ``values[src[i]]`` on, lands at
+    ``out[dst[i]:]`` exactly as ``pack(run, widths[i])`` would write it.
+    One pack per distinct width: each run is zero-padded to a multiple
+    of 8 values, so every run starts on a byte of the packed stream and
+    its padding bits are the zero bits ``pack`` pads with."""
+    for w in np.unique(widths).tolist():
+        if w == 0:
+            continue
+        sel = np.flatnonzero(widths == w)
+        c = counts[sel]
+        padded = (c + 7) // 8 * 8
+        pstart = excl_cumsum(padded)
+        big = np.zeros(int(padded.sum()), dtype=np.uint32)
+        big[ranges(pstart, c)] = values[ranges(src[sel], c)]
+        packed = _pack_be(big, w)
+        nbytes = (c * w + 7) // 8
+        out[ranges(dst[sel], nbytes)] = packed[ranges(pstart * w // 8, nbytes)]
 
 
 def unpack(buf: np.ndarray, count: int, width: int) -> np.ndarray:

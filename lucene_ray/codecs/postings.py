@@ -34,22 +34,30 @@ Blob layout (little-endian):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from lucene_ray.codecs.forutil import (
-    _POW2,
-    bit_width,
-    pack,
+    MAX_PFOR_EXCEPTIONS,
+    bit_lengths,
+    excl_cumsum,
+    pack_runs_into,
     packed_size,
     pfor_decode,
-    pfor_encode,
+    put_rows,
+    ranges,
     unpack,
 )
-from lucene_ray.codecs.smallfloat import LENGTH_TABLE
 
 BLOCK_SIZE = 256  # Lucene104PostingsFormat.BLOCK_SIZE (:343)
+# word-gather tables per width w (rows) and value k (columns): value k of
+# a run packed at w bits starts in byte (k·w) >> 3, and the big-endian
+# 8-byte word read there holds it at right shift 64 − w − (k·w & 7)
+_KW = np.arange(33, dtype=np.int64)[:, None] * np.arange(BLOCK_SIZE, dtype=np.int64)
+_WORD_BYTE = _KW >> 3
+_WORD_SHIFT = (64 - np.arange(33)[:, None] - (_KW & 7)).astype(np.uint64)
+_WORD_MASK = ((np.uint64(1) << np.arange(33, dtype=np.uint64)) - np.uint64(1))
 
 _DIR_DTYPE = np.dtype(
     [
@@ -114,64 +122,10 @@ def encode_postings(
     """Encode one term's postings. ``docids`` strictly increasing uint32,
     ``freqs`` aligned uint32, ``norms`` aligned uint8 (per-doc norm bytes,
     used only to build impact frontiers; pass None to skip impacts)."""
-    docids = np.ascontiguousarray(docids, dtype=np.uint32)
-    freqs = np.ascontiguousarray(freqs, dtype=np.uint32)
-    n = len(docids)
-    if n == 0:
+    if len(docids) == 0:
         raise ValueError("empty posting list")
-    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    directory = np.zeros(n_blocks, dtype=_DIR_DTYPE)
-    data_parts: List[bytes] = []
-    offset = 0
-    prev_last = -1
-    for bi in range(n_blocks):
-        lo, hi = bi * BLOCK_SIZE, min((bi + 1) * BLOCK_SIZE, n)
-        ids = docids[lo:hi]
-        fr = freqs[lo:hi]
-        blen = hi - lo
-        first, last = int(ids[0]), int(ids[-1])
-        gaps = np.diff(ids, prepend=np.uint32(prev_last + 1)).astype(np.uint32)
-        # gaps relative to prev block's last + 1 ⇒ min gap 0 for adjacent ids
-        w_for = bit_width(int(gaps.max())) if blen else 0
-        for_bytes = packed_size(blen, w_for)
-        span = last - first + 1
-        bitset_bytes = (span + 7) // 8
-        if bitset_bytes < for_bytes:
-            kind, width = 1, 0
-            bs = np.zeros(bitset_bytes * 8, dtype=np.uint8)
-            bs[ids - first] = 1
-            docid_data = np.packbits(bs).tobytes()
-        else:
-            kind, width = 0, w_for
-            docid_data = pack(gaps, w_for)
-        fw, fbase, fexc_pos, fexc_val = pfor_encode(fr)
-        imp = (
-            competitive_impacts(fr, norms[lo:hi])
-            if norms is not None
-            else np.zeros(0, dtype=[("freq", "<u4"), ("norm", "u1")])
-        )
-        block = b"".join(
-            [
-                docid_data,
-                fbase,
-                fexc_pos.astype("<u2").tobytes(),
-                fexc_val.astype("<u4").tobytes(),
-                imp["freq"].astype("<u4").tobytes(),
-                imp["norm"].tobytes(),
-            ]
-        )
-        d = directory[bi]
-        d["first_docid"], d["last_docid"] = first, last
-        d["data_offset"] = offset
-        d["docid_kind"], d["docid_width"] = kind, width
-        d["freq_width"], d["freq_n_exc"] = fw, len(fexc_pos)
-        d["n_impacts"] = len(imp)
-        d["block_len"] = blen
-        data_parts.append(block)
-        offset += len(block)
-        prev_last = last
-    header = np.array([n, n_blocks], dtype="<u4").tobytes()
-    return header + directory.tobytes() + b"".join(data_parts)
+    buf, _ = encode_postings_flat(docids, freqs, [0, len(docids)], norms)
+    return buf.tobytes()
 
 
 def encode_postings_batch(
@@ -181,210 +135,183 @@ def encode_postings_batch(
     term_starts: np.ndarray,
     pair_norms: Optional[np.ndarray] = None,
 ) -> List[bytes]:
-    """Encode MANY terms' postings at once — same blob format as
-    :func:`encode_postings`, decoded by the same reader.
+    """:func:`encode_postings_flat` split into one blob per term (the SPI
+    ``encode_batch`` shape). ``pair_norms`` may arrive pre-gathered (the
+    shuffle build passes norms for only the docids a bucket touches);
+    else they are ``norms[pair_docids]``."""
+    if pair_norms is None:
+        pair_norms = norms[pair_docids]
+    return split_blobs(
+        *encode_postings_flat(pair_docids, pair_tfs, term_starts, pair_norms)
+    )
 
-    Single-block terms (df ≤ 256 — the Zipf tail, i.e. almost all terms)
-    are encoded with *global* vectorized passes: one diff for all gaps,
-    ``np.maximum.reduceat`` for widths, and one ``np.packbits`` call per
-    distinct bit width using pad-to-8-values alignment (8 values × w bits
-    is always whole bytes, so per-term slices stay byte-aligned).
-    Multi-block terms fall back to :func:`encode_postings`.
 
-    Deterministic: the same inputs always produce the same bytes (resume
-    checksums rely on this). Freq base widths here may be one bit wider
-    than the per-term PFor search would pick (no exception hunting in the
-    batch path); the directory records the width, so decode is identical.
-    """
+def split_blobs(buf: np.ndarray, lens: np.ndarray) -> List[bytes]:
+    """Concatenated blobs + their lengths → one ``bytes`` per blob."""
+    raw = buf.tobytes()
+    offs = excl_cumsum(lens).tolist()
+    return [raw[o : o + n] for o, n in zip(offs, lens.tolist())]
+
+
+def encode_postings_flat(
+    docids: np.ndarray,
+    tfs: np.ndarray,
+    term_starts,
+    pair_norms: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Encode MANY terms' postings (term-major pair arrays, every term
+    df ≥ 1) into one buffer with array kernels: every 256-posting block
+    of every term is a row, so gaps come from one diff, the
+    FOR-vs-bitset choice, widths and impact frontiers from one pass
+    each, and the packed bits from one pack per distinct width,
+    scattered into a preallocated buffer. ``pair_norms`` (uint8 per
+    pair) feed the impact frontiers; None writes no impacts.
+
+    Freq widths: a single-block term packs at its max bit length with
+    no exceptions; each block of a multi-block term takes the PFor base
+    width, the 8th-largest bit length of the block (0 below 8 values),
+    and patches the ≤7 larger values as exceptions. Deterministic (the
+    resume checksums rely on it).
+
+    → ``(buf uint8, lens int64[n_terms])``: term i's blob starts at the
+    exclusive cumsum of ``lens``."""
+    term_starts = np.asarray(term_starts, dtype=np.int64)
+    lo, hi = int(term_starts[0]), int(term_starts[-1])
+    term_starts = term_starts - lo
     n_terms = len(term_starts) - 1
-    docids = pair_docids.astype(np.int64)
-    tfs = pair_tfs.astype(np.uint32)
-    starts = term_starts[:-1]
-    ends = term_starts[1:]
-    dfs = (ends - starts).astype(np.int64)
+    dfs = np.diff(term_starts)
+    if n_terms == 0:
+        return np.empty(0, np.uint8), np.empty(0, np.int64)
+    if dfs.min() <= 0:
+        raise ValueError("empty posting list")
+    ids = np.asarray(docids[lo:hi], dtype=np.int64)
+    tfs = np.ascontiguousarray(tfs[lo:hi], dtype=np.uint32)
 
-    out: List[Optional[bytes]] = [None] * n_terms
-    multi = np.flatnonzero(dfs > BLOCK_SIZE)
-    for ti in multi:
-        s, e = int(starts[ti]), int(ends[ti])
-        out[ti] = encode_postings(
-            pair_docids[s:e],
-            pair_tfs[s:e],
-            pair_norms[s:e] if pair_norms is not None
-            else norms[pair_docids[s:e]],
-        )
-    single = np.flatnonzero(dfs <= BLOCK_SIZE)
-    if len(single) == 0:
-        return out  # type: ignore[return-value]
+    # ---- blocks as rows ----
+    nb = (dfs + BLOCK_SIZE - 1) // BLOCK_SIZE
+    n_blk = int(nb.sum())
+    blk_term = np.repeat(np.arange(n_terms), nb)
+    term_blk0 = excl_cumsum(nb)
+    k = np.arange(n_blk) - term_blk0[blk_term]
+    bstart = term_starts[blk_term] + k * BLOCK_SIZE
+    blen = np.minimum(BLOCK_SIZE, term_starts[1:][blk_term] - bstart)
+    pair_blk = np.repeat(np.arange(n_blk), blen)
 
-    # ---- gaps for every pair in one pass (first gap = absolute docid) ----
-    gaps = np.empty(len(docids), dtype=np.int64)
-    if len(docids):
-        gaps[1:] = docids[1:] - docids[:-1]
-        gaps[starts] = docids[starts]
-    max_gap = np.maximum.reduceat(gaps, starts)  # per term (len>=1 each)
-    max_tf = np.maximum.reduceat(tfs.astype(np.int64), starts)
-    gw = np.searchsorted(_POW2, max_gap, side="right")
-    fw = np.searchsorted(_POW2, max_tf, side="right")
-    first_doc = docids[starts]
-    last_doc = docids[ends - 1]
+    # ---- docids: gaps from the previous block's last docid + 1 (0 for
+    # a term's first block), FOR width, or a bitset when smaller ----
+    gaps = np.empty(len(ids), dtype=np.int64)
+    gaps[0] = ids[0]
+    np.subtract(ids[1:], ids[:-1], out=gaps[1:])
+    gaps[bstart] = ids[bstart] - np.where(k == 0, 0, ids[bstart - 1] + 1)
+    first = ids[bstart]
+    last = ids[bstart + blen - 1]
+    gw = bit_lengths(np.maximum.reduceat(gaps, bstart))
+    for_bytes = (blen * gw + 7) // 8
+    span_bytes = (last - first + 8) // 8
+    bitset = span_bytes < for_bytes
+    docid_bytes = np.where(bitset, span_bytes, for_bytes)
 
-    # bitset-vs-FOR decision per single-block term
-    span_bytes = (last_doc - first_doc + 1 + 7) // 8
-    for_bytes = (dfs * gw + 7) // 8
-    use_bitset = span_bytes < for_bytes
-
-    # ---- per-(term, norm) max freq → pareto impacts (pure-int inner loop
-    # over the few distinct norms per term) ----
-    # pair_norms may arrive pre-gathered (shuffle build passes norms for
-    # ONLY the docids this bucket touches — gathering norms[docid] here
-    # would need the whole corpus's norms resident in every bucket task)
-    pair_norms = (
-        pair_norms.astype(np.int64)
-        if pair_norms is not None
-        else norms[pair_docids].astype(np.int64)
+    # ---- freqs: plain max width for single-block terms; PFor for the
+    # blocks of multi-block terms ----
+    bl = bit_lengths(tfs)
+    fw = np.maximum.reduceat(bl, bstart)
+    msel = np.flatnonzero(nb[blk_term] > 1)
+    if len(msel):
+        row = np.repeat(np.arange(len(msel)), blen[msel])
+        hist = np.bincount(
+            row * 33 + bl[ranges(bstart[msel], blen[msel])],
+            minlength=len(msel) * 33,
+        ).reshape(-1, 33)
+        n_ge = np.cumsum(hist[:, ::-1], axis=1)[:, ::-1]  # #(bl >= w)
+        fw[msel] = (n_ge[:, 1:] > MAX_PFOR_EXCEPTIONS).sum(axis=1)
+    exc = np.flatnonzero(bl > fw[pair_blk])
+    n_exc = np.bincount(pair_blk[exc], minlength=n_blk)
+    base = tfs.copy()
+    base[exc] &= ((np.uint64(1) << fw[pair_blk[exc]].astype(np.uint64)) - 1).astype(
+        np.uint32
     )
-    term_idx = np.repeat(np.arange(n_terms, dtype=np.int64), dfs)
-    combo = term_idx * 256 + pair_norms
-    order = np.argsort(combo, kind="stable")
-    combo_s = combo[order]
-    tf_s = tfs[order].astype(np.int64)
-    grp_mask = np.empty(len(combo_s), dtype=bool)
-    if len(combo_s):
-        grp_mask[0] = True
-        np.not_equal(combo_s[1:], combo_s[:-1], out=grp_mask[1:])
-    grp_starts = np.flatnonzero(grp_mask)
-    grp_combo = combo_s[grp_starts]
-    grp_max = np.maximum.reduceat(tf_s, grp_starts) if len(grp_starts) else np.empty(0, np.int64)
-    grp_term = grp_combo // 256
-    grp_norm = grp_combo % 256
-    # per-term slices over the (term, norm) groups
-    tgrp_starts = np.searchsorted(grp_term, np.arange(n_terms))
-    tgrp_ends = np.searchsorted(grp_term, np.arange(n_terms) + 1)
+    freq_bytes = (blen * fw + 7) // 8
 
-    # ---- batched packing per distinct width ----
-    def batched_pack(values: np.ndarray, starts_, counts, widths, sel):
-        """→ dict term_index -> packed bytes for the selected terms."""
-        blobs: Dict[int, bytes] = {}
-        for w in np.unique(widths[sel]):
-            w = int(w)
-            tsel = sel[widths[sel] == w]
-            if w == 0:
-                for ti in tsel:
-                    blobs[int(ti)] = b""
-                continue
-            padded = ((counts[tsel] + 7) // 8) * 8
-            total = int(padded.sum())
-            big = np.zeros(total, dtype=np.uint32)
-            pos = 0
-            offs = []
-            for ti, pc_ in zip(tsel, padded):
-                s, c = int(starts_[ti]), int(counts[ti])
-                big[pos : pos + c] = values[s : s + c]
-                offs.append((int(ti), pos, int(pc_)))
-                pos += int(pc_)
-            packed = np.packbits(
-                ((big[:, None] >> np.arange(w - 1, -1, -1, dtype=np.uint32)) & 1)
-                .astype(np.uint8)
-                .ravel()
-            ).tobytes()
-            for ti, p, pc_ in offs:
-                byte_lo = p * w // 8
-                blobs[ti] = packed[byte_lo : byte_lo + pc_ * w // 8]
-        return blobs
-
-    gap_blobs = batched_pack(
-        gaps.astype(np.uint32), starts, dfs, gw, single[~use_bitset[single]]
-    )
-    freq_blobs = batched_pack(tfs, starts, dfs, fw, single)
-
-    # ---- pareto impacts for ALL terms at once: running max within each
-    # term's (norm asc) groups via the offset-cummax trick (term*BIG+val
-    # is monotone across term boundaries, so one np.maximum.accumulate
-    # does a segmented cummax); an impact survives iff it beats the
-    # running max of the norms before it ----
-    n_grps = len(grp_max)
-    if n_grps:
-        BIG = np.int64(1) << 32
-        cm = np.maximum.accumulate(grp_term * BIG + grp_max)
-        prev = np.empty(n_grps, dtype=np.int64)
+    # ---- impacts: max freq per (block, norm), then the pareto frontier
+    # (a (norm, freq) survives iff it beats every shorter norm's max)
+    # by one segmented running max: block·2^32 + freq is monotone
+    # across blocks ----
+    if pair_norms is None:
+        imp_blk = imp_f = imp_n = np.empty(0, np.int64)
+    else:
+        key = pair_blk * 256  # (block, norm, freq) in one int64, in place
+        key += pair_norms[lo:hi]
+        key <<= 32
+        key |= tfs
+        key.sort()
+        grp = key >> 32
+        last_in_grp = np.empty(len(key), dtype=bool)
+        last_in_grp[-1] = True
+        np.not_equal(grp[1:], grp[:-1], out=last_in_grp[:-1])
+        g = key[last_in_grp]
+        gblk = g >> 40
+        gmax = g & 0xFFFFFFFF
+        cm = np.maximum.accumulate((gblk << 32) | gmax)
+        prev = np.empty(len(g), dtype=np.int64)
         prev[0] = -1
         prev[1:] = cm[:-1]
-        keep = grp_max > (prev - grp_term * BIG)
-        imp_f_flat = grp_max[keep].astype("<u4")
-        imp_n_flat = grp_norm[keep].astype(np.uint8)
-        keep_cum = np.concatenate(
-            [[0], np.cumsum(keep, dtype=np.int64)]
-        )
-        imp_lo = keep_cum[tgrp_starts]
-        imp_hi = keep_cum[tgrp_ends]
-    else:
-        imp_f_flat = np.empty(0, "<u4")
-        imp_n_flat = np.empty(0, np.uint8)
-        imp_lo = imp_hi = np.zeros(n_terms, dtype=np.int64)
-    imp_f_bytes = imp_f_flat.tobytes()
-    imp_n_bytes = imp_n_flat.tobytes()
+        keep = gmax > prev - (gblk << 32)
+        imp_blk, imp_f = gblk[keep], gmax[keep]
+        imp_n = (g[keep] >> 32) & 0xFF
+    n_imp = np.bincount(imp_blk, minlength=n_blk)
 
-    # ---- batched bitset build: one zeros + one packbits for every
-    # bitset-coded term (byte-padded spans keep per-term slices aligned)
-    bt = single[use_bitset[single]]
-    bitset_slices: Dict[int, bytes] = {}
-    if len(bt):
-        spans8 = ((last_doc[bt] - first_doc[bt] + 1 + 7) // 8) * 8
-        bit_base = np.cumsum(spans8) - spans8
-        bdfs = dfs[bt]
-        total_pairs = int(bdfs.sum())
-        rep_starts = np.repeat(starts[bt], bdfs)
-        offs_in = np.arange(total_pairs, dtype=np.int64) - np.repeat(
-            np.cumsum(bdfs) - bdfs, bdfs
-        )
-        pair_idx = rep_starts + offs_in
-        rel = docids[pair_idx] - np.repeat(first_doc[bt], bdfs)
-        big_bits = np.zeros(int(spans8.sum()), dtype=np.uint8)
-        big_bits[np.repeat(bit_base, bdfs) + rel] = 1
-        packed_all = np.packbits(big_bits).tobytes()
-        for j, ti in enumerate(bt):
-            lo = int(bit_base[j]) // 8
-            bitset_slices[int(ti)] = packed_all[lo : lo + int(spans8[j]) // 8]
+    # ---- sizes and offsets by arithmetic ----
+    data_size = docid_bytes + freq_bytes + 6 * n_exc + 5 * n_imp
+    dcs = excl_cumsum(data_size)
+    dsz = _DIR_DTYPE.itemsize
+    lens = 8 + dsz * nb + np.add.reduceat(data_size, term_blk0)
+    term_off = excl_cumsum(lens)
+    out = np.zeros(int(lens.sum()), dtype=np.uint8)
 
-    # ---- headers + prefixes assembled vectorized, sliced per term ----
-    n_s = len(single)
-    hdr = np.zeros(n_s, dtype=_DIR_DTYPE)
-    hdr["first_docid"] = first_doc[single]
-    hdr["last_docid"] = last_doc[single]
-    ub = use_bitset[single]
-    hdr["docid_kind"] = ub.astype(hdr["docid_kind"].dtype)
-    hdr["docid_width"] = np.where(ub, 0, gw[single])
-    hdr["freq_width"] = fw[single]
-    hdr["n_impacts"] = (imp_hi - imp_lo)[single]
-    hdr["block_len"] = dfs[single]
-    hdr_bytes = hdr.tobytes()
-    hsz = hdr.itemsize
-    prefix = np.empty((n_s, 2), dtype="<u4")
-    prefix[:, 0] = dfs[single]
-    prefix[:, 1] = 1
-    prefix_bytes = prefix.tobytes()
+    hdr = np.empty((n_terms, 2), dtype="<u4")
+    hdr[:, 0] = dfs
+    hdr[:, 1] = nb
+    put_rows(out, term_off, hdr)
+    d = np.zeros(n_blk, dtype=_DIR_DTYPE)
+    d["first_docid"] = first
+    d["last_docid"] = last
+    d["data_offset"] = dcs - dcs[term_blk0[blk_term]]
+    d["docid_kind"] = bitset
+    d["docid_width"] = np.where(bitset, 0, gw)
+    d["freq_width"] = fw
+    d["freq_n_exc"] = n_exc
+    d["n_impacts"] = n_imp
+    d["block_len"] = blen
+    blk_base = term_off[blk_term] + 8
+    put_rows(out, blk_base + dsz * k, d)
+    data_at = blk_base + dsz * nb[blk_term] + d["data_offset"]
 
-    for j in range(n_s):
-        ti = int(single[j])
-        df = int(dfs[ti])
-        if ub[j]:
-            dblob = bitset_slices[ti]
-        else:
-            dblob = gap_blobs[ti][: (df * int(gw[ti]) + 7) // 8]
-        fblob = freq_blobs[ti][: (df * int(fw[ti]) + 7) // 8]
-        lo, hi = int(imp_lo[ti]), int(imp_hi[ti])
-        out[ti] = b"".join(
-            (
-                prefix_bytes[j * 8 : j * 8 + 8],
-                hdr_bytes[j * hsz : (j + 1) * hsz],
-                dblob,
-                fblob,
-                imp_f_bytes[lo * 4 : hi * 4],
-                imp_n_bytes[lo:hi],
-            )
-        )
-    return out  # type: ignore[return-value]
+    # ---- block data: docids | freq base | exceptions | impacts ----
+    fsel = np.flatnonzero(~bitset)
+    pack_runs_into(out, data_at[fsel], gaps, bstart[fsel], blen[fsel], gw[fsel])
+    bsel = np.flatnonzero(bitset)
+    if len(bsel):
+        sb = span_bytes[bsel]
+        bits = np.zeros(int(sb.sum()) * 8, dtype=np.uint8)
+        bits[
+            np.repeat(excl_cumsum(sb * 8) - first[bsel], blen[bsel])
+            + ids[ranges(bstart[bsel], blen[bsel])]
+        ] = 1
+        out[ranges(data_at[bsel], sb)] = np.packbits(bits)
+    freq_at = data_at + docid_bytes
+    pack_runs_into(out, freq_at, base, bstart, blen, fw)
+    exc_at = freq_at + freq_bytes
+    if len(exc):
+        eb = pair_blk[exc]
+        rank = np.arange(len(exc)) - excl_cumsum(n_exc)[eb]
+        put_rows(out, exc_at[eb] + 2 * rank, (exc - bstart[eb]).astype("<u2"))
+        put_rows(out, exc_at[eb] + 2 * n_exc[eb] + 4 * rank, tfs[exc].astype("<u4"))
+    if len(imp_blk):
+        imp_at = (exc_at + 6 * n_exc)[imp_blk]
+        rank = np.arange(len(imp_blk)) - excl_cumsum(n_imp)[imp_blk]
+        put_rows(out, imp_at + 4 * rank, imp_f.astype("<u4"))
+        out[imp_at + 4 * n_imp[imp_blk] + rank] = imp_n
+    return out, lens
 
 
 class PostingsView:
@@ -400,157 +327,110 @@ class PostingsView:
 
     def decode_block(self, bi: int) -> Tuple[np.ndarray, np.ndarray]:
         """→ (docids uint32, freqs uint32) for block ``bi``."""
-        d = self.directory[bi]
-        blen = int(d["block_len"])
-        off = int(d["data_offset"])
-        first = int(d["first_docid"])
-        if d["docid_kind"] == 1:
-            span = int(d["last_docid"]) - first + 1
+        first, last, off, kind, w, fw, n_exc, _, blen = self.directory[bi].item()
+        data = self.data
+        if kind == 1:
+            span = last - first + 1
             nbytes = (span + 7) // 8
-            bits = np.unpackbits(self.data[off : off + nbytes], count=span)
+            bits = np.unpackbits(data[off : off + nbytes], count=span)
             ids = (np.flatnonzero(bits) + first).astype(np.uint32)
-            off += nbytes
         else:
-            w = int(d["docid_width"])
             nbytes = packed_size(blen, w)
-            gaps = unpack(self.data[off : off + nbytes], blen, w)
-            prev = (
-                int(self.directory[bi - 1]["last_docid"]) + 1 if bi > 0 else 0
+            gaps = unpack(data[off : off + nbytes], blen, w)
+            # the first gap is counted from the previous block's last + 1
+            ids = (np.cumsum(gaps, dtype=np.int64) + (first - int(gaps[0]))).astype(
+                np.uint32
             )
-            ids = (np.cumsum(gaps.astype(np.uint64)) + prev).astype(np.uint32)
-            off += nbytes
-        fw, n_exc = int(d["freq_width"]), int(d["freq_n_exc"])
-        fb = packed_size(blen, fw)
-        fbuf = self.data[off : off + fb]
-        off += fb
-        exc_pos = self.data[off : off + n_exc * 2].view("<u2")
-        off += n_exc * 2
-        exc_val = self.data[off : off + n_exc * 4].view("<u4")
-        freqs = pfor_decode(fbuf, blen, fw, exc_pos, exc_val)
-        return ids, freqs
+        off += nbytes
+        exc_at = off + packed_size(blen, fw)
+        return ids, pfor_decode(
+            data[off:exc_at],
+            blen,
+            fw,
+            data[exc_at : exc_at + 2 * n_exc].view("<u2"),
+            data[exc_at + 2 * n_exc : exc_at + 6 * n_exc].view("<u4"),
+        )
 
     def impacts(self, bi: int) -> np.ndarray:
-        d = self.directory[bi]
-        blen = int(d["block_len"])
-        n_imp = int(d["n_impacts"])
-        off = int(d["data_offset"])
-        if d["docid_kind"] == 1:
-            off += (int(d["last_docid"]) - int(d["first_docid"]) + 1 + 7) // 8
-        else:
-            off += packed_size(blen, int(d["docid_width"]))
-        off += packed_size(blen, int(d["freq_width"])) + int(d["freq_n_exc"]) * 6
+        first, last, off, kind, w, fw, n_exc, n_imp, blen = self.directory[bi].item()
+        off += (last - first + 8) // 8 if kind == 1 else packed_size(blen, w)
+        off += packed_size(blen, fw) + 6 * n_exc
         out = np.zeros(n_imp, dtype=[("freq", "<u4"), ("norm", "u1")])
         out["freq"] = self.data[off : off + n_imp * 4].view("<u4")
-        off += n_imp * 4
-        out["norm"] = self.data[off : off + n_imp]
+        out["norm"] = self.data[off + n_imp * 4 : off + n_imp * 5]
         return out
 
     def decode_all(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Full decode → (docids, freqs), batched across blocks:
+        """Full decode → (docids, freqs). Block ``bi`` is row ``bi`` of a
+        (blocks, 256) output padded to whole blocks (every block but the
+        last is full), truncated at the end:
 
-        - full FOR blocks grouped by bit width → one ``np.unpackbits`` per
-          width;
-        - full bitset blocks (dense head terms) → ONE ``np.unpackbits`` +
-          ``np.flatnonzero`` over their concatenated spans (byte-aligned
-          per block; padding bits are zero);
-        - freqs of all full blocks grouped by PFor width;
-        - the short tail block decodes individually.
+        - FOR docids and freqs of all blocks, whatever their widths, by
+          one word gather each: value k of a run at width w sits at bit
+          k·w of it, so the big-endian 8-byte word read at its first byte
+          holds it whole (w + 7 ≤ 39 bits) and one shift and mask per
+          value extract it (a short block's row reads zero padding past
+          its run); docids then take one row-wise cumsum;
+        - bitset blocks (dense head terms): one gather + ``unpackbits``
+          + ``flatnonzero`` (padding bits are zero, so block ``bi`` holds
+          exactly ``block_len`` set bits);
+        - PFor exceptions of all blocks patched in one scatter.
+
+        A single-block term decodes through ``decode_block``.
         """
-        if self.n_blocks <= 2:
-            if self.n_blocks == 1:
-                return self.decode_block(0)
-            i0, f0 = self.decode_block(0)
-            i1, f1 = self.decode_block(1)
-            return np.concatenate([i0, i1]), np.concatenate([f0, f1])
+        nbk = self.n_blocks
+        if nbk == 1:
+            return self.decode_block(0)
         d = self.directory
-        n = self.doc_count
-        blens = d["block_len"].astype(np.int64)
-        starts = np.concatenate([[0], np.cumsum(blens)[:-1]])
         data = self.data
-        ids_out = np.empty(n, dtype=np.uint32)
-        freqs_out = np.empty(n, dtype=np.uint32)
+        # a row reads up to 32·32 + 8 bytes past its start
+        padded = np.zeros(len(data) + 1032, dtype=np.uint8)
+        padded[: len(data)] = data
+        words = np.ndarray(len(data) + 1025, dtype=">u8", buffer=padded, strides=(1,))
 
+        def unpack_rows(at, w):
+            vals = words[at[:, None] + _WORD_BYTE[w]].astype(np.uint64)
+            vals >>= _WORD_SHIFT[w]
+            vals &= _WORD_MASK[w][:, None]
+            return vals
+
+        ids = np.empty((nbk, BLOCK_SIZE), dtype=np.uint32)
         offs = d["data_offset"].astype(np.int64)
         firsts = d["first_docid"].astype(np.int64)
-        lasts = d["last_docid"].astype(np.int64)
         widths = d["docid_width"].astype(np.int64)
-        kinds = d["docid_kind"]
-        full = blens == BLOCK_SIZE
-
-        for bi in np.flatnonzero(~full):  # tail block(s)
-            ids, fr = self.decode_block(int(bi))
-            lo = int(starts[bi])
-            ids_out[lo : lo + len(ids)] = ids
-            freqs_out[lo : lo + len(fr)] = fr
-
-        # ---- full bitset blocks: one unpackbits + flatnonzero ----
-        bsel = np.flatnonzero(full & (kinds == 1))
-        if len(bsel):
-            spans = lasts[bsel] - firsts[bsel] + 1
-            nbytes = (spans + 7) // 8
-            big = np.concatenate([data[offs[bi] : offs[bi] + nb]
-                                  for bi, nb in zip(bsel, nbytes)])
-            bits = np.unpackbits(big)
-            setpos = np.flatnonzero(bits)
-            # block boundaries in bit space; padding bits are zero so the
-            # per-block set-bit count is exactly BLOCK_SIZE
-            assert len(setpos) == len(bsel) * BLOCK_SIZE
-            bit_starts = np.concatenate([[0], np.cumsum(nbytes * 8)[:-1]])
-            base = np.repeat(firsts[bsel] - bit_starts, BLOCK_SIZE)
-            abs_ids = (setpos + base).astype(np.uint32)
-            for j, bi in enumerate(bsel):
-                lo = int(starts[bi])
-                ids_out[lo : lo + BLOCK_SIZE] = abs_ids[
-                    j * BLOCK_SIZE : (j + 1) * BLOCK_SIZE
-                ]
-
-        # ---- full FOR blocks grouped by width ----
-        fastf = full & (kinds == 0)
-        for w in np.unique(widths[fastf]):
-            w = int(w)
-            sel = np.flatnonzero(fastf & (widths == w))
-            if w == 0:
-                for bi in sel:  # all-zero gaps: cannot occur beyond len 1
-                    ids, _ = self.decode_block(int(bi))
-                    ids_out[int(starts[bi]) : int(starts[bi]) + len(ids)] = ids
-                continue
-            nb = (BLOCK_SIZE * w) // 8
-            buf = np.concatenate([data[o : o + nb] for o in offs[sel]])
-            gaps = unpack(buf, BLOCK_SIZE * len(sel), w).reshape(len(sel), BLOCK_SIZE)
-            cums = np.cumsum(gaps, axis=1, dtype=np.int64)
-            abs_ids = cums + (firsts[sel] - cums[:, 0])[:, None]
-            for j, bi in enumerate(sel):
-                lo = int(starts[bi])
-                ids_out[lo : lo + BLOCK_SIZE] = abs_ids[j].astype(np.uint32)
-
-        # ---- freqs of ALL full blocks grouped by PFor base width ----
+        blens = d["block_len"].astype(np.int64)
+        bitset = d["docid_kind"] == 1
         docid_bytes = np.where(
-            kinds == 1, (lasts - firsts + 1 + 7) // 8, (blens * widths + 7) // 8
+            bitset,
+            (d["last_docid"].astype(np.int64) - firsts + 8) // 8,
+            (blens * widths + 7) // 8,
         )
+        fsel = np.flatnonzero(~bitset)
+        if len(fsel):
+            cums = np.cumsum(unpack_rows(offs[fsel], widths[fsel]), axis=1, dtype=np.int64)
+            ids[fsel] = cums + (firsts[fsel] - cums[:, 0])[:, None]
+        bsel = np.flatnonzero(bitset)
+        if len(bsel):
+            nb = docid_bytes[bsel]
+            setpos = np.flatnonzero(np.unpackbits(_gather(data, offs[bsel], nb)))
+            ids.ravel()[ranges(bsel * BLOCK_SIZE, blens[bsel])] = setpos + np.repeat(
+                firsts[bsel] - excl_cumsum(nb * 8), blens[bsel]
+            )
+
         f_offs = offs + docid_bytes
-        fwidths = d["freq_width"].astype(np.int64)
-        for w in np.unique(fwidths[full]):
-            w = int(w)
-            sel = np.flatnonzero(full & (fwidths == w))
-            if w == 0:
-                for bi in sel:
-                    freqs_out[int(starts[bi]) : int(starts[bi]) + BLOCK_SIZE] = 0
-            else:
-                nb = (BLOCK_SIZE * w) // 8
-                buf = np.concatenate([data[o : o + nb] for o in f_offs[sel]])
-                vals = unpack(buf, BLOCK_SIZE * len(sel), w).reshape(len(sel), BLOCK_SIZE)
-                for j, bi in enumerate(sel):
-                    lo = int(starts[bi])
-                    freqs_out[lo : lo + BLOCK_SIZE] = vals[j]
-            for bi in sel:  # patch PFor exceptions
-                n_exc = int(d["freq_n_exc"][bi])
-                if n_exc:
-                    eoff = int(f_offs[bi]) + (BLOCK_SIZE * w + 7) // 8
-                    pos = data[eoff : eoff + n_exc * 2].view("<u2")
-                    val = data[eoff + n_exc * 2 : eoff + n_exc * 6].view("<u4")
-                    lo = int(starts[bi])
-                    freqs_out[lo + pos.astype(np.int64)] = val
-        return ids_out, freqs_out
+        fws = d["freq_width"].astype(np.int64)
+        freqs = unpack_rows(f_offs, fws).astype(np.uint32).ravel()
+        n_exc = d["freq_n_exc"].astype(np.int64)
+        esel = np.flatnonzero(n_exc)
+        if len(esel):
+            ne = n_exc[esel]
+            e_at = f_offs[esel] + (blens[esel] * fws[esel] + 7) // 8
+            pos = _gather(data, e_at, 2 * ne).view("<u2")
+            freqs[np.repeat(esel * BLOCK_SIZE, ne) + pos] = _gather(
+                data, e_at + 2 * ne, 4 * ne
+            ).view("<u4")
+        n = self.doc_count
+        return ids.ravel()[:n], freqs[:n]
 
     def lookup_docs(self, targets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Seek-style membership probe for a sorted candidate docid list:
@@ -605,15 +485,6 @@ class PostingsView:
             return None
         return bi, sub, needed
 
-    def _freq_offset(self, bi: int) -> int:
-        d = self.directory[bi]
-        off = int(d["data_offset"])
-        if d["docid_kind"] == 1:
-            off += (int(d["last_docid"]) - int(d["first_docid"]) + 1 + 7) // 8
-        else:
-            off += packed_size(int(d["block_len"]), int(d["docid_width"]))
-        return off
-
 
 def probe_decoded(
     ids: np.ndarray, freqs: np.ndarray, t: np.ndarray
@@ -635,34 +506,30 @@ def probe_decoded(
 def _gather(data: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenate ``data[starts[i] : starts[i]+counts[i]]`` for all i via
     ONE fancy-index gather (no per-slice Python)."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=data.dtype)
-    intra = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    return data[np.repeat(starts, counts) + intra]
+    return data[ranges(starts, counts)]
 
 
 def _unpack_runs(
     data: np.ndarray, byte_starts: np.ndarray, cnts: np.ndarray, w: int
 ) -> np.ndarray:
-    """Unpack many per-term bit-packed runs (each byte-aligned and
-    byte-padded, per :func:`pack`) in ONE ``np.unpackbits`` + one fancy
-    gather: value k of term t lives at bit ``t_base*8 + k*w``. → flat
-    uint32 values in term order (``cnts.sum()`` total)."""
+    """Unpack many bit-packed runs at width ``w`` (each byte-aligned and
+    byte-padded, per :func:`pack`): their bytes are gathered into one
+    zero-padded buffer, where value k of run t starts at bit
+    ``8·(run t's first byte) + k·w`` and the big-endian 8-byte word read
+    at that byte holds it whole (w + 7 ≤ 39 bits), so one shift and mask
+    per value extract it. → flat uint32 values in run order
+    (``cnts.sum()`` total)."""
     pb = (cnts * w + 7) // 8
-    big = _gather(data, byte_starts, pb)
-    bits = np.unpackbits(big)
-    bit_bases = (np.cumsum(pb) - pb) * 8
-    total = int(cnts.sum())
-    intra = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(cnts) - cnts, cnts
+    big = np.zeros(int(pb.sum()) + 8, dtype=np.uint8)
+    big[:-8] = _gather(data, byte_starts, pb)
+    words = np.ndarray(len(big) - 7, dtype=">u8", buffer=big, strides=(1,))
+    vstart = np.repeat(excl_cumsum(pb) * 8 - excl_cumsum(cnts) * w, cnts) + (
+        np.arange(int(cnts.sum()), dtype=np.int64) * w
     )
-    vstart = np.repeat(bit_bases, cnts) + intra * w
-    idx = vstart[:, None] + np.arange(w, dtype=np.int64)
-    shifts = np.arange(w - 1, -1, -1, dtype=np.uint32)
-    return (bits[idx].astype(np.uint32) << shifts).sum(axis=1, dtype=np.uint32)
+    vals = words[vstart >> 3].astype(np.uint64)
+    vals >>= (64 - w - (vstart & 7)).astype(np.uint64)
+    vals &= np.uint64((1 << w) - 1)
+    return vals.astype(np.uint32)
 
 
 def decode_postings_batch(

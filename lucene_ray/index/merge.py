@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 import pyarrow as pa
 
-from lucene_ray.index.config import FIELD_SEP, IndexConfig
+from lucene_ray.index.config import IndexConfig
 from lucene_ray.index.deletes import _write_deleted
 from lucene_ray.index.vectors import (
     BYTE_VECTORS_FILE,
@@ -52,21 +52,13 @@ from lucene_ray.index.manifest import (
     segment_dir,
 )
 from lucene_ray.index.segment import (
-    InvertedBatch,
     SegmentReader,
     decode_uint_blocks,
     decode_uint_blocks_batch,
-    encode_uint_blocks,
-    encode_uint_blocks_batch,
-    write_segment,
+    write_term_parts,
 )
-from lucene_ray.codecs.postings import (
-    PostingsView,
-    decode_postings_batch,
-    encode_postings,
-    encode_postings_batch,
-)
-from lucene_ray.codecs.spi import encode_postings_by_format, format_for_name
+from lucene_ray.codecs.postings import PostingsView, decode_postings_batch
+from lucene_ray.codecs.spi import format_for_name
 
 
 @dataclass(frozen=True)
@@ -213,10 +205,12 @@ def merge_bucket(
 ) -> dict:
     """Merge ONE term-hash bucket of the given segments into part files in
     ``tmp_dir`` — the unit of merge parallelism (a merge fans out to
-    ``n_parts`` independent bucket tasks)."""
+    ``n_parts`` independent bucket tasks). A k-way merge of the sources'
+    sorted term lists gathers each term's decoded postings and position
+    streams (docids rebased, or remapped under an index sort); the
+    part's files are then encoded and written once by
+    ``write_term_parts``, the part writer ``write_segment`` uses too."""
     import zlib as _zlib
-
-    import pyarrow.parquet as pq
 
     readers, new_base, rebase = _open_sorted_readers(index_dir, seg_ids)
     fmts0 = readers[0].meta.get("postings_formats")
@@ -243,7 +237,7 @@ def merge_bucket(
         )
     checksums: Dict[str, int] = {}
 
-    def put(name: str, data: bytes):
+    def put(name: str, data) -> None:
         with open(os.path.join(tmp_dir, name), "wb") as f:
             f.write(data)
         checksums[name] = _zlib.crc32(data)
@@ -278,12 +272,9 @@ def merge_bucket(
         )
         if terms_list:
             heapq.heappush(heap, (terms_list[0], ri, 0))
-    rows = {"term": [], "df": [], "ttf": [], "post_off": [], "post_len": [],
-            "pos_off": [], "pos_len": [],
-            "off_off": [], "off_slen": [], "off_llen": [],
-            "pay_off": [], "pay_llen": [], "pay_blen": []}
-    # k-way merge collecting concatenated pair arrays; the expensive
-    # re-encode happens ONCE per bucket via the batched encoders
+    terms: List[str] = []
+    # k-way merge collecting concatenated pair arrays; the re-encode and
+    # the part files happen ONCE per bucket (``write_term_parts``)
     ids_buf: List[np.ndarray] = []
     tf_buf: List[np.ndarray] = []
     pos_buf: List[np.ndarray] = []
@@ -300,7 +291,6 @@ def merge_bucket(
     pos_starts = [0]
     npairs = 0
     npos = 0
-    sum_df = 0
     while heap:
         term, ri, i = heapq.heappop(heap)
         group = [(ri, i)]
@@ -308,8 +298,6 @@ def merge_bucket(
             ri2, i2 = heapq.heappop(heap)[1:]
             group.append((ri2, i2))
         group.sort()  # reader order == docid-base order
-        df = 0
-        ttf = 0
         g_ids: List[np.ndarray] = []
         g_tfs: List[np.ndarray] = []
         g_pos: List[np.ndarray] = []
@@ -337,10 +325,8 @@ def merge_bucket(
                     else format_for_name(fmt_name).view(blob)
                 )
                 ids, tfs = view.decode_all()
-            g_ids.append(ids.astype(np.int64) + rebase[gri])
+            g_ids.append(ids + np.uint32(rebase[gri]))
             g_tfs.append(tfs)
-            df += int(t["df"][gi])
-            ttf += int(t["ttf"][gi])
             if with_pos:
                 pd = pos_decoders[gri]
                 if pd is not None:
@@ -466,162 +452,45 @@ def merge_bucket(
                         payb_buf.append(payb_c[bgather])
         term_starts.append(npairs)
         pos_starts.append(npos)
-        rows["term"].append(term)
-        rows["df"].append(df)
-        rows["ttf"].append(ttf)
-        if FIELD_SEP not in term:  # text-field stats only (like write_segment)
-            sum_df += df
+        terms.append(term)
         for gri, gi in group:
             terms_list = iters[gri][0]
             if gi + 1 < len(terms_list):
                 heapq.heappush(heap, (terms_list[gi + 1], gri, gi + 1))
 
-    if term_starts[-1] > 0:
-        big_ids = np.concatenate(ids_buf).astype(np.uint32)
-        big_tfs = np.concatenate(tf_buf).astype(np.uint32)
-        if readers[0]._formats is None:
-            blobs = encode_postings_batch(
-                big_ids, big_tfs, norms, np.array(term_starts, dtype=np.int64)
-            )
-        else:
-            # re-encode each merged term with its field's format
-            fmt_names = [readers[0].fmt_for_key(t) for t in rows["term"]]
-            blobs = encode_postings_by_format(
-                fmt_names,
-                big_ids,
-                big_tfs,
-                norms,
-                np.array(term_starts, dtype=np.int64),
-            )
-    else:
-        blobs = []
-    if with_pos and rows["term"]:
-        big_pos = (
-            np.concatenate(pos_buf).astype(np.uint32)
-            if pos_buf
-            else np.empty(0, np.uint32)
+    def flat(bufs, dtype):
+        return (
+            np.concatenate(bufs).astype(dtype, copy=False)
+            if bufs
+            else np.empty(0, dtype)
         )
-        pos_blobs = encode_uint_blocks_batch(
-            big_pos, np.array(pos_starts, dtype=np.int64)
-        )
-    else:
-        pos_blobs = None
-    off_s_blobs = off_l_blobs = None
-    if with_off and rows["term"]:
-        big_offs = (
-            np.concatenate(offs_buf).astype(np.uint32)
-            if offs_buf
-            else np.empty(0, np.uint32)
-        )
-        big_offl = (
-            np.concatenate(offl_buf).astype(np.uint32)
-            if offl_buf
-            else np.empty(0, np.uint32)
-        )
-        fr = np.array(pos_starts, dtype=np.int64)
-        off_s_blobs = encode_uint_blocks_batch(big_offs, fr)
-        off_l_blobs = encode_uint_blocks_batch(big_offl, fr)
-    pay_l_blobs = None
-    big_payb = pay_byte_bounds = None
-    if with_pay and rows["term"]:
-        big_payl = (
-            np.concatenate(payl_buf).astype(np.uint32)
-            if payl_buf
-            else np.empty(0, np.uint32)
-        )
-        big_payb = (
-            np.concatenate(payb_buf)
-            if payb_buf
-            else np.empty(0, np.uint8)
-        )
-        frp = np.array(pos_starts, dtype=np.int64)
-        pay_l_blobs = encode_uint_blocks_batch(big_payl, frp)
-        pay_byte_bounds = np.concatenate(
-            ([0], np.cumsum(big_payl, dtype=np.int64))
-        )
-        pay_starts_frame = frp
-    post_parts: List[bytes] = []
-    pos_parts: List[bytes] = []
-    off_parts: List[bytes] = []
-    pay_parts: List[bytes] = []
-    post_off = 0
-    pos_off = 0
-    off_off = 0
-    pay_off = 0
-    for ti in range(len(rows["term"])):
-        blob = blobs[ti]
-        rows["post_off"].append(post_off)
-        rows["post_len"].append(len(blob))
-        post_parts.append(blob)
-        post_off += len(blob)
-        if pos_blobs is not None:
-            pblob = pos_blobs[ti]
-            rows["pos_off"].append(pos_off)
-            rows["pos_len"].append(len(pblob))
-            pos_parts.append(pblob)
-            pos_off += len(pblob)
-        else:
-            rows["pos_off"].append(0)
-            rows["pos_len"].append(0)
-        if off_s_blobs is not None:
-            sb, lb = off_s_blobs[ti], off_l_blobs[ti]
-            rows["off_off"].append(off_off)
-            rows["off_slen"].append(len(sb))
-            rows["off_llen"].append(len(lb))
-            off_parts.append(sb)
-            off_parts.append(lb)
-            off_off += len(sb) + len(lb)
-        else:
-            rows["off_off"].append(0)
-            rows["off_slen"].append(0)
-            rows["off_llen"].append(0)
-        if pay_l_blobs is not None:
-            lb = pay_l_blobs[ti]
-            b0 = int(pay_byte_bounds[pay_starts_frame[ti]])
-            b1 = int(pay_byte_bounds[pay_starts_frame[ti + 1]])
-            raw = big_payb[b0:b1].tobytes()
-            rows["pay_off"].append(pay_off)
-            rows["pay_llen"].append(len(lb))
-            rows["pay_blen"].append(len(raw))
-            pay_parts.append(lb)
-            pay_parts.append(raw)
-            pay_off += len(lb) + len(raw)
-        else:
-            rows["pay_off"].append(0)
-            rows["pay_llen"].append(0)
-            rows["pay_blen"].append(0)
-    put(f"part_{b:04d}.postings.bin", b"".join(post_parts))
-    if with_pos:
-        put(f"part_{b:04d}.positions.bin", b"".join(pos_parts))
-    if with_off:
-        put(f"part_{b:04d}.offsets.bin", b"".join(off_parts))
-    if with_pay:
-        put(f"part_{b:04d}.payloads.bin", b"".join(pay_parts))
-    tcols = {
-        "term": pa.array(rows["term"], pa.large_string()),
-        "df": pa.array(rows["df"], pa.int64()),
-        "ttf": pa.array(rows["ttf"], pa.int64()),
-        "post_off": pa.array(rows["post_off"], pa.int64()),
-        "post_len": pa.array(rows["post_len"], pa.int64()),
-        "pos_off": pa.array(rows["pos_off"], pa.int64()),
-        "pos_len": pa.array(rows["pos_len"], pa.int64()),
-    }
-    if with_off:
-        tcols["off_off"] = pa.array(rows["off_off"], pa.int64())
-        tcols["off_slen"] = pa.array(rows["off_slen"], pa.int64())
-        tcols["off_llen"] = pa.array(rows["off_llen"], pa.int64())
-    if with_pay:
-        tcols["pay_off"] = pa.array(rows["pay_off"], pa.int64())
-        tcols["pay_llen"] = pa.array(rows["pay_llen"], pa.int64())
-        tcols["pay_blen"] = pa.array(rows["pay_blen"], pa.int64())
-    terms_tbl = pa.table(tcols)
-    pq.write_table(terms_tbl, os.path.join(tmp_dir, f"part_{b:04d}.terms.parquet"))
-    return {
-        "checksums": checksums,
-        "sum_df": sum_df,
-        "n_terms": len(rows["term"]),
-        "postings_bytes": post_off,
-    }
+
+    res = write_term_parts(
+        put,
+        tmp_dir,
+        [b],
+        None,
+        pa.array(terms, pa.large_string()),
+        np.array(term_starts, dtype=np.int64),
+        flat(ids_buf, np.uint32),
+        flat(tf_buf, np.uint32),
+        norms,
+        # re-encode each merged term with its field's format
+        fmt_names=(
+            None
+            if readers[0]._formats is None
+            else [readers[0].fmt_for_key(t) for t in terms]
+        ),
+        with_positions=with_pos,
+        pos_starts=np.array(pos_starts, dtype=np.int64),
+        positions=flat(pos_buf, np.uint32),
+        off_starts=flat(offs_buf, np.uint32) if with_off else None,
+        off_lens=flat(offl_buf, np.uint32) if with_off else None,
+        pay_lens=flat(payl_buf, np.uint32) if with_pay else None,
+        pay_bytes=flat(payb_buf, np.uint8) if with_pay else None,
+    )
+    res["checksums"] = checksums
+    return res
 
 
 def _finalize_merge(

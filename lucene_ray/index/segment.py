@@ -41,11 +41,19 @@ from lucene_ray.codecs.postings import (
     PostingsView,
     _unpack_runs,
     decode_postings_batch,
-    encode_postings,
-    encode_postings_batch,
+    encode_postings_flat,
     probe_decoded,
+    split_blobs,
 )
-from lucene_ray.codecs.forutil import _POW2, pack, packed_size, unpack
+from lucene_ray.codecs.forutil import (
+    bit_lengths,
+    excl_cumsum,
+    pack_runs_into,
+    packed_size,
+    put_rows,
+    ranges,
+    unpack,
+)
 from lucene_ray.codecs.feature import encode_feature_values
 from lucene_ray.codecs.spi import encode_postings_by_format, format_for_name
 from lucene_ray.codecs.smallfloat import encode_norms
@@ -69,65 +77,49 @@ META_NAME = "meta.json"
 # positions blob: u32 count, then per-256 block: u8 width + packed values
 # --------------------------------------------------------------------------
 def encode_uint_blocks(vals: np.ndarray) -> bytes:
-    vals = np.ascontiguousarray(vals, dtype=np.uint32)
-    n = len(vals)
-    parts = [np.array([n], "<u4").tobytes()]
-    for lo in range(0, n, 256):
-        chunk = vals[lo : lo + 256]
-        w = int(chunk.max()).bit_length() if len(chunk) else 0
-        parts.append(bytes([w]))
-        parts.append(pack(chunk, w))
-    return b"".join(parts)
+    """One run's blob (:func:`encode_uint_blocks_flat`)."""
+    return encode_uint_blocks_flat(vals, [0, len(vals)])[0].tobytes()
 
 
 def encode_uint_blocks_batch(values: np.ndarray, starts: np.ndarray) -> List[bytes]:
-    """Batched :func:`encode_uint_blocks` for many value runs (same blob
-    format): single-block runs (≤256 values — almost every term's
-    positions) share one ``np.packbits`` call per distinct width via
-    pad-to-8-values alignment; longer runs fall back to the scalar path."""
-    values = np.ascontiguousarray(values, dtype=np.uint32)
-    n_runs = len(starts) - 1
-    counts = (starts[1:] - starts[:-1]).astype(np.int64)
-    out: List[Optional[bytes]] = [None] * n_runs
-    multi = np.flatnonzero(counts > 256)
-    for ri in multi:
-        out[ri] = encode_uint_blocks(values[starts[ri] : starts[ri + 1]])
-    single = np.flatnonzero(counts <= 256)
-    if len(single) == 0:
-        return out  # type: ignore[return-value]
-    vals64 = values.astype(np.int64)
-    maxes = np.zeros(n_runs, dtype=np.int64)
-    nonempty = counts > 0
-    ne_idx = np.flatnonzero(nonempty)
-    if len(ne_idx):
-        maxes[ne_idx] = np.maximum.reduceat(vals64, starts[:-1][ne_idx])
-    widths = np.searchsorted(_POW2, maxes, side="right")
-    for w in np.unique(widths[single]):
-        w = int(w)
-        sel = single[widths[single] == w]
-        if w == 0:
-            for ri in sel:
-                out[ri] = np.array([counts[ri]], "<u4").tobytes() + bytes([0])
-            continue
-        padded = ((counts[sel] + 7) // 8) * 8
-        big = np.zeros(int(padded.sum()), dtype=np.uint32)
-        pos = 0
-        offs = []
-        for ri, pc_ in zip(sel, padded):
-            c = int(counts[ri])
-            big[pos : pos + c] = values[starts[ri] : starts[ri] + c]
-            offs.append((int(ri), pos, int(pc_)))
-            pos += int(pc_)
-        packed = np.packbits(
-            ((big[:, None] >> np.arange(w - 1, -1, -1, dtype=np.uint32)) & 1)
-            .astype(np.uint8)
-            .ravel()
-        ).tobytes()
-        for ri, p, pc_ in offs:
-            c = int(counts[ri])
-            blob = packed[p * w // 8 : p * w // 8 + (c * w + 7) // 8]
-            out[ri] = np.array([c], "<u4").tobytes() + bytes([w]) + blob
-    return out  # type: ignore[return-value]
+    """:func:`encode_uint_blocks_flat` split into one blob per run."""
+    return split_blobs(*encode_uint_blocks_flat(values, starts))
+
+
+def encode_uint_blocks_flat(
+    values: np.ndarray, starts
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Encode many uint runs (run i = ``values[starts[i]:starts[i+1]]``)
+    into one buffer: per run a u32 count, then per 256-value block a u8
+    width (the block max's bit length) and the packed values. An empty
+    run keeps one width-0 block (5 bytes). Every block of every run is a
+    row: widths from one ``maximum.reduceat``, sizes and offsets by
+    arithmetic, one pack per distinct width.
+
+    → ``(buf uint8, lens int64[n_runs])``, runs back to back."""
+    starts = np.asarray(starts, dtype=np.int64)
+    counts = np.diff(starts)
+    n_runs = len(counts)
+    nb = np.maximum(1, (counts + 255) // 256)
+    blk_run = np.repeat(np.arange(n_runs), nb)
+    run_blk0 = excl_cumsum(nb)
+    bsrc = starts[blk_run] + 256 * (np.arange(len(blk_run)) - run_blk0[blk_run])
+    blen = np.clip(starts[1:][blk_run] - bsrc, 0, 256)
+    widths = np.zeros(len(blk_run), dtype=np.int64)
+    ne = np.flatnonzero(blen)
+    if len(ne):
+        vals = values[: starts[-1]]
+        widths[ne] = bit_lengths(np.maximum.reduceat(vals, bsrc[ne]))
+    blk_bytes = 1 + (blen * widths + 7) // 8
+    lens = 4 + np.add.reduceat(blk_bytes, run_blk0) if n_runs else counts
+    run_off = excl_cumsum(lens)
+    out = np.zeros(int(lens.sum()), dtype=np.uint8)
+    put_rows(out, run_off, counts.astype("<u4"))
+    bcs = excl_cumsum(blk_bytes)
+    blk_at = run_off[blk_run] + 4 + bcs - bcs[run_blk0[blk_run]]
+    out[blk_at] = widths
+    pack_runs_into(out, blk_at + 1, values, bsrc, blen, widths)
+    return out, lens
 
 
 _BLOCK_INDEX = np.arange(256, dtype=np.int64)
@@ -920,6 +912,143 @@ def normalize_sorted_set_dv(dv_table: pa.Table) -> pa.Table:
     return out
 
 
+def write_term_parts(
+    put,
+    out_dir: str,
+    parts: Sequence[int],
+    term_part: Optional[np.ndarray],
+    terms: pa.Array,
+    term_starts: np.ndarray,
+    docids: np.ndarray,
+    tfs: np.ndarray,
+    norms: np.ndarray,
+    fmt_names: Optional[List[str]] = None,
+    with_positions: bool = False,
+    pos_starts: Optional[np.ndarray] = None,
+    positions: Optional[np.ndarray] = None,
+    off_starts: Optional[np.ndarray] = None,
+    off_lens: Optional[np.ndarray] = None,
+    pay_lens: Optional[np.ndarray] = None,
+    pay_bytes: Optional[np.ndarray] = None,
+) -> dict:
+    """Encode and write the term-dictionary parts of a segment: the one
+    part writer of ``write_segment`` (every bucket) and ``merge_bucket``
+    (one bucket).
+
+    Inputs are term-major over sorted unique ``terms``: pairs
+    ``docids``/``tfs`` framed by ``term_starts``; per-doc ``norms`` (the
+    impact frontiers read ``norms[docid]``); optional position streams
+    framed by ``pos_starts`` — ``positions``, character offsets
+    (``off_starts``/``off_lens``) and payloads (``pay_lens`` per
+    occurrence plus the flat ``pay_bytes``). Every stream is encoded once
+    for all terms by the array kernels (``encode_postings_flat``,
+    ``encode_uint_blocks_flat``); ``fmt_names`` (per-field formats)
+    routes postings through the SPI encoders instead. Each part ``b`` in
+    ``parts`` takes the terms with ``term_part == b`` (all terms when
+    ``term_part`` is None) and gets its files through ``put(name,
+    buffer)`` — ``part_b.postings.bin``, ``.positions.bin`` when
+    ``with_positions``, ``.offsets.bin`` (per term: starts blob, lengths
+    blob), ``.payloads.bin`` (per term: lengths blob, raw bytes) — plus
+    ``part_b.terms.parquet`` in ``out_dir``, built from arrays.
+
+    → ``{"sum_df", "n_terms", "postings_bytes"}`` over the parts
+    (``sum_df`` counts default-field terms only)."""
+    import pyarrow.compute as pc
+
+    terms = terms.cast(pa.large_string())  # the terms parquet's type
+    term_starts = np.asarray(term_starts, dtype=np.int64)
+    n_terms = len(terms)
+    df = np.diff(term_starts)
+    ttf = (
+        np.add.reduceat(np.asarray(tfs[: term_starts[-1]], np.int64), term_starts[:-1])
+        if n_terms
+        else df
+    )
+    text = ~pc.match_substring(terms, FIELD_SEP).to_numpy(zero_copy_only=False)
+
+    def runs(buf_lens):  # encoded stream → (buf, per-term offsets, lengths)
+        buf, lens = buf_lens
+        return buf, excl_cumsum(lens), lens
+
+    empty = (np.empty(0, np.uint8), np.zeros(n_terms, np.int64))
+    if n_terms == 0:
+        post = empty
+    elif fmt_names is None:
+        post = encode_postings_flat(docids, tfs, term_starts, norms[docids])
+    else:
+        blobs = encode_postings_by_format(fmt_names, docids, tfs, norms, term_starts)
+        post = (
+            np.frombuffer(b"".join(blobs), np.uint8),
+            np.fromiter(map(len, blobs), np.int64, n_terms),
+        )
+    # stream → its runs (a term's runs sit back to back in the part file)
+    streams = {"postings": [runs(post)]}
+    if with_positions:
+        streams["positions"] = [
+            runs(
+                encode_uint_blocks_flat(positions, pos_starts)
+                if positions is not None and n_terms
+                else empty
+            )
+        ]
+    if off_starts is not None:
+        streams["offsets"] = [
+            runs(encode_uint_blocks_flat(off_starts, pos_starts)),
+            runs(encode_uint_blocks_flat(off_lens, pos_starts)),
+        ]
+    if pay_lens is not None:
+        bounds = np.zeros(len(pay_lens) + 1, np.int64)
+        np.cumsum(pay_lens, out=bounds[1:])
+        raw = bounds[pos_starts]
+        streams["payloads"] = [
+            runs(encode_uint_blocks_flat(pay_lens, pos_starts)),
+            (pay_bytes, raw[:-1], np.diff(raw)),
+        ]
+    out = {"sum_df": 0, "n_terms": 0, "postings_bytes": 0}
+    for b in parts:
+        if term_part is None:
+            sel = np.arange(n_terms)
+            tcols = {"term": terms}
+        else:
+            sel = np.flatnonzero(term_part == b)
+            tcols = {"term": terms.take(pa.array(sel))}
+        tcols["df"], tcols["ttf"] = df[sel], ttf[sel]
+        tcols["pos_off"] = tcols["pos_len"] = np.zeros(len(sel), np.int64)
+        for name, stream in streams.items():
+            lens = [r[2][sel] for r in stream]
+            at = excl_cumsum(sum(lens))
+            off_col, *len_cols = _PART_COLUMNS[name]
+            tcols[off_col] = at
+            tcols.update(zip(len_cols, lens))
+            if len(stream) == 1 and term_part is None:
+                data = stream[0][0]
+            else:
+                data = np.empty(int(sum(ln.sum() for ln in lens)), np.uint8)
+                for (buf, offs, _), ln in zip(stream, lens):
+                    data[ranges(at, ln)] = buf[ranges(offs[sel], ln)]
+                    at = at + ln
+            put(f"part_{b:04d}.{name}.bin", data)
+        pq.write_table(
+            pa.table({c: tcols[c] for c in _TERMS_COLUMNS if c in tcols}),
+            os.path.join(out_dir, f"part_{b:04d}.terms.parquet"),
+        )
+        out["sum_df"] += int(df[sel][text[sel]].sum())
+        out["n_terms"] += len(sel)
+        out["postings_bytes"] += int(tcols["post_len"].sum())
+    return out
+
+
+# part-file stream → its terms-parquet columns: the term's offset in the
+# file, then the length of each of its runs
+_PART_COLUMNS = {
+    "postings": ("post_off", "post_len"),
+    "positions": ("pos_off", "pos_len"),
+    "offsets": ("off_off", "off_slen", "off_llen"),
+    "payloads": ("pay_off", "pay_llen", "pay_blen"),
+}
+_TERMS_COLUMNS = ("term", "df", "ttf") + sum(_PART_COLUMNS.values(), ())
+
+
 def write_segment(
     seg_dir: str,
     seg_id: int,
@@ -938,7 +1067,8 @@ def write_segment(
 
     Mirrors the write-once + two-phase-commit discipline of the reference
     (``IndexWriter.java:3714,4158``): data files first, ``meta.json`` last,
-    whole directory renamed into place.
+    whole directory renamed into place. The term-dictionary parts are
+    written by ``write_term_parts``, the part writer merges use too.
     """
     t0 = time.time()
     n_docs = len(inv.doc_lengths)
@@ -949,7 +1079,7 @@ def write_segment(
     os.makedirs(tmp_dir)
     checksums: Dict[str, int] = {}
 
-    def put(name: str, data: bytes):
+    def put(name: str, data) -> None:
         with open(os.path.join(tmp_dir, name), "wb") as f:
             f.write(data)
         checksums[name] = zlib.crc32(data)
@@ -1034,161 +1164,44 @@ def write_segment(
             os.path.join(tmp_dir, "tv.parquet"),
         )
 
-    if n_terms == 0:
-        all_blobs = []
-    elif fmt_map is None:
-        all_blobs = encode_postings_batch(
-            inv.pair_docids, inv.pair_tfs, norms, inv.term_starts
-        )
-    else:
-        # PerFieldPostingsFormat write path: each term's blob uses its
-        # FIELD's registered format (``PerFieldPostingsFormat.java:64-69``)
-        fmt_names = [
-            config.format_name_for_field(
-                t.split(FIELD_SEP, 1)[0] if FIELD_SEP in t else DEFAULT_FIELD
-            )
-            for t in term_strs
-        ]
-        all_blobs = encode_postings_by_format(
-            fmt_names, inv.pair_docids, inv.pair_tfs, norms, inv.term_starts
-        )
-    all_pos_blobs = (
-        encode_uint_blocks_batch(inv.positions, inv.pos_starts)
-        if (config.positions and inv.positions is not None and n_terms)
-        else None
-    )
-    # offsets (.pay role): two blob streams sharing the positions framing —
-    # absolute starts and (end − start) lengths, each FOR-packed per term
     with_offsets = bool(
         getattr(config, "offsets", False)
         and inv.off_starts is not None
         and n_terms
     )
-    all_off_start_blobs = all_off_len_blobs = None
-    if with_offsets:
-        all_off_start_blobs = encode_uint_blocks_batch(
-            inv.off_starts, inv.pos_starts
-        )
-        all_off_len_blobs = encode_uint_blocks_batch(
-            inv.off_lens, inv.pos_starts
-        )
-    # payloads (the remaining .pay stream role): per-occurrence byte
-    # LENGTHS share the positions framing (FOR-packed), the raw bytes
-    # ride verbatim; per term the part file holds [lens blob][raw bytes]
     with_payloads = bool(
         getattr(config, "payloads", False)
         and inv.pay_lens is not None
         and n_terms
     )
-    all_pay_len_blobs = pay_byte_bounds = None
-    if with_payloads:
-        all_pay_len_blobs = encode_uint_blocks_batch(
-            inv.pay_lens, inv.pos_starts
-        )
-        pay_byte_bounds = np.concatenate(
-            ([0], np.cumsum(inv.pay_lens, dtype=np.int64))
-        )
-    buckets = (
-        np.array([config.term_bucket(t) for t in term_strs], dtype=np.int32)
-        if config.num_buckets > 1
-        else np.zeros(n_terms, dtype=np.int32)
+    parts = write_term_parts(
+        put,
+        tmp_dir,
+        range(config.num_buckets),
+        np.fromiter(map(config.term_bucket, term_strs), np.int64, n_terms),
+        inv.terms,
+        inv.term_starts,
+        inv.pair_docids,
+        inv.pair_tfs,
+        norms,
+        # PerFieldPostingsFormat write path: each term's blob uses its
+        # FIELD's registered format (``PerFieldPostingsFormat.java:64-69``)
+        fmt_names=None if fmt_map is None else [
+            config.format_name_for_field(
+                t.split(FIELD_SEP, 1)[0] if FIELD_SEP in t else DEFAULT_FIELD
+            )
+            for t in term_strs
+        ],
+        with_positions=config.positions,
+        pos_starts=inv.pos_starts,
+        positions=inv.positions,
+        off_starts=inv.off_starts if with_offsets else None,
+        off_lens=inv.off_lens if with_offsets else None,
+        pay_lens=inv.pay_lens if with_payloads else None,
+        pay_bytes=inv.pay_bytes if with_payloads else None,
     )
-    sum_df = 0
-    sum_ttf = 0
-    postings_bytes = 0
-    for b in range(config.num_buckets):
-        idx = np.flatnonzero(buckets == b)
-        rows = {"term": [], "df": [], "ttf": [], "post_off": [], "post_len": [],
-                "pos_off": [], "pos_len": [],
-                "off_off": [], "off_slen": [], "off_llen": [],
-                "pay_off": [], "pay_llen": [], "pay_blen": []}
-        post_parts: List[bytes] = []
-        pos_parts: List[bytes] = []
-        off_parts: List[bytes] = []
-        pay_parts: List[bytes] = []
-        post_off = 0
-        pos_off = 0
-        off_off = 0
-        pay_off = 0
-        for ti in idx:
-            s, e = inv.term_starts[ti], inv.term_starts[ti + 1]
-            tfs = inv.pair_tfs[s:e]
-            blob = all_blobs[ti]
-            rows["term"].append(term_strs[ti])
-            rows["df"].append(int(e - s))
-            ttf = int(tfs.sum())
-            rows["ttf"].append(ttf)
-            rows["post_off"].append(post_off)
-            rows["post_len"].append(len(blob))
-            post_parts.append(blob)
-            post_off += len(blob)
-            if config.positions and all_pos_blobs is not None:
-                pblob = all_pos_blobs[ti]
-                rows["pos_off"].append(pos_off)
-                rows["pos_len"].append(len(pblob))
-                pos_parts.append(pblob)
-                pos_off += len(pblob)
-            else:
-                rows["pos_off"].append(0)
-                rows["pos_len"].append(0)
-            if with_offsets:
-                sb = all_off_start_blobs[ti]
-                lb = all_off_len_blobs[ti]
-                rows["off_off"].append(off_off)
-                rows["off_slen"].append(len(sb))
-                rows["off_llen"].append(len(lb))
-                off_parts.append(sb)
-                off_parts.append(lb)
-                off_off += len(sb) + len(lb)
-            else:
-                rows["off_off"].append(0)
-                rows["off_slen"].append(0)
-                rows["off_llen"].append(0)
-            if with_payloads:
-                lb = all_pay_len_blobs[ti]
-                b0 = int(pay_byte_bounds[inv.pos_starts[ti]])
-                b1 = int(pay_byte_bounds[inv.pos_starts[ti + 1]])
-                raw = inv.pay_bytes[b0:b1].tobytes()
-                rows["pay_off"].append(pay_off)
-                rows["pay_llen"].append(len(lb))
-                rows["pay_blen"].append(len(raw))
-                pay_parts.append(lb)
-                pay_parts.append(raw)
-                pay_off += len(lb) + len(raw)
-            else:
-                rows["pay_off"].append(0)
-                rows["pay_llen"].append(0)
-                rows["pay_blen"].append(0)
-            if FIELD_SEP not in term_strs[ti]:  # text-field stats only
-                sum_df += int(e - s)
-                sum_ttf += ttf
-        put(f"part_{b:04d}.postings.bin", b"".join(post_parts))
-        postings_bytes += post_off
-        if config.positions:
-            put(f"part_{b:04d}.positions.bin", b"".join(pos_parts))
-        if with_offsets:
-            put(f"part_{b:04d}.offsets.bin", b"".join(off_parts))
-        if with_payloads:
-            put(f"part_{b:04d}.payloads.bin", b"".join(pay_parts))
-        tcols = {
-            "term": pa.array(rows["term"], pa.large_string()),
-            "df": pa.array(rows["df"], pa.int64()),
-            "ttf": pa.array(rows["ttf"], pa.int64()),
-            "post_off": pa.array(rows["post_off"], pa.int64()),
-            "post_len": pa.array(rows["post_len"], pa.int64()),
-            "pos_off": pa.array(rows["pos_off"], pa.int64()),
-            "pos_len": pa.array(rows["pos_len"], pa.int64()),
-        }
-        if with_offsets:
-            tcols["off_off"] = pa.array(rows["off_off"], pa.int64())
-            tcols["off_slen"] = pa.array(rows["off_slen"], pa.int64())
-            tcols["off_llen"] = pa.array(rows["off_llen"], pa.int64())
-        if with_payloads:
-            tcols["pay_off"] = pa.array(rows["pay_off"], pa.int64())
-            tcols["pay_llen"] = pa.array(rows["pay_llen"], pa.int64())
-            tcols["pay_blen"] = pa.array(rows["pay_blen"], pa.int64())
-        terms_tbl = pa.table(tcols)
-        pq.write_table(terms_tbl, os.path.join(tmp_dir, f"part_{b:04d}.terms.parquet"))
+    sum_df = parts["sum_df"]
+    postings_bytes = parts["postings_bytes"]
 
     build_s = time.time() - t0
     seg_bytes = sum(
@@ -1351,43 +1364,21 @@ class SegmentReader:
 
     def lookup(self, term: str) -> Optional[TermInfo]:
         """``TermsEnum.seekExact`` equivalent (``core/index/TermsEnum.java:39``):
-        binary search in the term's bucket."""
+        binary search in the term's bucket, over the term column's Arrow
+        offsets and UTF-8 bytes (bytewise order is code-point order)."""
         b = self.bucket_of(term)
         t = self._part(b)
-        arr = t["term_list"]
-        if arr is not None:
-            import bisect
-
-            lo = bisect.bisect_left(arr, term)
-        else:
-            a = t["term"]
-            lo, hi = 0, len(a)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if a[mid].as_py() < term:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            arr = a
-        if lo < len(arr) and (
-            arr[lo] == term if t["term_list"] is not None else arr[lo].as_py() == term
-        ):
-            return TermInfo(
-                df=int(t["df"][lo]),
-                ttf=int(t["ttf"][lo]),
-                post_off=int(t["post_off"][lo]),
-                post_len=int(t["post_len"][lo]),
-                pos_off=int(t["pos_off"][lo]),
-                pos_len=int(t["pos_len"][lo]),
-                part=b,
-                fmt=self.fmt_for_key(term),
-                off_off=int(t["off_off"][lo]) if "off_off" in t else 0,
-                off_slen=int(t["off_slen"][lo]) if "off_off" in t else 0,
-                off_llen=int(t["off_llen"][lo]) if "off_off" in t else 0,
-                pay_off=int(t["pay_off"][lo]) if "pay_off" in t else 0,
-                pay_llen=int(t["pay_llen"][lo]) if "pay_off" in t else 0,
-                pay_blen=int(t["pay_blen"][lo]) if "pay_off" in t else 0,
-            )
+        offs, data = t["term_offs"], t["term_bytes"]
+        key = term.encode("utf-8")
+        lo, hi = 0, len(offs) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if data[offs[mid] : offs[mid + 1]] < key:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo < len(offs) - 1 and data[offs[lo] : offs[lo + 1]] == key:
+            return self.term_info_at(b, lo, term)
         return None
 
     def fmt_for_key(self, term_key: str) -> str:
@@ -1803,16 +1794,28 @@ class SegmentReader:
     def _part(self, b: int) -> dict:
         """Lazy-load part ``b``'s term table (first touch reads its
         parquet; arrow arrays kept as-is so actor init stays cheap —
-        lookups binary-search with ~17 scalar probes and are cached by
-        the searcher)."""
+        lookups bisect the term column's offsets and bytes, and are
+        cached by the searcher)."""
         t = self._terms[b]
         if t is None:
             tbl = pq.read_table(
                 os.path.join(self.seg_dir, f"part_{b:04d}.terms.parquet")
             )
             cols = {name: tbl.column(name) for name in tbl.column_names}
+            term = cols["term"].combine_chunks()
+            _, offs_buf, data_buf = term.buffers()
+            offs = np.zeros(1, np.int64)
+            if len(term):
+                offs = np.frombuffer(
+                    offs_buf,
+                    np.int64 if pa.types.is_large_string(term.type) else np.int32,
+                )[term.offset : term.offset + len(term) + 1]
             t = {
-                "term": cols["term"].combine_chunks(),
+                "term": term,
+                # ``lookup``'s bisect state: offsets as a memoryview (a
+                # python int per probe) and the UTF-8 bytes
+                "term_offs": memoryview(offs),
+                "term_bytes": data_buf.to_pybytes() if data_buf else b"",
                 "term_list": None,  # lazy python list for merge/scan
                 "df": np.asarray(cols["df"], np.int64),
                 "ttf": np.asarray(cols["ttf"], np.int64),

@@ -63,7 +63,6 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from lucene_ray.analysis.analyzer import Analyzer, analyzer_for_config
-from lucene_ray.codecs.postings import encode_postings, encode_postings_batch
 from lucene_ray.codecs.smallfloat import encode_norms
 from lucene_ray.codecs.spi import format_for_name
 from lucene_ray.index.build import plan_partitions, read_partition
