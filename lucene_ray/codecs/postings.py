@@ -131,16 +131,12 @@ def encode_postings(
 def encode_postings_batch(
     pair_docids: np.ndarray,
     pair_tfs: np.ndarray,
-    norms: np.ndarray,
+    pair_norms: Optional[np.ndarray],
     term_starts: np.ndarray,
-    pair_norms: Optional[np.ndarray] = None,
 ) -> List[bytes]:
     """:func:`encode_postings_flat` split into one blob per term (the SPI
-    ``encode_batch`` shape). ``pair_norms`` may arrive pre-gathered (the
-    shuffle build passes norms for only the docids a bucket touches);
-    else they are ``norms[pair_docids]``."""
-    if pair_norms is None:
-        pair_norms = norms[pair_docids]
+    ``encode_batch`` shape): ``pair_norms`` holds the norm byte of each
+    pair's doc (None writes no impacts)."""
     return split_blobs(
         *encode_postings_flat(pair_docids, pair_tfs, term_starts, pair_norms)
     )
@@ -534,35 +530,39 @@ def _unpack_runs(
 
 def decode_postings_batch(
     data: np.ndarray, offs: np.ndarray, lens: np.ndarray
-) -> List[Tuple[np.ndarray, np.ndarray]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode MANY ray104 postings blobs from one buffer in a few
-    vectorized passes — the cross-TERM analogue of ``decode_all``'s
-    cross-block batching, sized for the merge path where every term of a
-    bucket is decoded exactly once (``Lucene104PostingsReader`` bulk-read
-    role). Single-block terms (df ≤ 256 — the overwhelming majority of a
-    Zipf vocabulary) group into one ``unpack``/``unpackbits`` call per
-    (kind, width); multi-block terms fall back to ``PostingsView``.
+    vectorized passes — the inverse of :func:`encode_postings_flat` and
+    the cross-TERM analogue of ``decode_all``'s cross-block batching
+    (``Lucene104PostingsReader`` bulk-read role). Single-block terms
+    (df ≤ 256 — the overwhelming majority of a Zipf vocabulary) group
+    into one unpack per (kind, width); multi-block terms fall back to
+    ``PostingsView``.
 
-    → list of (docids uint32, freqs uint32) aligned with ``offs``.
+    → ``(docids uint32, freqs uint32, doc_counts int64)``: blob i's
+    postings are the ``doc_counts[i]`` pairs from the exclusive cumsum
+    of ``doc_counts`` on.
     """
-    n = len(offs)
-    out: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * n
-    if n == 0:
-        return out  # type: ignore[return-value]
     offs = np.asarray(offs, dtype=np.int64)
     # headers: u32 doc_count, u32 n_blocks
     hdr = data[offs[:, None] + np.arange(8, dtype=np.int64)]
     doc_counts = np.ascontiguousarray(hdr[:, :4]).view("<u4").ravel().astype(np.int64)
     n_blocks = np.ascontiguousarray(hdr[:, 4:]).view("<u4").ravel().astype(np.int64)
+    run_starts = excl_cumsum(doc_counts)
+    # zeros: a width-0 docid run is the single docid 0, a width-0 freq
+    # base is all zero bits
+    flat_ids = np.zeros(int(doc_counts.sum()), dtype=np.uint32)
+    flat_tfs = np.zeros(len(flat_ids), dtype=np.uint32)
 
-    multi = np.flatnonzero(n_blocks != 1)
-    for ti in multi:
-        o = int(offs[ti])
-        out[ti] = PostingsView(data[o : o + int(lens[ti])]).decode_all()
+    for ti in np.flatnonzero(n_blocks != 1).tolist():
+        o, s = int(offs[ti]), int(run_starts[ti])
+        ids, tfs = PostingsView(data[o : o + int(lens[ti])]).decode_all()
+        flat_ids[s : s + len(ids)] = ids
+        flat_tfs[s : s + len(tfs)] = tfs
 
     single = np.flatnonzero(n_blocks == 1)
     if len(single) == 0:
-        return out  # type: ignore[return-value]
+        return flat_ids, flat_tfs, doc_counts
     dsz = _DIR_DTYPE.itemsize
     drows = np.ascontiguousarray(
         data[(offs[single] + 8)[:, None] + np.arange(dsz, dtype=np.int64)]
@@ -575,77 +575,47 @@ def decode_postings_batch(
     firsts = drows["first_docid"].astype(np.int64)
     lasts = drows["last_docid"].astype(np.int64)
     dstart = offs[single] + 8 + dsz  # single block ⇒ data_offset == 0
+    starts = run_starts[single]
 
-    run_starts = np.cumsum(cnt) - cnt
-    total = int(cnt.sum())
-    flat_ids = np.empty(total, dtype=np.uint32)
-    flat_tfs = np.empty(total, dtype=np.uint32)
-
-    # ---- docids: FOR blocks grouped by width ----
+    # ---- docids: FOR blocks grouped by width, gaps summed per run ----
     # bitset: ceil(span/8) bytes; FOR: packed_size(cnt, width)
     docid_bytes = np.where(
         kinds == 1, (lasts - firsts + 1 + 7) // 8, (cnt * widths + 7) // 8
     )
-    forsel_all = kinds == 0
-    for w in np.unique(widths[forsel_all]):
-        w = int(w)
-        sel = np.flatnonzero(forsel_all & (widths == w))
+    for w in np.unique(widths[kinds == 0]).tolist():
         if w == 0:
-            # all-zero gaps: only a length-1 run starting at docid 0
-            for j in sel:
-                flat_ids[run_starts[j] : run_starts[j] + cnt[j]] = firsts[j]
             continue
+        sel = np.flatnonzero((kinds == 0) & (widths == w))
         gaps = _unpack_runs(data, dstart[sel], cnt[sel], w).astype(np.int64)
         cs = np.cumsum(gaps)
-        seg0 = np.cumsum(cnt[sel]) - cnt[sel]
-        base = cs[seg0] - gaps[seg0]  # cumsum carried in from prior terms
-        ids = (cs - np.repeat(base, cnt[sel])).astype(np.uint32)
-        pos = np.repeat(run_starts[sel], cnt[sel]) + (
-            np.arange(int(cnt[sel].sum()), dtype=np.int64) - np.repeat(seg0, cnt[sel])
-        )
-        flat_ids[pos] = ids
+        seg0 = excl_cumsum(cnt[sel])
+        # cumsum carried in from the earlier runs of this group
+        cs -= np.repeat(cs[seg0] - gaps[seg0], cnt[sel])
+        flat_ids[ranges(starts[sel], cnt[sel])] = cs
 
     # ---- docids: bitset blocks (dense head terms) ----
     bsel = np.flatnonzero(kinds == 1)
     if len(bsel):
         nbytes = (lasts[bsel] - firsts[bsel] + 1 + 7) // 8
-        big = _gather(data, dstart[bsel], nbytes)
-        setpos = np.flatnonzero(np.unpackbits(big))
+        setpos = np.flatnonzero(np.unpackbits(_gather(data, dstart[bsel], nbytes)))
         # per-term groups are contiguous in bit space; padding bits are 0
-        bit_starts = np.cumsum(nbytes * 8) - nbytes * 8
         cnts = cnt[bsel]
-        base = np.repeat(firsts[bsel] - bit_starts, cnts)
-        ids = (setpos + base).astype(np.uint32)
-        seg0 = np.cumsum(cnts) - cnts
-        pos = np.repeat(run_starts[bsel], cnts) + (
-            np.arange(int(cnts.sum()), dtype=np.int64) - np.repeat(seg0, cnts)
-        )
-        flat_ids[pos] = ids
+        setpos += np.repeat(firsts[bsel] - excl_cumsum(nbytes * 8), cnts)
+        flat_ids[ranges(starts[bsel], cnts)] = setpos
 
     # ---- freqs: PFor base grouped by width, exceptions patched after ----
     fstart = dstart + docid_bytes
-    for w in np.unique(fwidths):
-        w = int(w)
-        sel = np.flatnonzero(fwidths == w)
+    for w in np.unique(fwidths).tolist():
         if w == 0:
-            for j in sel:
-                flat_tfs[run_starts[j] : run_starts[j] + cnt[j]] = 0
             continue
-        fr = _unpack_runs(data, fstart[sel], cnt[sel], w)
-        seg0 = np.cumsum(cnt[sel]) - cnt[sel]
-        pos = np.repeat(run_starts[sel], cnt[sel]) + (
-            np.arange(int(cnt[sel].sum()), dtype=np.int64) - np.repeat(seg0, cnt[sel])
+        sel = np.flatnonzero(fwidths == w)
+        flat_tfs[ranges(starts[sel], cnt[sel])] = _unpack_runs(
+            data, fstart[sel], cnt[sel], w
         )
-        flat_tfs[pos] = fr
-    exc_terms = np.flatnonzero(n_exc > 0)
-    for j in exc_terms:  # rare (≤7 exceptions/term, few terms)
+    for j in np.flatnonzero(n_exc > 0).tolist():  # rare (≤7 per term)
         ne = int(n_exc[j])
         eoff = int(fstart[j]) + int((cnt[j] * fwidths[j] + 7) // 8)
         pos = np.asarray(data[eoff : eoff + ne * 2]).view("<u2").astype(np.int64)
         val = np.asarray(data[eoff + ne * 2 : eoff + ne * 6]).view("<u4")
-        flat_tfs[int(run_starts[j]) + pos] = val
-
-    for k, ti in enumerate(single):
-        s = int(run_starts[k])
-        out[ti] = (flat_ids[s : s + int(cnt[k])], flat_tfs[s : s + int(cnt[k])])
-    return out  # type: ignore[return-value]
+        flat_tfs[int(starts[j]) + pos] = val
+    return flat_ids, flat_tfs, doc_counts

@@ -20,10 +20,11 @@ Two registered formats:
   queries over plain fields run exhaustively (rank-identical output
   never depends on pruning).
 
-A format implements ``encode_batch`` (term-major flat pair arrays →
-per-term blobs) and ``view`` (blob → reader object exposing
-``decode_all()`` and ``lookup_docs()``; the ray104 view additionally
-exposes the block directory and impacts that CheckIndex validates).
+A format implements ``encode_batch`` (term-major flat pair arrays and
+the norm byte of each pair's doc → per-term blobs) and ``view`` (blob →
+reader object exposing ``decode_all()`` and ``lookup_docs()``; the
+ray104 view additionally exposes the block directory and impacts that
+CheckIndex validates).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from lucene_ray.codecs.forutil import ranges
 from lucene_ray.codecs.postings import (
     PostingsView,
     encode_postings_batch,
@@ -45,10 +47,8 @@ class Ray104Format:
     has_impacts = True
 
     @staticmethod
-    def encode_batch(docids, tfs, norms, term_starts, pair_norms=None) -> List[bytes]:
-        return encode_postings_batch(
-            docids, tfs, norms, term_starts, pair_norms=pair_norms
-        )
+    def encode_batch(docids, tfs, pair_norms, term_starts) -> List[bytes]:
+        return encode_postings_batch(docids, tfs, pair_norms, term_starts)
 
     @staticmethod
     def view(blob) -> PostingsView:
@@ -92,7 +92,7 @@ class PlainFormat:
     has_impacts = False
 
     @staticmethod
-    def encode_batch(docids, tfs, norms, term_starts, pair_norms=None) -> List[bytes]:
+    def encode_batch(docids, tfs, pair_norms, term_starts) -> List[bytes]:
         docids = np.ascontiguousarray(docids, dtype="<u4")
         tfs = np.ascontiguousarray(tfs, dtype="<u4")
         out: List[bytes] = []
@@ -135,37 +135,32 @@ def encode_postings_by_format(
     fmt_names: List[str],
     docids,
     tfs,
-    norms,
+    pair_norms,
     term_starts,
 ) -> List[bytes]:
     """Batch-encode per-term blobs where term ``i`` uses format
-    ``fmt_names[i]``, preserving term order. The homogeneous case (one
-    format for every term — the overwhelmingly common one) falls through
-    to a single batched call with zero extra copies."""
+    ``fmt_names[i]``, preserving term order; ``pair_norms`` is aligned
+    with the pairs. The homogeneous case (one format for every term — the
+    overwhelmingly common one) falls through to a single batched call
+    with zero extra copies."""
     term_starts = np.asarray(term_starts, dtype=np.int64)
     n_terms = len(term_starts) - 1
     distinct = set(fmt_names)
     if len(distinct) <= 1:
         fmt = format_for_name(fmt_names[0] if fmt_names else DEFAULT_FORMAT)
-        return fmt.encode_batch(docids, tfs, norms, term_starts)
+        return fmt.encode_batch(docids, tfs, pair_norms, term_starts)
     blobs: List[bytes] = [b""] * n_terms
     names = np.asarray(fmt_names, dtype=object)
     for name in sorted(distinct):
         sel = np.flatnonzero(names == name)
         # gather this format's pair ranges into contiguous arrays
         lens = term_starts[sel + 1] - term_starts[sel]
-        gather = np.repeat(term_starts[sel], lens) + (
-            np.arange(int(lens.sum()), dtype=np.int64)
-            - np.repeat(np.cumsum(lens) - lens, lens)
-        )
-        sub_starts = np.zeros(len(sel) + 1, dtype=np.int64)
-        np.cumsum(lens, out=sub_starts[1:])
-        fmt = format_for_name(name)
-        sub = fmt.encode_batch(
+        gather = ranges(term_starts[sel], lens)
+        sub = format_for_name(name).encode_batch(
             np.asarray(docids)[gather],
             np.asarray(tfs)[gather],
-            norms,
-            sub_starts,
+            np.asarray(pair_norms)[gather],
+            np.concatenate([[0], np.cumsum(lens)]),
         )
         for j, ti in enumerate(sel):
             blobs[int(ti)] = sub[j]

@@ -10,18 +10,19 @@ documented: candidates are **contiguous runs in docid-base order** (like
 docids survive merges unchanged — this engine uses global docids as the
 rank tie-break, so merging must be rank-neutral.
 
-Executor: each planned merge is one Ray task (``SegmentMerger`` role,
-``core/index/SegmentMerger.java:116-157``): k-way merge of the per-bucket
-sorted term dictionaries, posting lists concatenated with docid rebase
-(``DocIDMerger.java:76-78`` base offsets), re-blocked/re-compressed with
-impacts recomputed; norms/docmaps concatenated. The merged segment commits
+Executor: each planned merge fans out to one Ray task per term bucket
+(``SegmentMerger`` role, ``core/index/SegmentMerger.java:116-157``): the
+sources' bucket streams are decoded whole, put in union term order by
+one stable sort of their term columns, each term's postings concatenated
+in docid-base order with docid rebase (``DocIDMerger.java:76-78`` base
+offsets), then re-blocked/re-compressed with impacts recomputed;
+norms/docmaps concatenated. The merged segment commits
 atomically; the manifest flips a generation; source dirs are deleted after
 the commit (IndexFileDeleter role).
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 import shutil
@@ -31,6 +32,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from lucene_ray.index.config import IndexConfig
 from lucene_ray.index.deletes import _write_deleted
@@ -53,11 +55,12 @@ from lucene_ray.index.manifest import (
 )
 from lucene_ray.index.segment import (
     SegmentReader,
-    decode_uint_blocks,
     decode_uint_blocks_batch,
+    sorted_run_heads,
     write_term_parts,
 )
-from lucene_ray.codecs.postings import PostingsView, decode_postings_batch
+from lucene_ray.codecs.forutil import excl_cumsum, ranges
+from lucene_ray.codecs.postings import decode_postings_batch
 from lucene_ray.codecs.spi import format_for_name
 
 
@@ -172,44 +175,73 @@ def _index_sort_map(readers):
     return tuple(isort), old_of_new, new_of_old
 
 
-class _BatchedDecoder:
-    """Chunked bulk postings decode for the k-way merge: the heap
-    consumes each reader's terms in THEIR sorted order (monotone), so a
-    forward-looking chunk of ``decode_postings_batch`` serves every
-    ``get`` from cache while bounding memory to one chunk of decoded
-    pairs (no whole-bucket materialization — a 5 GB merged segment's
-    bucket would not fit)."""
-
-    CHUNK = 2048
-
-    def __init__(self, mm, offs, lens, decode_fn):
-        self.mm = mm
-        self.offs = offs
-        self.lens = lens
-        self.decode_fn = decode_fn
-        self.lo = 0
-        self.cache: List = []
-
-    def get(self, i: int):
-        if not (self.lo <= i < self.lo + len(self.cache)):
-            hi = min(i + self.CHUNK, len(self.offs))
-            self.cache = self.decode_fn(
-                self.mm, self.offs[i:hi], self.lens[i:hi]
+def _decode_source(
+    r: SegmentReader,
+    b: int,
+    base: int,
+    with_pos: bool,
+    with_off: bool,
+    with_pay: bool,
+) -> Dict[str, tuple]:
+    """Decode bucket ``b`` of one merge source whole, terms in its own
+    order, docids rebased by ``base``. → stream name → (flat values,
+    per-term run lengths): ``ids``/``tfs`` share the pair framing;
+    ``pos`` and, when present, ``offs``/``offl`` (offset starts and
+    lengths) and ``payl`` (payload lengths) share the occurrence
+    framing; ``payb`` holds the raw payload bytes."""
+    t = r._part(b)
+    if r._formats is None:
+        ids, tfs, dfs = decode_postings_batch(
+            r._post_mm[b], t["post_off"], t["post_len"]
+        )
+    else:
+        # per-field SPI formats: each term decodes with its field's format
+        mm = r._post_mm[b]
+        dec = [
+            format_for_name(r.fmt_for_key(term)).view(mm[o : o + n]).decode_all()
+            for term, o, n in zip(
+                r.terms_list(b), t["post_off"].tolist(), t["post_len"].tolist()
             )
-            self.lo = i
-        return self.cache[i - self.lo]
+        ]
+        ids = np.concatenate([d[0] for d in dec] or [np.empty(0, np.uint32)])
+        tfs = np.concatenate([d[1] for d in dec] or [np.empty(0, np.uint32)])
+        dfs = t["df"]
+    out = {"ids": (ids + np.uint32(base), dfs), "tfs": (tfs, dfs)}
+    none = np.empty(0, np.uint8)  # an empty part file is not mapped
+    if with_pos:
+        pm = none if r._pos_mm[b] is None else r._pos_mm[b]
+        out["pos"] = decode_uint_blocks_batch(pm, t["pos_off"], t["pos_len"])
+    if with_off:
+        om = none if r._off_mm[b] is None else r._off_mm[b]
+        out["offs"] = decode_uint_blocks_batch(om, t["off_off"], t["off_slen"])
+        out["offl"] = decode_uint_blocks_batch(
+            om, t["off_off"] + t["off_slen"], t["off_llen"]
+        )
+    if with_pay:
+        ym = none if r._pay_mm[b] is None else r._pay_mm[b]
+        out["payl"] = decode_uint_blocks_batch(ym, t["pay_off"], t["pay_llen"])
+        out["payb"] = (
+            ym[ranges(t["pay_off"] + t["pay_llen"], t["pay_blen"])],
+            t["pay_blen"],
+        )
+    return out
 
 
 def merge_bucket(
     index_dir: str, seg_ids: List[int], b: int, tmp_dir: str
 ) -> dict:
-    """Merge ONE term-hash bucket of the given segments into part files in
+    """Merge ONE term bucket of the given segments into part files in
     ``tmp_dir`` — the unit of merge parallelism (a merge fans out to
-    ``n_parts`` independent bucket tasks). A k-way merge of the sources'
-    sorted term lists gathers each term's decoded postings and position
-    streams (docids rebased, or remapped under an index sort); the
-    part's files are then encoded and written once by
-    ``write_term_parts``, the part writer ``write_segment`` uses too."""
+    ``n_parts`` independent bucket tasks). One array program: each
+    source's bucket is decoded once (docids rebased); one stable sort of
+    the concatenated term columns gives the union term order (ties keep
+    source order, so rebased docids stay sorted); every stream moves to
+    that order by one range gather over the sorted (source, term) runs.
+    Under an index sort, one lexsort of (term, remapped docid) re-sorts
+    each term's pairs and one occurrence gather carries positions,
+    offsets and payloads along. The part's files are then encoded and
+    written once by ``write_term_parts``, the part writer
+    ``write_segment`` uses too."""
     import zlib as _zlib
 
     readers, new_base, rebase = _open_sorted_readers(index_dir, seg_ids)
@@ -242,252 +274,82 @@ def merge_bucket(
             f.write(data)
         checksums[name] = _zlib.crc32(data)
 
-    iters = []
-    heap = []
-    # chunked bulk decoders — only safe when every term is ray104 (a
-    # chunk spans arbitrary terms, so mixed-format segments dispatch
-    # per term instead)
-    all_ray104 = readers[0]._formats is None
-    decoders = []
-    pos_decoders = []
-    for ri, r in enumerate(readers):
-        t = r._part(b)
-        terms_list = r.terms_list(b)
-        iters.append((terms_list, t))
-        decoders.append(
-            _BatchedDecoder(
-                r._post_mm[b], t["post_off"], t["post_len"],
-                decode_postings_batch,
-            )
-            if all_ray104
-            else None
-        )
-        pos_decoders.append(
-            _BatchedDecoder(
-                r._pos_mm[b], t["pos_off"], t["pos_len"],
-                decode_uint_blocks_batch,
-            )
-            if with_pos and r._pos_mm[b] is not None
-            else None
-        )
-        if terms_list:
-            heapq.heappush(heap, (terms_list[0], ri, 0))
-    terms: List[str] = []
-    # k-way merge collecting concatenated pair arrays; the re-encode and
-    # the part files happen ONCE per bucket (``write_term_parts``)
-    ids_buf: List[np.ndarray] = []
-    tf_buf: List[np.ndarray] = []
-    pos_buf: List[np.ndarray] = []
-    # offsets (.pay role): two streams sharing the positions framing —
-    # per-position character starts and (end − start) lengths; they ride
-    # the SAME reorder gather as positions under an index sort
-    offs_buf: List[np.ndarray] = []
-    offl_buf: List[np.ndarray] = []
-    # payloads: per-occurrence byte lengths share the positions framing;
-    # the raw bytes concatenate in the same occurrence order
-    payl_buf: List[np.ndarray] = []
-    payb_buf: List[np.ndarray] = []
-    term_starts = [0]
-    pos_starts = [0]
-    npairs = 0
-    npos = 0
-    while heap:
-        term, ri, i = heapq.heappop(heap)
-        group = [(ri, i)]
-        while heap and heap[0][0] == term:
-            ri2, i2 = heapq.heappop(heap)[1:]
-            group.append((ri2, i2))
-        group.sort()  # reader order == docid-base order
-        g_ids: List[np.ndarray] = []
-        g_tfs: List[np.ndarray] = []
-        g_pos: List[np.ndarray] = []
-        g_offs: List[np.ndarray] = []
-        g_offl: List[np.ndarray] = []
-        g_payl: List[np.ndarray] = []
-        g_payb: List[np.ndarray] = []
-        fmt_name = readers[0].fmt_for_key(term)
-        for gri, gi in group:
-            t = iters[gri][1]
-            if all_ray104:
-                # batched bulk decode (chunked, monotone per reader —
-                # codecs.postings.decode_postings_batch)
-                ids, tfs = decoders[gri].get(gi)
-            else:
-                # SPI dispatch: decode with the term's field format (all
-                # mergeable segments share one formats map — checked
-                # below)
-                mm = readers[gri]._post_mm[b]
-                off, ln = int(t["post_off"][gi]), int(t["post_len"][gi])
-                blob = mm[off : off + ln]
-                view = (
-                    PostingsView(blob)
-                    if fmt_name == "ray104"
-                    else format_for_name(fmt_name).view(blob)
-                )
-                ids, tfs = view.decode_all()
-            g_ids.append(ids + np.uint32(rebase[gri]))
-            g_tfs.append(tfs)
-            if with_pos:
-                pd = pos_decoders[gri]
-                if pd is not None:
-                    pvals = pd.get(gi)
-                else:
-                    pmm = readers[gri]._pos_mm[b]
-                    po, pl = int(t["pos_off"][gi]), int(t["pos_len"][gi])
-                    pvals = decode_uint_blocks(pmm[po : po + pl])
-                g_pos.append(pvals)
-                if with_off:
-                    omm = readers[gri]._off_mm[b]
-                    oo = int(t["off_off"][gi])
-                    sl = int(t["off_slen"][gi])
-                    ll = int(t["off_llen"][gi])
-                    if sl or ll:
-                        g_offs.append(decode_uint_blocks(omm[oo : oo + sl]))
-                        g_offl.append(
-                            decode_uint_blocks(omm[oo + sl : oo + sl + ll])
-                        )
-                    else:  # keyword-field term: DOCS-only, no offsets
-                        g_offs.append(np.empty(0, np.uint32))
-                        g_offl.append(np.empty(0, np.uint32))
-                if with_pay:
-                    ymm = readers[gri]._pay_mm[b]
-                    yo = int(t["pay_off"][gi])
-                    yl = int(t["pay_llen"][gi])
-                    yb = int(t["pay_blen"][gi])
-                    if yl or yb:
-                        g_payl.append(decode_uint_blocks(ymm[yo : yo + yl]))
-                        g_payb.append(
-                            np.asarray(ymm[yo + yl : yo + yl + yb])
-                        )
-                    else:
-                        g_payl.append(np.empty(0, np.uint32))
-                        g_payb.append(np.empty(0, np.uint8))
-        if new_of_old is None:
-            # unsorted: rebase offsets are disjoint increasing ranges, so
-            # plain concatenation in reader order stays docid-sorted
-            ids_buf.extend(g_ids)
-            tf_buf.extend(g_tfs)
-            pos_buf.extend(g_pos)
-            offs_buf.extend(g_offs)
-            offl_buf.extend(g_offl)
-            payl_buf.extend(g_payl)
-            payb_buf.extend(g_payb)
-            npairs += sum(len(x) for x in g_ids)
-            npos += sum(len(x) for x in g_pos)
-        else:
-            # index-sorted merge: remap docids through the merge DocMap,
-            # re-sort the postings, and carry each doc's position run
-            # along with its posting
-            ids_c = np.concatenate(g_ids) if len(g_ids) > 1 else g_ids[0]
-            tfs_c = np.concatenate(g_tfs) if len(g_tfs) > 1 else g_tfs[0]
-            mapped = new_of_old[ids_c]
-            order = np.argsort(mapped, kind="stable")
-            ids_buf.append(mapped[order])
-            tf_buf.append(tfs_c[order])
-            npairs += len(ids_c)
-            if with_pos:
-                pos_c = (
-                    np.concatenate(g_pos) if len(g_pos) > 1 else g_pos[0]
-                )
-                lens = tfs_c.astype(np.int64)
-                total = int(pos_c.shape[0])
-                if total == 0:
-                    # keyword-field term: DOCS-only postings, no positions
-                    pos_buf.append(pos_c)
-                    if with_off:
-                        offs_buf.append(np.empty(0, np.uint32))
-                        offl_buf.append(np.empty(0, np.uint32))
-                    if with_pay:
-                        payl_buf.append(np.empty(0, np.uint32))
-                        payb_buf.append(np.empty(0, np.uint8))
-                else:
-                    run_starts = np.cumsum(lens) - lens
-                    sel_starts = run_starts[order]
-                    sel_lens = lens[order]
-                    gather = np.repeat(sel_starts, sel_lens) + (
-                        np.arange(total, dtype=np.int64)
-                        - np.repeat(np.cumsum(sel_lens) - sel_lens, sel_lens)
-                    )
-                    pos_buf.append(pos_c[gather])
-                    npos += total
-                    if with_off:
-                        offs_c = (
-                            np.concatenate(g_offs)
-                            if len(g_offs) > 1
-                            else g_offs[0]
-                        )
-                        offl_c = (
-                            np.concatenate(g_offl)
-                            if len(g_offl) > 1
-                            else g_offl[0]
-                        )
-                        offs_buf.append(offs_c[gather])
-                        offl_buf.append(offl_c[gather])
-                    if with_pay:
-                        payl_c = (
-                            np.concatenate(g_payl)
-                            if len(g_payl) > 1
-                            else g_payl[0]
-                        )
-                        payb_c = (
-                            np.concatenate(g_payb)
-                            if len(g_payb) > 1
-                            else g_payb[0]
-                        )
-                        # reorder variable-length payloads with the same
-                        # occurrence permutation: expand to a byte-level
-                        # gather via per-occurrence byte starts
-                        lens64 = payl_c.astype(np.int64)
-                        bstarts = np.cumsum(lens64) - lens64
-                        sel_bs = bstarts[gather]
-                        sel_bl = lens64[gather]
-                        nbytes = int(sel_bl.sum())
-                        bgather = np.repeat(sel_bs, sel_bl) + (
-                            np.arange(nbytes, dtype=np.int64)
-                            - np.repeat(
-                                np.cumsum(sel_bl) - sel_bl, sel_bl
-                            )
-                        )
-                        payl_buf.append(payl_c[gather])
-                        payb_buf.append(payb_c[bgather])
-        term_starts.append(npairs)
-        pos_starts.append(npos)
-        terms.append(term)
-        for gri, gi in group:
-            terms_list = iters[gri][0]
-            if gi + 1 < len(terms_list):
-                heapq.heappush(heap, (terms_list[gi + 1], gri, gi + 1))
+    srcs = [
+        _decode_source(r, b, base, with_pos, with_off, with_pay)
+        for r, base in zip(readers, rebase)
+    ]
+    keys = pa.concat_arrays(
+        [r._part(b)["term"].cast(pa.large_string()) for r in readers]
+    )
+    order = pc.sort_indices(keys).to_numpy()  # stable
+    keys = keys.take(order)
+    heads = sorted_run_heads(keys)
+    terms = keys.take(pa.array(heads))
+    edges = np.append(heads, len(keys))
 
-    def flat(bufs, dtype):
-        return (
-            np.concatenate(bufs).astype(dtype, copy=False)
-            if bufs
-            else np.empty(0, dtype)
-        )
+    def union(*names):
+        """Streams sharing one framing, from the sources' (source, term)
+        runs to the union's term-major runs (each source array is
+        released once moved). → (per-term starts, arrays)."""
+        counts = np.concatenate([s[names[0]][1] for s in srcs])
+        sorted_counts = counts[order]
+        bounds = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(sorted_counts, out=bounds[1:])
+        gather = ranges(excl_cumsum(counts)[order], sorted_counts)
+        return bounds[edges], [
+            np.concatenate([s.pop(n)[0] for s in srcs])[gather] for n in names
+        ]
+
+    term_starts, (ids, tfs) = union("ids", "tfs")
+    occ: Dict[str, np.ndarray] = {}
+    pos_starts = payb = None
+    if with_pos:
+        names = [n for n in ("pos", "offs", "offl", "payl") if n in srcs[0]]
+        pos_starts, streams = union(*names)
+        occ = dict(zip(names, streams))
+    if with_pay:
+        _, (payb,) = union("payb")
+    if new_of_old is not None:
+        # index-sorted merge: remap docids through the merge DocMap and
+        # re-sort each term's pairs; each pair's occurrences (positions,
+        # offsets, payloads) follow it by one shared gather
+        mapped = new_of_old[ids]
+        term_row = np.repeat(np.arange(len(terms)), np.diff(term_starts))
+        perm = np.lexsort((mapped, term_row))
+        ids = mapped[perm].astype(np.uint32)
+        if with_pos:
+            # a keyword term (DOCS-only) has no occurrences
+            per = np.where((np.diff(pos_starts) > 0)[term_row], tfs, 0)
+            g = ranges(excl_cumsum(per)[perm], per[perm])
+            if with_pay:
+                pl = occ["payl"]
+                payb = payb[ranges(excl_cumsum(pl)[g], pl[g])]
+            occ = {n: v[g] for n, v in occ.items()}
+        tfs = tfs[perm]
 
     res = write_term_parts(
         put,
         tmp_dir,
         [b],
         None,
-        pa.array(terms, pa.large_string()),
-        np.array(term_starts, dtype=np.int64),
-        flat(ids_buf, np.uint32),
-        flat(tf_buf, np.uint32),
-        norms,
+        terms,
+        term_starts,
+        ids,
+        tfs,
+        norms[ids],
         # re-encode each merged term with its field's format
         fmt_names=(
             None
             if readers[0]._formats is None
-            else [readers[0].fmt_for_key(t) for t in terms]
+            else [readers[0].fmt_for_key(t) for t in terms.to_pylist()]
         ),
         with_positions=with_pos,
-        pos_starts=np.array(pos_starts, dtype=np.int64),
-        positions=flat(pos_buf, np.uint32),
-        off_starts=flat(offs_buf, np.uint32) if with_off else None,
-        off_lens=flat(offl_buf, np.uint32) if with_off else None,
-        pay_lens=flat(payl_buf, np.uint32) if with_pay else None,
-        pay_bytes=flat(payb_buf, np.uint8) if with_pay else None,
+        pos_starts=pos_starts,
+        positions=occ.get("pos"),
+        off_starts=occ.get("offs"),
+        off_lens=occ.get("offl"),
+        pay_lens=occ.get("payl"),
+        pay_bytes=payb,
     )
     res["checksums"] = checksums
     return res

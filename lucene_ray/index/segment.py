@@ -174,54 +174,42 @@ def decode_uint_blocks(buf) -> np.ndarray:
 
 def decode_uint_blocks_batch(
     data: np.ndarray, offs: np.ndarray, lens: np.ndarray
-) -> List[np.ndarray]:
-    """Batched :func:`decode_uint_blocks` over many runs in one buffer:
-    single-block runs (≤256 values — almost every term's positions)
-    group into one bit-gather per width via
-    ``codecs.postings._unpack_runs``; longer runs fall back to the
-    scalar decoder. → list of uint32 arrays aligned with ``offs``."""
-    n = len(offs)
-    out: List[Optional[np.ndarray]] = [None] * n
-    if n == 0:
-        return out  # type: ignore[return-value]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Batched :func:`decode_uint_blocks` over many runs in one buffer —
+    the inverse of :func:`encode_uint_blocks_flat`. Single-block runs
+    (≤256 values — almost every term's positions) group into one
+    bit-gather per width via ``codecs.postings._unpack_runs``; longer
+    runs fall back to the scalar decoder. A zero-length run (a keyword
+    term: DOCS-only, no positions) decodes to no values without touching
+    the buffer.
+
+    → ``(values uint32, counts int64)``: run i is the ``counts[i]``
+    values from the exclusive cumsum of ``counts`` on."""
     offs = np.asarray(offs, dtype=np.int64)
     lens = np.asarray(lens, dtype=np.int64)
-    # zero-length runs (keyword terms: DOCS-only, no positions) decode to
-    # empty without touching the buffer (their header bytes don't exist)
-    counts = np.zeros(n, dtype=np.int64)
+    counts = np.zeros(len(offs), dtype=np.int64)
     nz = np.flatnonzero(lens > 0)
     if len(nz):
         counts[nz] = (
-            np.ascontiguousarray(
-                data[offs[nz][:, None] + np.arange(4, dtype=np.int64)]
-            )
+            np.ascontiguousarray(data[offs[nz][:, None] + np.arange(4)])
             .view("<u4")
             .ravel()
-            .astype(np.int64)
         )
-    for ti in np.flatnonzero(lens == 0):
-        out[ti] = np.empty(0, dtype=np.uint32)
-    multi = np.flatnonzero((counts > 256) & (lens > 0))
-    for ti in multi:
-        o = int(offs[ti])
-        out[ti] = decode_uint_blocks(data[o : o + int(lens[ti])])
-    single = np.flatnonzero((counts <= 256) & (lens > 0))
-    if len(single) == 0:
-        return out  # type: ignore[return-value]
+    starts = excl_cumsum(counts)
+    out = np.zeros(int(counts.sum()), dtype=np.uint32)  # width 0: zeros
+    for ti in np.flatnonzero(counts > 256).tolist():
+        o, s = int(offs[ti]), int(starts[ti])
+        out[s : s + int(counts[ti])] = decode_uint_blocks(data[o : o + int(lens[ti])])
+    single = nz[counts[nz] <= 256]
     widths = data[offs[single] + 4].astype(np.int64)
-    for w in np.unique(widths):
-        w = int(w)
-        sel = single[widths == w]
+    for w in np.unique(widths).tolist():
         if w == 0:
-            for ti in sel:
-                out[ti] = np.zeros(int(counts[ti]), dtype=np.uint32)
             continue
-        vals = _unpack_runs(data, offs[sel] + 5, counts[sel], w)
-        starts = np.cumsum(counts[sel]) - counts[sel]
-        for j, ti in enumerate(sel):
-            s = int(starts[j])
-            out[ti] = vals[s : s + int(counts[ti])]
-    return out  # type: ignore[return-value]
+        sel = single[widths == w]
+        out[ranges(starts[sel], counts[sel])] = _unpack_runs(
+            data, offs[sel] + 5, counts[sel], w
+        )
+    return out, counts
 
 
 # --------------------------------------------------------------------------
@@ -912,6 +900,19 @@ def normalize_sorted_set_dv(dv_table: pa.Table) -> pa.Table:
     return out
 
 
+def sorted_run_heads(keys: pa.Array) -> np.ndarray:
+    """Row of each run's first entry in the sorted Arrow array ``keys``
+    (its distinct values are ``keys.take(heads)``)."""
+    import pyarrow.compute as pc
+
+    head = np.ones(len(keys), dtype=bool)
+    if len(keys) > 1:
+        head[1:] = pc.not_equal(
+            keys.slice(1), keys.slice(0, len(keys) - 1)
+        ).to_numpy(zero_copy_only=False)
+    return np.flatnonzero(head)
+
+
 def write_term_parts(
     put,
     out_dir: str,
@@ -921,7 +922,7 @@ def write_term_parts(
     term_starts: np.ndarray,
     docids: np.ndarray,
     tfs: np.ndarray,
-    norms: np.ndarray,
+    pair_norms: np.ndarray,
     fmt_names: Optional[List[str]] = None,
     with_positions: bool = False,
     pos_starts: Optional[np.ndarray] = None,
@@ -932,24 +933,25 @@ def write_term_parts(
     pay_bytes: Optional[np.ndarray] = None,
 ) -> dict:
     """Encode and write the term-dictionary parts of a segment: the one
-    part writer of ``write_segment`` (every bucket) and ``merge_bucket``
-    (one bucket).
+    part writer of ``write_segment`` (every bucket), ``merge_bucket``
+    (one bucket) and the shuffle build's stage C (one bucket).
 
     Inputs are term-major over sorted unique ``terms``: pairs
-    ``docids``/``tfs`` framed by ``term_starts``; per-doc ``norms`` (the
-    impact frontiers read ``norms[docid]``); optional position streams
-    framed by ``pos_starts`` — ``positions``, character offsets
-    (``off_starts``/``off_lens``) and payloads (``pay_lens`` per
-    occurrence plus the flat ``pay_bytes``). Every stream is encoded once
-    for all terms by the array kernels (``encode_postings_flat``,
-    ``encode_uint_blocks_flat``); ``fmt_names`` (per-field formats)
-    routes postings through the SPI encoders instead. Each part ``b`` in
-    ``parts`` takes the terms with ``term_part == b`` (all terms when
-    ``term_part`` is None) and gets its files through ``put(name,
-    buffer)`` — ``part_b.postings.bin``, ``.positions.bin`` when
-    ``with_positions``, ``.offsets.bin`` (per term: starts blob, lengths
-    blob), ``.payloads.bin`` (per term: lengths blob, raw bytes) — plus
-    ``part_b.terms.parquet`` in ``out_dir``, built from arrays.
+    ``docids``/``tfs`` framed by ``term_starts``, with ``pair_norms``
+    the norm byte of each pair's doc (the impact frontiers read it);
+    optional position streams framed by ``pos_starts`` — ``positions``,
+    character offsets (``off_starts``/``off_lens``) and payloads
+    (``pay_lens`` per occurrence plus the flat ``pay_bytes``). Every
+    stream is encoded once for all terms by the array kernels
+    (``encode_postings_flat``, ``encode_uint_blocks_flat``);
+    ``fmt_names`` (per-field formats) routes postings through the SPI
+    encoders instead. Each part ``b`` in ``parts`` takes the terms with
+    ``term_part == b`` (all terms when ``term_part`` is None) and gets
+    its files through ``put(name, buffer)`` — ``part_b.postings.bin``,
+    ``.positions.bin`` when ``with_positions``, ``.offsets.bin`` (per
+    term: starts blob, lengths blob), ``.payloads.bin`` (per term:
+    lengths blob, raw bytes) — plus ``part_b.terms.parquet`` in
+    ``out_dir``, built from arrays.
 
     → ``{"sum_df", "n_terms", "postings_bytes"}`` over the parts
     (``sum_df`` counts default-field terms only)."""
@@ -974,9 +976,11 @@ def write_term_parts(
     if n_terms == 0:
         post = empty
     elif fmt_names is None:
-        post = encode_postings_flat(docids, tfs, term_starts, norms[docids])
+        post = encode_postings_flat(docids, tfs, term_starts, pair_norms)
     else:
-        blobs = encode_postings_by_format(fmt_names, docids, tfs, norms, term_starts)
+        blobs = encode_postings_by_format(
+            fmt_names, docids, tfs, pair_norms, term_starts
+        )
         post = (
             np.frombuffer(b"".join(blobs), np.uint8),
             np.fromiter(map(len, blobs), np.int64, n_terms),
@@ -1183,7 +1187,7 @@ def write_segment(
         inv.term_starts,
         inv.pair_docids,
         inv.pair_tfs,
-        norms,
+        norms[inv.pair_docids],
         # PerFieldPostingsFormat write path: each term's blob uses its
         # FIELD's registered format (``PerFieldPostingsFormat.java:64-69``)
         fmt_names=None if fmt_map is None else [
@@ -1564,8 +1568,9 @@ class SegmentReader:
         for part, idxs in by_part.items():
             offs = np.array([infos[i].post_off for i in idxs], dtype=np.int64)
             lens = np.array([infos[i].post_len for i in idxs], dtype=np.int64)
-            decoded = decode_postings_batch(self._post_mm[part], offs, lens)
-            for i, hit in zip(idxs, decoded):
+            ids, tfs, dfs = decode_postings_batch(self._post_mm[part], offs, lens)
+            for i, s, n in zip(idxs, excl_cumsum(dfs).tolist(), dfs.tolist()):
+                hit = (ids[s : s + n], tfs[s : s + n])
                 out[i] = self.decode_cache.put(
                     ("post", part, infos[i].post_off),
                     hit,
@@ -1844,7 +1849,8 @@ class SegmentReader:
 
     def all_terms(self):
         """Iterate (term, df, ttf, part, row) across parts in sorted order
-        per part — used by merges and validators."""
+        per part — a whole-dictionary scan for tests and tools (merges
+        read a bucket's term table and decode its streams as arrays)."""
         for b in range(self.n_parts):
             t = self._part(b)
             terms = self.terms_list(b)

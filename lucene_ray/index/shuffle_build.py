@@ -23,8 +23,9 @@ scans touch only the overlapping buckets):
       inventory.
   stage C (per bucket, one Ray task each): gather the bucket's salt
       pieces, ordered-concat hot-term runs (docid-sorted by
-      construction), encode postings + impacts, write the bucket's part
-      files into the segment's tmp dir.
+      construction), then encode postings + impacts and write the
+      bucket's part files into the segment's tmp dir through
+      ``write_term_parts``, the part writer of ``write_segment``.
   finalize (one Ray task): stream piece norms/docmaps into the segment
       tmp dir file-by-file (bounded memory, no driver concat), write
       ``meta.json`` LAST, and ``os.replace`` the tmp dir into place —
@@ -55,20 +56,23 @@ import json
 import os
 import shutil
 import time
-import zlib
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from lucene_ray.analysis.analyzer import Analyzer, analyzer_for_config
 from lucene_ray.codecs.smallfloat import encode_norms
-from lucene_ray.codecs.spi import format_for_name
 from lucene_ray.index.build import plan_partitions, read_partition
 from lucene_ray.index.config import DEFAULT_FIELD, IndexConfig
 from lucene_ray.index.manifest import Manifest, commit_manifest, segment_dir
-from lucene_ray.index.segment import invert_texts
+from lucene_ray.index.segment import (
+    invert_texts,
+    sorted_run_heads,
+    write_term_parts,
+)
 
 
 def _atomic_write(path: str, data: bytes):
@@ -413,42 +417,33 @@ def build_index_shuffled(
         (int(m["base"]), int(m["n_docs"])) for m in piece_metas
     ]
 
-    @ray.remote
-    def stage_c(bucket: int, paths_json: str) -> str:
-        done_marker = os.path.join(tmp_seg, f"part_{bucket:04d}.done.json")
-        if os.path.exists(done_marker):
-            with open(done_marker) as f:
-                return f.read()
+    def gather_norms(docids_u32: np.ndarray) -> np.ndarray:
+        """norm byte per pair docid, reading ONLY the touched piece byte
+        ranges (impact frontiers need norms aligned per pair)."""
+        needed = np.unique(docids_u32.astype(np.int64))
+        vals = np.empty(len(needed), dtype=np.uint8)
+        for (base, nd), path in zip(piece_ranges, norm_files):
+            lo = np.searchsorted(needed, base)
+            hi = np.searchsorted(needed, base + nd)
+            if lo == hi:
+                continue
+            mm = np.memmap(path, dtype=np.uint8, mode="r")
+            vals[lo:hi] = mm[needed[lo:hi] - base]
+        return vals[np.searchsorted(needed, docids_u32.astype(np.int64))]
 
-        def gather_norms(docids_u32: np.ndarray) -> np.ndarray:
-            """norm byte per pair docid, reading ONLY the touched piece
-            byte ranges (impact frontiers need norms aligned per pair)."""
-            needed = np.unique(docids_u32.astype(np.int64))
-            vals = np.empty(len(needed), dtype=np.uint8)
-            for (base, nd), path in zip(piece_ranges, norm_files):
-                lo = np.searchsorted(needed, base)
-                hi = np.searchsorted(needed, base + nd)
-                if lo == hi:
-                    continue
-                mm = np.memmap(path, dtype=np.uint8, mode="r")
-                vals[lo:hi] = mm[needed[lo:hi] - base]
-            return vals[np.searchsorted(needed, docids_u32.astype(np.int64))]
-        rows = {"term": [], "df": [], "ttf": [], "post_off": [], "post_len": [],
-                "pos_off": [], "pos_len": []}
-        blobs: List[bytes] = []
-        off = 0
-        import pyarrow.compute as pc
-
-        srcs = [pq.read_table(p) for p in json.loads(paths_json)]
+    def write_part(bucket: int, paths: List[str]) -> dict:
+        """Write one bucket's part files from its salt pieces (none: an
+        empty part) through ``write_term_parts``, the segment writer's
+        part writer."""
+        terms = pa.array([], pa.large_string())
+        starts = np.zeros(1, dtype=np.int64)
+        ids = tfs = np.empty(0, dtype=np.uint32)
         # gather per-term runs across salt pieces, fully vectorized: ONE
-        # stable Arrow sort by (term, first docid) replaces the per-term
-        # Python dict loop (vocab-sized buckets made that loop the hot
-        # spot); the taken list columns flatten in row order, so the
-        # term-run value ranges ARE the concatenated postings
-        big = pa.concat_tables(srcs) if len(srcs) > 1 else srcs[0]
-        total = 0
-        sorted_terms: List[str] = []
-        if big.num_rows:
+        # stable Arrow sort by (term, first docid); the taken list
+        # columns flatten in row order, so the term-run value ranges ARE
+        # the concatenated postings
+        big = pa.concat_tables([pq.read_table(p) for p in paths]) if paths else None
+        if big is not None and big.num_rows:
             first_doc = pc.list_element(big.column("docids"), 0)
             order = pc.sort_indices(
                 pa.table({"t": big.column("term"), "fd": first_doc}),
@@ -457,67 +452,41 @@ def build_index_shuffled(
             big = big.take(order)
             t_arr = big.column("term").combine_chunks()
             dvals, doffs = _list_rows(big.column("docids"))
-            tvals, toffs = _list_rows(big.column("tfs"))
-            n_rows = big.num_rows
-            if n_rows > 1:
-                neq = pc.not_equal(
-                    t_arr.slice(1), t_arr.slice(0, n_rows - 1)
-                ).to_numpy(zero_copy_only=False)
-                run_rows = np.append(0, np.flatnonzero(neq) + 1)
-            else:
-                run_rows = np.array([0], dtype=np.int64)
-            sorted_terms = t_arr.take(pa.array(run_rows)).to_pylist()
+            tvals, _ = _list_rows(big.column("tfs"))
+            run_rows = sorted_run_heads(t_arr)
+            terms = t_arr.take(pa.array(run_rows))
             starts = np.append(doffs[run_rows], doffs[-1]).astype(np.int64)
-            total = int(doffs[-1])
-        else:
-            starts = np.zeros(1, dtype=np.int64)
-        if total:
-            big_ids = dvals.astype(np.uint32)
-            big_tfs = tvals.astype(np.uint32)
+            ids = dvals.astype(np.uint32)
+            tfs = tvals.astype(np.uint32)
+        fmts = config.format_names_map()
+        return write_term_parts(
+            lambda name, data: _atomic_write(os.path.join(tmp_seg, name), data),
+            tmp_seg,
+            [bucket],
+            None,
+            terms,
+            starts,
+            ids,
+            tfs,
+            gather_norms(ids),
             # text-only build → ONE format for every term (SPI dispatch,
             # PerFieldPostingsFormat write role)
-            fmt = format_for_name(config.format_name_for_field(DEFAULT_FIELD))
-            blobs = fmt.encode_batch(
-                big_ids,
-                big_tfs,
-                np.empty(0, np.uint8),
-                starts,
-                pair_norms=gather_norms(big_ids),
-            )
-        for ti, term in enumerate(sorted_terms):
-            blob = blobs[ti]
-            s, e = starts[ti], starts[ti + 1]
-            rows["term"].append(term)
-            rows["df"].append(e - s)
-            rows["post_off"].append(off)
-            rows["post_len"].append(len(blob))
-            rows["pos_off"].append(0)
-            rows["pos_len"].append(0)
-            off += len(blob)
-        # ttf per term: one reduceat over the flat tf array
-        if total:
-            ttfs = np.add.reduceat(big_tfs.astype(np.int64), np.array(starts[:-1]))
-            rows["ttf"] = [int(x) for x in ttfs]
-        _atomic_write(
-            os.path.join(tmp_seg, f"part_{bucket:04d}.postings.bin"), b"".join(blobs)
+            fmt_names=None if fmts is None else (
+                [config.format_name_for_field(DEFAULT_FIELD)] * len(terms)
+            ),
         )
-        tbl = pa.table(
-            {
-                "term": pa.array(rows["term"], pa.large_string()),
-                "df": pa.array(rows["df"], pa.int64()),
-                "ttf": pa.array(rows["ttf"], pa.int64()),
-                "post_off": pa.array(rows["post_off"], pa.int64()),
-                "post_len": pa.array(rows["post_len"], pa.int64()),
-                "pos_off": pa.array(rows["pos_off"], pa.int64()),
-                "pos_len": pa.array(rows["pos_len"], pa.int64()),
-            }
-        )
-        tmp = os.path.join(tmp_seg, f"part_{bucket:04d}.terms.parquet.tmp{os.getpid()}")
-        pq.write_table(tbl, tmp)
-        os.replace(tmp, os.path.join(tmp_seg, f"part_{bucket:04d}.terms.parquet"))
+
+    @ray.remote
+    def stage_c(bucket: int, paths_json: str) -> str:
+        # the done marker, written last, is what a resumed build trusts
+        done_marker = os.path.join(tmp_seg, f"part_{bucket:04d}.done.json")
+        if os.path.exists(done_marker):
+            with open(done_marker) as f:
+                return f.read()
+        res = write_part(bucket, json.loads(paths_json))
         result = json.dumps(
-            {"bucket": bucket, "n_terms": len(rows["term"]),
-             "sum_df": int(sum(rows["df"])), "bytes": off}
+            {"bucket": bucket, "n_terms": res["n_terms"],
+             "sum_df": res["sum_df"], "bytes": res["postings_bytes"]}
         )
         _atomic_write(done_marker, result.encode())
         return result
@@ -534,15 +503,7 @@ def build_index_shuffled(
     have = {r["bucket"] for r in results}
     for b in range(config.num_buckets):
         if b not in have:
-            _atomic_write(os.path.join(tmp_seg, f"part_{b:04d}.postings.bin"), b"")
-            empty = pa.table(
-                {k: pa.array([], pa.large_string() if k == "term" else pa.int64())
-                 for k in ["term", "df", "ttf", "post_off", "post_len",
-                           "pos_off", "pos_len"]}
-            )
-            tmp = os.path.join(tmp_seg, f"part_{b:04d}.terms.parquet.tmp{os.getpid()}")
-            pq.write_table(empty, tmp)
-            os.replace(tmp, os.path.join(tmp_seg, f"part_{b:04d}.terms.parquet"))
+            write_part(b, [])
 
     # ---- finalize: stream norms/docmap pieces, meta LAST, atomic publish
     @ray.remote

@@ -20,17 +20,19 @@ def _roundtrip(term_lists):
     flat_tfs = np.concatenate([np.asarray(t, np.uint32) for _, t in term_lists])
     starts = np.zeros(len(term_lists) + 1, dtype=np.int64)
     np.cumsum([len(i) for i, _ in term_lists], out=starts[1:])
-    norms = np.ones(int(flat_ids.max()) + 1, dtype=np.uint8)
-    blobs = encode_postings_batch(flat_ids, flat_tfs, norms, starts)
+    pair_norms = np.ones(len(flat_ids), dtype=np.uint8)
+    blobs = encode_postings_batch(flat_ids, flat_tfs, pair_norms, starts)
     buf = np.frombuffer(b"".join(blobs), dtype=np.uint8)
     offs = np.zeros(len(blobs), dtype=np.int64)
     lens = np.array([len(b) for b in blobs], dtype=np.int64)
     np.cumsum(lens[:-1], out=offs[1:])
-    got = decode_postings_batch(buf, offs, lens)
+    flat_i, flat_t, counts = decode_postings_batch(buf, offs, lens)
+    np.testing.assert_array_equal(counts, np.diff(starts))
     for ti, (ids, tfs) in enumerate(term_lists):
         ref_i, ref_t = PostingsView(bytes(blobs[ti])).decode_all()
         np.testing.assert_array_equal(ref_i, np.asarray(ids, np.uint32)), ti
-        gi, gt = got[ti]
+        s, e = starts[ti], starts[ti + 1]
+        gi, gt = flat_i[s:e], flat_t[s:e]
         np.testing.assert_array_equal(gi, ref_i, err_msg=f"ids term {ti}")
         np.testing.assert_array_equal(gt, ref_t, err_msg=f"tfs term {ti}")
 
@@ -96,7 +98,9 @@ def test_uint_blocks_batch_matches_scalar():
     lens = np.array([len(b) for b in blobs], dtype=np.int64)
     offs = np.zeros(len(blobs), dtype=np.int64)
     np.cumsum(lens[:-1], out=offs[1:])
-    got = decode_uint_blocks_batch(buf, offs, lens)
+    vals, counts = decode_uint_blocks_batch(buf, offs, lens)
+    np.testing.assert_array_equal(counts, [len(r) for r in runs])
+    got = np.split(vals, np.cumsum(counts)[:-1])
     for i, r in enumerate(runs):
         np.testing.assert_array_equal(got[i], r, err_msg=f"run {i}")
         if len(r):

@@ -76,7 +76,9 @@ def test_postings_round_trip(seed, dfs, big_ids, tf_kind):
     )
     offs = np.concatenate([[0], np.cumsum(lens)])
     assert offs[-1] == len(buf)
-    batch = decode_postings_batch(buf, offs[:-1], lens)
+    b_ids, b_tfs, b_dfs = decode_postings_batch(buf, offs[:-1], lens)
+    assert np.array_equal(b_dfs, np.diff(starts))
+    batch = zip(np.split(b_ids, starts[1:-1]), np.split(b_tfs, starts[1:-1]))
     rng = np.random.default_rng(seed)
     for (ids, tfs, norms), o, n, got in zip(runs, offs, lens, batch):
         view = PostingsView(buf[o : o + n])
@@ -133,5 +135,7 @@ def test_uint_blocks_round_trip(seed, counts, max_bits):
             1 + (len(c) * bit_width(int(c.max())) + 7) // 8 for c in blocks
         ) + (len(r) == 0)  # an empty run keeps one width-0 block
         assert np.array_equal(decode_uint_blocks(buf[o : o + n]), r)
-    for r, got in zip(runs, decode_uint_blocks_batch(buf, offs[:-1], lens)):
+    vals, b_counts = decode_uint_blocks_batch(buf, offs[:-1], lens)
+    assert np.array_equal(b_counts, counts)
+    for r, got in zip(runs, np.split(vals, starts[1:-1])):
         assert np.array_equal(got, r)

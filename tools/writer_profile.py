@@ -15,9 +15,10 @@ over ``--repeat`` runs of:
 
 The check ``write <= invert`` is printed per partition. Then the
 partitions' segments are merged: one ``merge_bucket`` of bucket 0, split
-into decode (the postings and positions decoders), encode, assembly
-(``write_term_parts`` less its encoders) and merge (the rest: k-way term
-merge, docid rebase, concatenation).
+into decode (``merge._decode_source``: every stream of every source),
+encode, assembly (``write_term_parts`` less its encoders) and merge (the
+rest: union term sort and the stream gathers), followed by the
+tracemalloc peak of one more, untimed ``merge_bucket`` run.
 
 The corpus is any directory of parquet files with ``url`` and ``text``
 columns, e.g. one written by ``lucene_ray.corpus.generator.write_corpus``
@@ -36,6 +37,7 @@ import shutil
 import sys
 import tempfile
 import time
+import tracemalloc
 from collections import defaultdict
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -100,9 +102,7 @@ def main() -> int:
     timers.wrap(segment, "encode_postings_flat", "post_enc")
     timers.wrap(spi, "encode_postings_by_format", "post_enc")
     timers.wrap(segment, "encode_uint_blocks_flat", "pos_enc")
-    timers.wrap(merge, "decode_postings_batch", "decode")
-    timers.wrap(merge, "decode_uint_blocks_batch", "decode")
-    timers.wrap(merge, "decode_uint_blocks", "decode")
+    timers.wrap(merge, "_decode_source", "decode")
     timers.wrap(merge, "write_term_parts", "parts")
 
     work = tempfile.mkdtemp(prefix="writer_profile_")
@@ -157,6 +157,8 @@ def main() -> int:
             timers.take()
             _, t = timed(merge.merge_bucket, index_dir, seg_ids, 0, out)
             split = timers.take()
+            if not split.get("decode"):
+                sys.exit("merge_bucket no longer calls merge._decode_source")
             enc = split.get("post_enc", 0.0) + split.get("pos_enc", 0.0)
             runs["total"].append(t)
             runs["decode"].append(split.get("decode", 0.0))
@@ -170,6 +172,13 @@ def main() -> int:
         print(f"merge_bucket(bucket 0 of {len(seg_ids)} segments), median of "
               f"{args.repeat}: " + " ".join(
                   f"{p} {float(np.median(runs[p])):.4f}s" for p in parts))
+        out = os.path.join(work, "merge_traced")
+        os.makedirs(out)
+        tracemalloc.start()
+        merge.merge_bucket(index_dir, seg_ids, 0, out)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        print(f"merge_bucket tracemalloc peak {peak / 2**20:.1f} MB")
     finally:
         shutil.rmtree(work, ignore_errors=True)
     return 0
