@@ -33,7 +33,6 @@ from lucene_ray.analysis.synonyms import resolve_graph_filters
 from lucene_ray.analysis.tokenizer import (
     DEFAULT_MAX_TOKEN_LENGTH,
     StandardTokenizer,
-    Token,
 )
 
 ENGLISH_STOP_WORDS: FrozenSet[str] = frozenset(

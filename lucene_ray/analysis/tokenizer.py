@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 ALPHANUM = "<ALPHANUM>"
 NUM = "<NUM>"

@@ -7,9 +7,13 @@ with PFor allowing up to 7 exception values patched separately so outliers
 don't inflate the block's bit width.
 
 Unlike the Java SIMD layout we pack big-endian bit streams via
-``np.packbits`` / ``np.unpackbits`` — the on-disk format is ours; only the
-compression *semantics* (delta-gap FOR blocks, ≤7 PFor exceptions,
-bitset-when-denser) follow the reference.
+``np.packbits`` — the on-disk format is ours; only the compression
+*semantics* (delta-gap FOR blocks, ≤7 PFor exceptions, bitset-when-denser)
+follow the reference.
+
+Readers decode through :func:`unpack_rows`, many packed rows at once
+over a zero-padded buffer. :func:`unpack` and :func:`pfor_decode` decode
+one run bit by bit: they are the references the tests compare against.
 """
 
 from __future__ import annotations
@@ -19,6 +23,19 @@ from typing import Tuple
 import numpy as np
 
 MAX_PFOR_EXCEPTIONS = 7  # PForUtil.MAX_EXCEPTIONS (PForUtil.java:29)
+ROW = 256  # values in a full packed row (a postings or uint block)
+
+# word-gather tables per width w (rows) and value k (columns): value k of
+# a row packed at w bits starts in byte (k·w) >> 3, and the big-endian
+# 8-byte word read there holds it at right shift 64 − w − (k·w & 7)
+_KW = np.arange(33, dtype=np.int64)[:, None] * np.arange(ROW, dtype=np.int64)
+_WORD_BYTE = _KW >> 3
+_WORD_SHIFT = (64 - np.arange(33)[:, None] - (_KW & 7)).astype(np.uint64)
+_WORD_MASK = (np.uint64(1) << np.arange(33, dtype=np.uint64)) - np.uint64(1)
+_ROW_INDEX = np.arange(ROW, dtype=np.int64)
+_TABLE_ROWS = 64  # full rows per table pass
+# zero bytes past a decode buffer's blobs: a word read ends ≤ 8 past its row
+PAD = 8
 
 # 2^0 .. 2^31 — searchsorted(_POW2, v, "right") == bit_length(v)
 _POW2 = (np.uint64(1) << np.arange(32, dtype=np.uint64)).astype(np.uint64)
@@ -108,8 +125,84 @@ def pack_runs_into(
         out[ranges(dst[sel], nbytes)] = packed[ranges(pstart * w // 8, nbytes)]
 
 
+def pad_pieces(pieces) -> Tuple[np.ndarray, np.ndarray]:
+    """Byte arrays back to back in one fresh buffer, :data:`PAD` zero
+    bytes after them → ``(buf uint8, start of each piece int64)``."""
+    at = np.cumsum([0] + [len(p) for p in pieces])
+    buf = np.zeros(int(at[-1]) + PAD, dtype=np.uint8)
+    if len(pieces):
+        np.concatenate(pieces, out=buf[: at[-1]])
+    return buf, at[:-1]
+
+
+def pad_blobs(src, offs, lens) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`pad_pieces` of the span of ``src`` that holds the blobs
+    ``src[offs[i] : offs[i] + lens[i]]`` → ``(buf, their offsets)``."""
+    offs = np.asarray(offs, dtype=np.int64)
+    lo = int(offs.min()) if len(offs) else 0
+    hi = int((offs + lens).max()) if len(offs) else 0
+    return pad_pieces([src[lo:hi]])[0], offs - lo
+
+
+def words_of(buf: np.ndarray) -> np.ndarray:
+    """The big-endian 8-byte word at every byte of ``buf`` (a view)."""
+    return np.ndarray(len(buf) - 7, dtype=">u8", buffer=buf, strides=(1,))
+
+
+def unpack_rows(words, out, at, counts, widths, out_at) -> None:
+    """Unpack many rows packed by :func:`pack`: row i, ``counts[i]``
+    values of ``widths[i]`` bits at byte ``at[i]`` of the buffer under
+    ``words``, into ``out[out_at[i]:]`` (int64 arrays, ``out_at``
+    ascending). Value k sits at bit k·w of its row, so the word read at
+    its first byte holds it whole (w + 7 ≤ 39 bits) and one shift and
+    mask extract it (width 0 gives zeros). Full rows read through the
+    (rows, 256) word tables, a lone row through plain-int slices of them,
+    other short rows value by value (a few reads for a few values)."""
+    if len(counts) == 1:
+        w, a, o, c = int(widths[0]), int(at[0]), int(out_at[0]), int(counts[0])
+        vals = words[_WORD_BYTE[w, :c] + a] >> _WORD_SHIFT[w, :c]
+        vals &= _WORD_MASK[w]
+        out[o : o + c] = vals
+        return
+    full = (counts == ROW).nonzero()[0]
+    if len(full):
+        _unpack_full(words, out, at[full], widths[full], out_at[full])
+        if len(full) < len(counts):
+            s = (counts != ROW).nonzero()[0]
+            unpack_rows(words, out, at[s], counts[s], widths[s], out_at[s])
+        return
+    i = np.arange(int(counts.sum()), dtype=np.int64)
+    start = excl_cumsum(counts)
+    vw = widths.repeat(counts)
+    bit = (8 * at - start * widths).repeat(counts)
+    bit += i * vw
+    shift = 64 - vw
+    shift -= bit & 7
+    vals = words[bit >> 3] >> shift.view(np.uint64)
+    vals &= _WORD_MASK[vw]
+    i += (out_at - start).repeat(counts)
+    out[i] = vals
+
+
+def _unpack_full(words, out, at, widths, out_at) -> None:
+    """:func:`unpack_rows` of full rows by the tables, :data:`_TABLE_ROWS`
+    rows at a time (the temporaries stay in cache); rows back to back in
+    ``out`` land by one slice copy."""
+    for lo in range(0, len(at), _TABLE_ROWS):
+        w, o = widths[lo : lo + _TABLE_ROWS], out_at[lo : lo + _TABLE_ROWS]
+        idx = _WORD_BYTE[w] + at[lo : lo + _TABLE_ROWS, None]
+        vals = words[idx].view(np.uint64)
+        vals.byteswap(inplace=True)  # the big-endian words, in native order
+        vals >>= _WORD_SHIFT[w]
+        vals &= _WORD_MASK[w, None]
+        if o[-1] - o[0] == ROW * (len(o) - 1):
+            out[o[0] : o[0] + vals.size] = vals.ravel()
+        else:
+            out[o[:, None] + _ROW_INDEX] = vals
+
+
 def unpack(buf: np.ndarray, count: int, width: int) -> np.ndarray:
-    """Inverse of :func:`pack`; ``buf`` is a uint8 array/memoryview slice."""
+    """Inverse of :func:`pack` for one run, bit by bit (a test reference)."""
     if width == 0:
         return np.zeros(count, dtype=np.uint32)
     bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), count=count * width)
@@ -117,10 +210,6 @@ def unpack(buf: np.ndarray, count: int, width: int) -> np.ndarray:
     return (bits.reshape(count, width).astype(np.uint32) << shifts).sum(
         axis=1, dtype=np.uint32
     )
-
-
-def packed_size(count: int, width: int) -> int:
-    return (count * width + 7) // 8
 
 
 def pfor_encode(values: np.ndarray) -> Tuple[int, bytes, np.ndarray, np.ndarray]:
@@ -154,6 +243,7 @@ def pfor_encode(values: np.ndarray) -> Tuple[int, bytes, np.ndarray, np.ndarray]
 def pfor_decode(
     buf, count: int, width: int, exc_pos: np.ndarray, exc_val: np.ndarray
 ) -> np.ndarray:
+    """Inverse of :func:`pfor_encode` for one run (a test reference)."""
     out = unpack(buf, count, width)
     if len(exc_pos):
         out[exc_pos] = exc_val

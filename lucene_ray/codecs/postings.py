@@ -30,6 +30,9 @@ Blob layout (little-endian):
     -- data section (per block):
     docid bytes | freq base bytes | freq exceptions (u16 pos, u32 val)* |
     impacts (u32 freq, u8 norm)*
+
+Every reader decodes through :func:`decode_postings`: any set of blobs,
+or of their blocks, in one call over one zero-padded buffer.
 """
 
 from __future__ import annotations
@@ -40,24 +43,19 @@ import numpy as np
 
 from lucene_ray.codecs.forutil import (
     MAX_PFOR_EXCEPTIONS,
+    ROW,
     bit_lengths,
     excl_cumsum,
     pack_runs_into,
-    packed_size,
-    pfor_decode,
+    pad_blobs,
+    pad_pieces,
     put_rows,
     ranges,
-    unpack,
+    unpack_rows,
+    words_of,
 )
 
-BLOCK_SIZE = 256  # Lucene104PostingsFormat.BLOCK_SIZE (:343)
-# word-gather tables per width w (rows) and value k (columns): value k of
-# a run packed at w bits starts in byte (k·w) >> 3, and the big-endian
-# 8-byte word read there holds it at right shift 64 − w − (k·w & 7)
-_KW = np.arange(33, dtype=np.int64)[:, None] * np.arange(BLOCK_SIZE, dtype=np.int64)
-_WORD_BYTE = _KW >> 3
-_WORD_SHIFT = (64 - np.arange(33)[:, None] - (_KW & 7)).astype(np.uint64)
-_WORD_MASK = ((np.uint64(1) << np.arange(33, dtype=np.uint64)) - np.uint64(1))
+BLOCK_SIZE = ROW  # Lucene104PostingsFormat.BLOCK_SIZE (:343)
 
 _DIR_DTYPE = np.dtype(
     [
@@ -72,6 +70,8 @@ _DIR_DTYPE = np.dtype(
         ("block_len", "<u2"),
     ]
 )
+_DIR_SIZE = _DIR_DTYPE.itemsize
+_FIRST = np.zeros(1, dtype=np.int64)  # the offset of a view's one blob
 
 
 def competitive_impacts(freqs: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -310,176 +310,150 @@ def encode_postings_flat(
     return out, lens
 
 
-class PostingsView:
-    """Zero-copy-ish view over an encoded blob (works on mmapped bytes)."""
 
-    def __init__(self, buf):
-        buf = np.frombuffer(buf, dtype=np.uint8)
-        self.doc_count = int(buf[:4].view("<u4")[0])
-        self.n_blocks = int(buf[4:8].view("<u4")[0])
-        dir_end = 8 + self.n_blocks * _DIR_DTYPE.itemsize
-        self.directory = buf[8:dir_end].view(_DIR_DTYPE)
-        self.data = buf[dir_end:]
+
+def decode_postings(
+    buf: np.ndarray, offs: np.ndarray, rows=None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The postings decoder, inverse of :func:`encode_postings_flat` (the
+    ``ForUtil``/``PForUtil`` role of ``Lucene104PostingsReader``), of the
+    blobs at ``offs`` in ``buf`` (``forutil.PAD`` zero bytes past the
+    last). Each block of each blob is a row: headers and directory rows
+    by one gather each; FOR docid gaps in one ``forutil.unpack_rows``,
+    PFor freq bases in another; bitset docid rows (their gaps left 0) in
+    one ``unpackbits``; PFor exceptions by one scatter;
+    docids by one cumsum, each row's first gap replaced by its first
+    docid less the previous row's last (a bitset row holds its last).
+    ``rows=(blob index, block index)`` decodes only those rows. →
+    ``(docids uint32, freqs uint32, counts int64)``, postings back to
+    back, counted per blob (per row when ``rows`` is given)."""
+    offs = np.asarray(offs, dtype=np.int64)
+    if len(offs) == 1:  # one blob: its header and directory are slices
+        o = int(offs[0])
+        doc_count, nb = buf[o : o + 8].view("<u4").tolist()
+        counts = np.array([doc_count], dtype=np.int64)
+        d = buf[o + 8 : o + 8 + _DIR_SIZE * nb].view(_DIR_DTYPE)
+        if rows is not None:
+            d = d[rows[1]]
+        data_at = d["data_offset"].astype(np.int64) + (o + 8 + _DIR_SIZE * nb)
+    else:
+        hdr = buf[offs[:, None] + np.arange(8)].view("<u4").astype(np.int64)
+        counts, n_blocks = hdr[:, 0], hdr[:, 1]
+        if rows is None:
+            blob = np.arange(len(offs)).repeat(n_blocks)
+            blk = np.arange(len(blob)) - excl_cumsum(n_blocks)[blob]
+        else:
+            blob, blk = rows
+        dir_at = offs[blob] + 8
+        d_at = (dir_at + _DIR_SIZE * blk)[:, None] + np.arange(_DIR_SIZE)
+        d = buf[d_at].view(_DIR_DTYPE)[:, 0]
+        data_at = dir_at + _DIR_SIZE * n_blocks[blob] + d["data_offset"]
+    blen = d["block_len"].astype(np.int64)
+    first = d["first_docid"].astype(np.int64)
+    last = d["last_docid"].astype(np.int64)
+    docid_bytes = (blen * d["docid_width"] + 7) >> 3
+    bsel = d["docid_kind"].nonzero()[0]
+    docid_bytes[bsel] = (last[bsel] - first[bsel] + 8) >> 3
+    out_at = excl_cumsum(blen)
+    n = int(blen.sum())
+    words = words_of(buf)
+    gaps = np.zeros(n, dtype=np.int64)
+    f = (d["docid_kind"] == 0).nonzero()[0] if len(bsel) else slice(None)  # FOR rows
+    dw = d["docid_width"][f].astype(np.int64)
+    unpack_rows(words, gaps, data_at[f], blen[f], dw, out_at[f])
+    freq_at = data_at + docid_bytes
+    fw = d["freq_width"].astype(np.int64)
+    freqs = np.zeros(n, dtype=np.uint32)
+    unpack_rows(words, freqs, freq_at, blen, fw, out_at)
+
+    gaps[out_at] = first
+    gaps[out_at[bsel]] = last[bsel]
+    gaps[out_at[1:]] -= last[:-1]
+    ids = gaps.cumsum().astype(np.uint32)
+    if len(bsel):
+        nbytes = docid_bytes[bsel]
+        setpos = np.unpackbits(buf[ranges(data_at[bsel], nbytes)]).nonzero()[0]
+        ids[ranges(out_at[bsel], blen[bsel])] = setpos + np.repeat(
+            first[bsel] - excl_cumsum(nbytes * 8), blen[bsel]
+        )
+    esel = d["freq_n_exc"].nonzero()[0]
+    if len(esel):
+        ne = d["freq_n_exc"][esel].astype(np.int64)
+        e_at = freq_at[esel] + ((blen[esel] * fw[esel] + 7) >> 3)
+        pos = buf[ranges(e_at, 2 * ne)].view("<u2")
+        freqs[np.repeat(out_at[esel], ne) + pos] = buf[
+            ranges(e_at + 2 * ne, 4 * ne)
+        ].view("<u4")
+    return ids, freqs, (counts if rows is None else blen)
+
+
+def decode_postings_batch(
+    data, offs: np.ndarray, lens: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`decode_postings` of the blobs ``data[offs[i] :
+    offs[i] + lens[i]]`` (an mmapped part file's), padded first."""
+    return decode_postings(*pad_blobs(data, offs, lens))
+
+
+class PostingsView:
+    """One blob (mmapped bytes work), copied into a padded buffer and
+    decoded by :func:`decode_postings`; the block directory and data
+    section are views of it."""
+
+    def __init__(self, blob):
+        self.buf, _ = pad_pieces([np.frombuffer(blob, dtype=np.uint8)])
+        self.doc_count, self.n_blocks = self.buf[:8].view("<u4").tolist()
+        dir_end = 8 + self.n_blocks * _DIR_SIZE
+        self.directory = self.buf[8:dir_end].view(_DIR_DTYPE)
+        self.data = self.buf[dir_end:]
+
+    def decode_all(self) -> Tuple[np.ndarray, np.ndarray]:
+        """→ (docids uint32, freqs uint32)."""
+        return decode_postings(self.buf, _FIRST)[:2]
 
     def decode_block(self, bi: int) -> Tuple[np.ndarray, np.ndarray]:
-        """→ (docids uint32, freqs uint32) for block ``bi``."""
-        first, last, off, kind, w, fw, n_exc, _, blen = self.directory[bi].item()
-        data = self.data
-        if kind == 1:
-            span = last - first + 1
-            nbytes = (span + 7) // 8
-            bits = np.unpackbits(data[off : off + nbytes], count=span)
-            ids = (np.flatnonzero(bits) + first).astype(np.uint32)
-        else:
-            nbytes = packed_size(blen, w)
-            gaps = unpack(data[off : off + nbytes], blen, w)
-            # the first gap is counted from the previous block's last + 1
-            ids = (np.cumsum(gaps, dtype=np.int64) + (first - int(gaps[0]))).astype(
-                np.uint32
-            )
-        off += nbytes
-        exc_at = off + packed_size(blen, fw)
-        return ids, pfor_decode(
-            data[off:exc_at],
-            blen,
-            fw,
-            data[exc_at : exc_at + 2 * n_exc].view("<u2"),
-            data[exc_at + 2 * n_exc : exc_at + 6 * n_exc].view("<u4"),
-        )
+        """→ (docids uint32, freqs uint32) of block ``bi``."""
+        return self._blocks(np.array([bi]))
+
+    def _blocks(self, blocks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return decode_postings(self.buf, _FIRST, (np.zeros_like(blocks), blocks))[:2]
 
     def impacts(self, bi: int) -> np.ndarray:
         first, last, off, kind, w, fw, n_exc, n_imp, blen = self.directory[bi].item()
-        off += (last - first + 8) // 8 if kind == 1 else packed_size(blen, w)
-        off += packed_size(blen, fw) + 6 * n_exc
+        off += (last - first + 8) // 8 if kind == 1 else (blen * w + 7) // 8
+        off += (blen * fw + 7) // 8 + 6 * n_exc
         out = np.zeros(n_imp, dtype=[("freq", "<u4"), ("norm", "u1")])
         out["freq"] = self.data[off : off + n_imp * 4].view("<u4")
         out["norm"] = self.data[off + n_imp * 4 : off + n_imp * 5]
         return out
 
-    def decode_all(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Full decode → (docids, freqs). Block ``bi`` is row ``bi`` of a
-        (blocks, 256) output padded to whole blocks (every block but the
-        last is full), truncated at the end:
-
-        - FOR docids and freqs of all blocks, whatever their widths, by
-          one word gather each: value k of a run at width w sits at bit
-          k·w of it, so the big-endian 8-byte word read at its first byte
-          holds it whole (w + 7 ≤ 39 bits) and one shift and mask per
-          value extract it (a short block's row reads zero padding past
-          its run); docids then take one row-wise cumsum;
-        - bitset blocks (dense head terms): one gather + ``unpackbits``
-          + ``flatnonzero`` (padding bits are zero, so block ``bi`` holds
-          exactly ``block_len`` set bits);
-        - PFor exceptions of all blocks patched in one scatter.
-
-        A single-block term decodes through ``decode_block``.
-        """
-        nbk = self.n_blocks
-        if nbk == 1:
-            return self.decode_block(0)
-        d = self.directory
-        data = self.data
-        # a row reads up to 32·32 + 8 bytes past its start
-        padded = np.zeros(len(data) + 1032, dtype=np.uint8)
-        padded[: len(data)] = data
-        words = np.ndarray(len(data) + 1025, dtype=">u8", buffer=padded, strides=(1,))
-
-        def unpack_rows(at, w):
-            vals = words[at[:, None] + _WORD_BYTE[w]].astype(np.uint64)
-            vals >>= _WORD_SHIFT[w]
-            vals &= _WORD_MASK[w][:, None]
-            return vals
-
-        ids = np.empty((nbk, BLOCK_SIZE), dtype=np.uint32)
-        offs = d["data_offset"].astype(np.int64)
-        firsts = d["first_docid"].astype(np.int64)
-        widths = d["docid_width"].astype(np.int64)
-        blens = d["block_len"].astype(np.int64)
-        bitset = d["docid_kind"] == 1
-        docid_bytes = np.where(
-            bitset,
-            (d["last_docid"].astype(np.int64) - firsts + 8) // 8,
-            (blens * widths + 7) // 8,
-        )
-        fsel = np.flatnonzero(~bitset)
-        if len(fsel):
-            cums = np.cumsum(unpack_rows(offs[fsel], widths[fsel]), axis=1, dtype=np.int64)
-            ids[fsel] = cums + (firsts[fsel] - cums[:, 0])[:, None]
-        bsel = np.flatnonzero(bitset)
-        if len(bsel):
-            nb = docid_bytes[bsel]
-            setpos = np.flatnonzero(np.unpackbits(_gather(data, offs[bsel], nb)))
-            ids.ravel()[ranges(bsel * BLOCK_SIZE, blens[bsel])] = setpos + np.repeat(
-                firsts[bsel] - excl_cumsum(nb * 8), blens[bsel]
-            )
-
-        f_offs = offs + docid_bytes
-        fws = d["freq_width"].astype(np.int64)
-        freqs = unpack_rows(f_offs, fws).astype(np.uint32).ravel()
-        n_exc = d["freq_n_exc"].astype(np.int64)
-        esel = np.flatnonzero(n_exc)
-        if len(esel):
-            ne = n_exc[esel]
-            e_at = f_offs[esel] + (blens[esel] * fws[esel] + 7) // 8
-            pos = _gather(data, e_at, 2 * ne).view("<u2")
-            freqs[np.repeat(esel * BLOCK_SIZE, ne) + pos] = _gather(
-                data, e_at + 2 * ne, 4 * ne
-            ).view("<u4")
-        n = self.doc_count
-        return ids.ravel()[:n], freqs[:n]
-
     def lookup_docs(self, targets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Seek-style membership probe for a sorted candidate docid list:
-        decode ONLY the blocks whose [first, last] range contains a target
-        — the block directory plays the reference's skip structure
-        (``Lucene104PostingsReader.java:253-264`` ``skipLevel1To`` /
-        ``moveToNextLevel0Block``). Drives the leapfrog conjunction: blocks
-        with no surviving candidate are never touched.
+        decode ONLY the blocks whose [first, last] range contains a target,
+        in one :func:`decode_postings` call — the block directory plays the
+        reference's skip structure (``Lucene104PostingsReader.java:253-264``
+        ``skipLevel1To`` / ``moveToNextLevel0Block``). Drives the leapfrog
+        conjunction: blocks with no surviving candidate are never touched.
 
         → ``(mask bool[n], freqs uint32[n])`` aligned with ``targets``
         (freq 0 where absent)."""
         t = np.asarray(targets, dtype=np.int64)
-        mask = np.zeros(len(t), dtype=bool)
-        freqs = np.zeros(len(t), dtype=np.uint32)
-        if len(t) == 0 or self.n_blocks == 0:
-            return mask, freqs
-        plan = self._probe_plan(t)
-        if plan is None:
-            return probe_decoded(*self.decode_all(), t)
-        bi, sub, needed = plan
-        for b in needed:
-            sel = sub[bi[sub] == b]
-            ids, fr = self.decode_block(int(b))
-            pos = np.searchsorted(ids, t[sel])
-            safe = np.minimum(pos, len(ids) - 1)
-            ok = ids[safe] == t[sel]
-            hit = sel[ok]
-            mask[hit] = True
-            freqs[hit] = fr[pos[ok]]
-        return mask, freqs
+        return probe_decoded(*self._blocks(self._probed_blocks(t)), t)
 
     def probe_decodes_all(self, targets: np.ndarray) -> bool:
-        """Whether ``lookup_docs(targets)`` answers from a full decode."""
+        """Whether ``lookup_docs(targets)`` decodes ¼ of the blocks or
+        more (``SegmentReader.lookup_docs`` then caches a full decode)."""
         t = np.asarray(targets, dtype=np.int64)
-        return len(t) > 0 and self.n_blocks > 0 and self._probe_plan(t) is None
+        return len(t) > 0 and len(self._probed_blocks(t)) * 4 >= self.n_blocks
 
-    def _probe_plan(self, t: np.ndarray):
-        """Blocks a sorted int64 target list touches → ``(bi, sub,
-        needed)``: each target's block, the targets inside their block's
-        [first, last] range, and the distinct blocks among those. None
-        when the candidates touch ¼ of the blocks or more: then the
-        batched full decode (one unpackbits per width) beats a per-block
-        Python loop."""
+    def _probed_blocks(self, t: np.ndarray) -> np.ndarray:
+        """The blocks whose [first, last] range holds a target of the
+        sorted int64 list ``t``, ascending (so their postings are one
+        sorted run)."""
         d = self.directory
-        lasts = d["last_docid"].astype(np.int64)
-        firsts = d["first_docid"].astype(np.int64)
-        bi = np.searchsorted(lasts, t)  # first block whose last ≥ target
+        bi = np.searchsorted(d["last_docid"], t)  # first block whose last ≥ target
         sub = np.flatnonzero(bi < self.n_blocks)
-        sub = sub[firsts[bi[sub]] <= t[sub]]
-        needed = np.unique(bi[sub])
-        if len(needed) * 4 >= self.n_blocks:
-            return None
-        return bi, sub, needed
+        return np.unique(bi[sub[d["first_docid"][bi[sub]] <= t[sub]]])
 
 
 def probe_decoded(
@@ -487,135 +461,9 @@ def probe_decoded(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``lookup_docs`` over already-decoded (ids, freqs) of one term: →
     ``(mask, freqs)`` aligned with the sorted int64 targets ``t``."""
-    mask = np.zeros(len(t), dtype=bool)
-    out = np.zeros(len(t), dtype=np.uint32)
-    if len(t) == 0 or len(ids) == 0:
-        return mask, out
     pos = np.searchsorted(ids, t)
-    safe = np.minimum(pos, len(ids) - 1)
-    ok = ids[safe] == t
-    mask[ok] = True
-    out[ok] = freqs[pos[ok]]
+    mask = pos < len(ids)
+    mask[mask] = ids[pos[mask]] == t[mask]
+    out = np.zeros(len(t), dtype=np.uint32)
+    out[mask] = freqs[pos[mask]]
     return mask, out
-
-
-def _gather(data: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate ``data[starts[i] : starts[i]+counts[i]]`` for all i via
-    ONE fancy-index gather (no per-slice Python)."""
-    return data[ranges(starts, counts)]
-
-
-def _unpack_runs(
-    data: np.ndarray, byte_starts: np.ndarray, cnts: np.ndarray, w: int
-) -> np.ndarray:
-    """Unpack many bit-packed runs at width ``w`` (each byte-aligned and
-    byte-padded, per :func:`pack`): their bytes are gathered into one
-    zero-padded buffer, where value k of run t starts at bit
-    ``8·(run t's first byte) + k·w`` and the big-endian 8-byte word read
-    at that byte holds it whole (w + 7 ≤ 39 bits), so one shift and mask
-    per value extract it. → flat uint32 values in run order
-    (``cnts.sum()`` total)."""
-    pb = (cnts * w + 7) // 8
-    big = np.zeros(int(pb.sum()) + 8, dtype=np.uint8)
-    big[:-8] = _gather(data, byte_starts, pb)
-    words = np.ndarray(len(big) - 7, dtype=">u8", buffer=big, strides=(1,))
-    vstart = np.repeat(excl_cumsum(pb) * 8 - excl_cumsum(cnts) * w, cnts) + (
-        np.arange(int(cnts.sum()), dtype=np.int64) * w
-    )
-    vals = words[vstart >> 3].astype(np.uint64)
-    vals >>= (64 - w - (vstart & 7)).astype(np.uint64)
-    vals &= np.uint64((1 << w) - 1)
-    return vals.astype(np.uint32)
-
-
-def decode_postings_batch(
-    data: np.ndarray, offs: np.ndarray, lens: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode MANY ray104 postings blobs from one buffer in a few
-    vectorized passes — the inverse of :func:`encode_postings_flat` and
-    the cross-TERM analogue of ``decode_all``'s cross-block batching
-    (``Lucene104PostingsReader`` bulk-read role). Single-block terms
-    (df ≤ 256 — the overwhelming majority of a Zipf vocabulary) group
-    into one unpack per (kind, width); multi-block terms fall back to
-    ``PostingsView``.
-
-    → ``(docids uint32, freqs uint32, doc_counts int64)``: blob i's
-    postings are the ``doc_counts[i]`` pairs from the exclusive cumsum
-    of ``doc_counts`` on.
-    """
-    offs = np.asarray(offs, dtype=np.int64)
-    # headers: u32 doc_count, u32 n_blocks
-    hdr = data[offs[:, None] + np.arange(8, dtype=np.int64)]
-    doc_counts = np.ascontiguousarray(hdr[:, :4]).view("<u4").ravel().astype(np.int64)
-    n_blocks = np.ascontiguousarray(hdr[:, 4:]).view("<u4").ravel().astype(np.int64)
-    run_starts = excl_cumsum(doc_counts)
-    # zeros: a width-0 docid run is the single docid 0, a width-0 freq
-    # base is all zero bits
-    flat_ids = np.zeros(int(doc_counts.sum()), dtype=np.uint32)
-    flat_tfs = np.zeros(len(flat_ids), dtype=np.uint32)
-
-    for ti in np.flatnonzero(n_blocks != 1).tolist():
-        o, s = int(offs[ti]), int(run_starts[ti])
-        ids, tfs = PostingsView(data[o : o + int(lens[ti])]).decode_all()
-        flat_ids[s : s + len(ids)] = ids
-        flat_tfs[s : s + len(tfs)] = tfs
-
-    single = np.flatnonzero(n_blocks == 1)
-    if len(single) == 0:
-        return flat_ids, flat_tfs, doc_counts
-    dsz = _DIR_DTYPE.itemsize
-    drows = np.ascontiguousarray(
-        data[(offs[single] + 8)[:, None] + np.arange(dsz, dtype=np.int64)]
-    ).view(_DIR_DTYPE).ravel()
-    cnt = drows["block_len"].astype(np.int64)
-    kinds = drows["docid_kind"]
-    widths = drows["docid_width"].astype(np.int64)
-    fwidths = drows["freq_width"].astype(np.int64)
-    n_exc = drows["freq_n_exc"].astype(np.int64)
-    firsts = drows["first_docid"].astype(np.int64)
-    lasts = drows["last_docid"].astype(np.int64)
-    dstart = offs[single] + 8 + dsz  # single block ⇒ data_offset == 0
-    starts = run_starts[single]
-
-    # ---- docids: FOR blocks grouped by width, gaps summed per run ----
-    # bitset: ceil(span/8) bytes; FOR: packed_size(cnt, width)
-    docid_bytes = np.where(
-        kinds == 1, (lasts - firsts + 1 + 7) // 8, (cnt * widths + 7) // 8
-    )
-    for w in np.unique(widths[kinds == 0]).tolist():
-        if w == 0:
-            continue
-        sel = np.flatnonzero((kinds == 0) & (widths == w))
-        gaps = _unpack_runs(data, dstart[sel], cnt[sel], w).astype(np.int64)
-        cs = np.cumsum(gaps)
-        seg0 = excl_cumsum(cnt[sel])
-        # cumsum carried in from the earlier runs of this group
-        cs -= np.repeat(cs[seg0] - gaps[seg0], cnt[sel])
-        flat_ids[ranges(starts[sel], cnt[sel])] = cs
-
-    # ---- docids: bitset blocks (dense head terms) ----
-    bsel = np.flatnonzero(kinds == 1)
-    if len(bsel):
-        nbytes = (lasts[bsel] - firsts[bsel] + 1 + 7) // 8
-        setpos = np.flatnonzero(np.unpackbits(_gather(data, dstart[bsel], nbytes)))
-        # per-term groups are contiguous in bit space; padding bits are 0
-        cnts = cnt[bsel]
-        setpos += np.repeat(firsts[bsel] - excl_cumsum(nbytes * 8), cnts)
-        flat_ids[ranges(starts[bsel], cnts)] = setpos
-
-    # ---- freqs: PFor base grouped by width, exceptions patched after ----
-    fstart = dstart + docid_bytes
-    for w in np.unique(fwidths).tolist():
-        if w == 0:
-            continue
-        sel = np.flatnonzero(fwidths == w)
-        flat_tfs[ranges(starts[sel], cnt[sel])] = _unpack_runs(
-            data, fstart[sel], cnt[sel], w
-        )
-    for j in np.flatnonzero(n_exc > 0).tolist():  # rare (≤7 per term)
-        ne = int(n_exc[j])
-        eoff = int(fstart[j]) + int((cnt[j] * fwidths[j] + 7) // 8)
-        pos = np.asarray(data[eoff : eoff + ne * 2]).view("<u2").astype(np.int64)
-        val = np.asarray(data[eoff + ne * 2 : eoff + ne * 6]).view("<u4")
-        flat_tfs[int(starts[j]) + pos] = val
-    return flat_ids, flat_tfs, doc_counts

@@ -24,7 +24,9 @@ A format implements ``encode_batch`` (term-major flat pair arrays and
 the norm byte of each pair's doc → per-term blobs) and ``view`` (blob →
 reader object exposing ``decode_all()`` and ``lookup_docs()``; the
 ray104 view additionally exposes the block directory and impacts that
-CheckIndex validates).
+CheckIndex validates). Bulk readers (``segment.read_postings``, merge)
+decode many ray104 blobs at once with ``postings.decode_postings`` and
+send the other formats' blobs through their views.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from lucene_ray.codecs.forutil import ranges
 from lucene_ray.codecs.postings import (
     PostingsView,
     encode_postings_batch,
+    probe_decoded,
 )
 
 DEFAULT_FORMAT = "ray104"
@@ -72,19 +75,7 @@ class PlainPostingsView:
     def lookup_docs(self, targets) -> Tuple[np.ndarray, np.ndarray]:
         """Same contract as ``PostingsView.lookup_docs``: aligned
         (mask, freqs) for a sorted candidate docid list."""
-        t = np.asarray(targets, dtype=np.int64)
-        mask = np.zeros(len(t), dtype=bool)
-        freqs = np.zeros(len(t), dtype=np.uint32)
-        if len(t) == 0 or self.doc_count == 0:
-            return mask, freqs
-        ids = self._ids
-        pos = np.searchsorted(ids, t)
-        inb = pos < len(ids)
-        sub = np.flatnonzero(inb)
-        sub = sub[ids[pos[sub]] == t[sub]]
-        mask[sub] = True
-        freqs[sub] = self._tfs[pos[sub]]
-        return mask, freqs
+        return probe_decoded(self._ids, self._tfs, np.asarray(targets, dtype=np.int64))
 
 
 class PlainFormat:

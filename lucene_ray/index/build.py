@@ -21,13 +21,13 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from lucene_ray.analysis.analyzer import Analyzer, analyzer_for_config
+from lucene_ray.analysis.analyzer import analyzer_for_config
 from lucene_ray.index.vectors import (
     BYTE_VECTORS_FILE,
     VECTORS_FILE,

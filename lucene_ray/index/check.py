@@ -17,7 +17,6 @@ healthy); each segment checks in its own Ray task.
 
 from __future__ import annotations
 
-import json
 import os
 import zlib
 from typing import List
@@ -267,8 +266,8 @@ def check_segment(seg_dir: str) -> List[str]:
                     if len(imp) == 0:
                         continue
                     bound = max_block_score(imp, sc)
-                    bids, bfreqs = view.decode_block(bi)
-                    real = sc.score(bfreqs.astype(np.float32), seg.norms[bids])
+                    blk = slice(bi * BLOCK_SIZE, (bi + 1) * BLOCK_SIZE)
+                    real = sc.score(freqs[blk].astype(np.float32), seg.norms[ids[blk]])
                     if not (real <= bound + 1e-6).all():
                         problems.append(
                             f"{seg_dir} part{b} {term!r} block {bi}: impact bound violated"

@@ -5,7 +5,7 @@
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
 from lucene_ray.analysis.tokenizer import DEFAULT_MAX_TOKEN_LENGTH

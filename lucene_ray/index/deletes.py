@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 

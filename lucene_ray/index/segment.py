@@ -39,8 +39,7 @@ import pyarrow.parquet as pq
 from lucene_ray.analysis.analyzer import Analyzer
 from lucene_ray.codecs.postings import (
     PostingsView,
-    _unpack_runs,
-    decode_postings_batch,
+    decode_postings,
     encode_postings_flat,
     probe_decoded,
     split_blobs,
@@ -49,10 +48,12 @@ from lucene_ray.codecs.forutil import (
     bit_lengths,
     excl_cumsum,
     pack_runs_into,
-    packed_size,
+    pad_blobs,
+    pad_pieces,
     put_rows,
     ranges,
-    unpack,
+    unpack_rows,
+    words_of,
 )
 from lucene_ray.codecs.feature import encode_feature_values
 from lucene_ray.codecs.spi import encode_postings_by_format, format_for_name
@@ -122,94 +123,56 @@ def encode_uint_blocks_flat(
     return out, lens
 
 
-_BLOCK_INDEX = np.arange(256, dtype=np.int64)
+def decode_uint_runs(
+    buf: np.ndarray, offs, lens=None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The uint-run decoder, inverse of :func:`encode_uint_blocks_flat`
+    (positions, offsets, payload lengths), of the runs at ``offs`` in
+    ``buf`` (``forutil.PAD`` zero bytes past the last). Each 256-value
+    block of each run is a row, all unpacked by one
+    ``forutil.unpack_rows``. A run has no block directory: block 0's
+    width byte follows the u32 count and each later block follows the
+    full ones before it (1 + 32·width bytes each), so the blocks of runs
+    over 256 values are found by one plain-int walk. A run whose ``lens``
+    entry is 0 (a keyword term: no positions) has no values. →
+    ``(values uint32, counts int64)``, runs back to back."""
+    offs = np.asarray(offs, dtype=np.int64)
+    counts = buf[offs[:, None] + np.arange(4)].view("<u4")[:, 0].astype(np.int64)
+    if lens is not None:
+        counts[np.asarray(lens) == 0] = 0
+    heads = offs + 4
+    blen = counts
+    multi = (counts > 256).nonzero()[0]
+    if len(multi):
+        n_blocks = (counts + 255) >> 8
+        run = np.arange(len(offs)).repeat(n_blocks)
+        blk0 = excl_cumsum(n_blocks)
+        blen = np.minimum(256, counts[run] - 256 * (np.arange(len(run)) - blk0[run]))
+        heads = heads[run]
+        raw = memoryview(buf)
+        walked = []
+        for h, nb in zip(heads[blk0[multi]].tolist(), n_blocks[multi].tolist()):
+            for _ in range(nb):
+                walked.append(h)
+                h += 1 + 32 * raw[h]
+        heads[ranges(blk0[multi], n_blocks[multi])] = walked
+    out = np.zeros(int(counts.sum()), dtype=np.uint32)
+    widths = buf[heads].astype(np.int64)
+    unpack_rows(words_of(buf), out, heads + 1, blen, widths, excl_cumsum(blen))
+    return out, counts
 
 
-def decode_uint_blocks(buf) -> np.ndarray:
-    """Decode a packed uint run. One or two blocks (most terms' positions)
-    unpack block by block. Longer runs walk the block headers once (each
-    block's offset depends on every earlier width, a plain-int chain),
-    then unpack all blocks of one width together: value j of a block sits
-    at bit ``j·w`` of its data, so the overlapping big-endian 8-byte word
-    read at its first byte holds it whole (``w + 7 <= 39`` bits), and one
-    shift and mask extract it."""
-    buf = np.frombuffer(buf, dtype=np.uint8)
-    n = int(buf[:4].view("<u4")[0])
-    n_blocks = (n + 255) // 256
-    if n_blocks <= 2:
-        out = np.empty(n, dtype=np.uint32)
-        off = 4
-        for lo in range(0, n, 256):
-            cnt = min(256, n - lo)
-            w = int(buf[off])
-            off += 1
-            nb = packed_size(cnt, w)
-            out[lo : lo + cnt] = unpack(buf[off : off + nb], cnt, w)
-            off += nb
-        return out
-    # zero padding: the last block may be partial, and every value's
-    # word (at most 32·32 + 8 bytes past its block start) stays in bounds
-    padded = np.zeros(len(buf) + 1032, dtype=np.uint8)
-    padded[: len(buf)] = buf
-    raw = memoryview(padded)
-    heads = [0] * n_blocks
-    off = 4
-    for bi in range(n_blocks):  # every block but the last is full: 32·w bytes
-        heads[bi] = off
-        off += 1 + 32 * raw[off]
-    heads = np.array(heads, dtype=np.int64)
-    widths = padded[heads]
-    words = np.ndarray(len(buf) + 1024, dtype=">u8", buffer=padded, strides=(1,))
-    out = np.empty((n_blocks, 256), dtype=np.uint32)
-    for w in np.unique(widths).tolist():
-        sel = np.flatnonzero(widths == w)
-        bit = _BLOCK_INDEX * w
-        first = (heads[sel] + 1)[:, None] + (bit >> 3)
-        vals = words[first].astype(np.uint64)
-        vals >>= (64 - w - (bit & 7)).astype(np.uint64)
-        vals &= np.uint64((1 << w) - 1)
-        out[sel] = vals
-    return out.ravel()[:n]
+def decode_uint_blocks(blob) -> np.ndarray:
+    """One run's values (:func:`decode_uint_runs`)."""
+    return decode_uint_runs(*pad_pieces([np.frombuffer(blob, dtype=np.uint8)]))[0]
 
 
 def decode_uint_blocks_batch(
-    data: np.ndarray, offs: np.ndarray, lens: np.ndarray
+    data, offs: np.ndarray, lens: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`decode_uint_blocks` over many runs in one buffer —
-    the inverse of :func:`encode_uint_blocks_flat`. Single-block runs
-    (≤256 values — almost every term's positions) group into one
-    bit-gather per width via ``codecs.postings._unpack_runs``; longer
-    runs fall back to the scalar decoder. A zero-length run (a keyword
-    term: DOCS-only, no positions) decodes to no values without touching
-    the buffer.
-
-    → ``(values uint32, counts int64)``: run i is the ``counts[i]``
-    values from the exclusive cumsum of ``counts`` on."""
-    offs = np.asarray(offs, dtype=np.int64)
-    lens = np.asarray(lens, dtype=np.int64)
-    counts = np.zeros(len(offs), dtype=np.int64)
-    nz = np.flatnonzero(lens > 0)
-    if len(nz):
-        counts[nz] = (
-            np.ascontiguousarray(data[offs[nz][:, None] + np.arange(4)])
-            .view("<u4")
-            .ravel()
-        )
-    starts = excl_cumsum(counts)
-    out = np.zeros(int(counts.sum()), dtype=np.uint32)  # width 0: zeros
-    for ti in np.flatnonzero(counts > 256).tolist():
-        o, s = int(offs[ti]), int(starts[ti])
-        out[s : s + int(counts[ti])] = decode_uint_blocks(data[o : o + int(lens[ti])])
-    single = nz[counts[nz] <= 256]
-    widths = data[offs[single] + 4].astype(np.int64)
-    for w in np.unique(widths).tolist():
-        if w == 0:
-            continue
-        sel = single[widths == w]
-        out[ranges(starts[sel], counts[sel])] = _unpack_runs(
-            data, offs[sel] + 5, counts[sel], w
-        )
-    return out, counts
+    """:func:`decode_uint_runs` of the runs ``data[offs[i] :
+    offs[i] + lens[i]]`` (an mmapped part file's), padded first."""
+    return decode_uint_runs(*pad_blobs(data, offs, lens), lens)
 
 
 # --------------------------------------------------------------------------
@@ -1507,11 +1470,11 @@ class SegmentReader:
         return out
 
     def postings(self, info: TermInfo) -> PostingsView:
-        mm = self._post_mm[info.part]
-        blob = mm[info.post_off : info.post_off + info.post_len]
-        if info.fmt == "ray104":
-            return PostingsView(blob)
-        return format_for_name(info.fmt).view(blob)
+        return format_for_name(info.fmt).view(self.postings_blob(info))
+
+    def postings_blob(self, info: TermInfo) -> np.ndarray:
+        """A term's encoded postings (a view of the mmapped part file)."""
+        return self._post_mm[info.part][info.post_off : info.post_off + info.post_len]
 
     # decode cache: what's worth caching per reader is the DECODED
     # posting/position arrays of hot terms, reused across queries in the
@@ -1535,8 +1498,8 @@ class SegmentReader:
         cache: answered from :meth:`decoded` when the term's arrays are
         cached already, or when the probe would decode the whole list
         anyway (its candidates reach ¼ of the blocks), so a warm
-        conjunction probe decodes nothing. Otherwise the per-block probe
-        runs and leaves the cache alone."""
+        conjunction probe decodes nothing. Otherwise the probed blocks
+        decode in one call and the cache is left alone."""
         if ("post", info.part, info.post_off) not in self.decode_cache:
             view = self.postings(info)
             if not (
@@ -1552,31 +1515,14 @@ class SegmentReader:
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Batched :meth:`decoded` for term-expansion consumers
         (MultiTermQuery / TermInSetQuery unions, ``IntersectTermsEnum``
-        bulk-read role): cache misses within one part decode together via
-        :func:`codecs.postings.decode_postings_batch` — one bit-gather
-        per (kind, width) group instead of a Python decode per term.
-        Non-ray104 formats fall back to the scalar path."""
-        out: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * len(infos)
-        by_part: Dict[int, List[int]] = {}
-        for i, info in enumerate(infos):
-            if info.fmt != "ray104":
-                out[i] = self.decoded(info)
-                continue
-            out[i] = self.decode_cache.get(("post", info.part, info.post_off))
-            if out[i] is None:
-                by_part.setdefault(info.part, []).append(i)
-        for part, idxs in by_part.items():
-            offs = np.array([infos[i].post_off for i in idxs], dtype=np.int64)
-            lens = np.array([infos[i].post_len for i in idxs], dtype=np.int64)
-            ids, tfs, dfs = decode_postings_batch(self._post_mm[part], offs, lens)
-            for i, s, n in zip(idxs, excl_cumsum(dfs).tolist(), dfs.tolist()):
-                hit = (ids[s : s + n], tfs[s : s + n])
-                out[i] = self.decode_cache.put(
-                    ("post", part, infos[i].post_off),
-                    hit,
-                    hit[0].nbytes + hit[1].nbytes,
-                )
-        return out  # type: ignore[return-value]
+        bulk-read role): the cache misses decode together through
+        :func:`read_postings`."""
+        keys = [("post", info.part, info.post_off) for info in infos]
+        out = [self.decode_cache.get(key) for key in keys]
+        miss = [i for i, hit in enumerate(out) if hit is None]
+        for i, hit in zip(miss, read_postings([(self, infos[i]) for i in miss])):
+            out[i] = self.decode_cache.put(keys[i], hit, hit[0].nbytes + hit[1].nbytes)
+        return out
 
     def positional(
         self, info: TermInfo
@@ -1600,10 +1546,7 @@ class SegmentReader:
     def positions(self, info: TermInfo) -> np.ndarray:
         """A term's positions, each doc's run in docid order (a run is
         the doc's freq long), decoded without the decode cache."""
-        mm = self._pos_mm[info.part]
-        if mm is None or info.pos_len == 0:
-            raise ValueError("segment has no positions")
-        return decode_uint_blocks(mm[info.pos_off : info.pos_off + info.pos_len])
+        return read_positions([(self, info)])[0]
 
     def offsets_for(self, info: TermInfo) -> Tuple[np.ndarray, np.ndarray]:
         """Per-position character offsets for a term (the ``.pay`` stream,
@@ -1613,18 +1556,11 @@ class SegmentReader:
         mm = self._off_mm[info.part]
         if mm is None or info.off_slen == 0:
             raise ValueError("segment has no offsets")
-        starts = decode_uint_blocks(
-            mm[info.off_off : info.off_off + info.off_slen]
-        )
-        lens = decode_uint_blocks(
-            mm[
-                info.off_off
-                + info.off_slen : info.off_off
-                + info.off_slen
-                + info.off_llen
-            ]
-        )
-        return starts, starts + lens
+        at = info.off_off
+        buf, _ = pad_pieces([mm[at : at + info.off_slen + info.off_llen]])
+        vals, counts = decode_uint_runs(buf, [0, info.off_slen])
+        n = int(counts[0])
+        return vals[:n], vals[:n] + vals[n:]
 
     def payloads_for(self, info: TermInfo) -> Tuple[np.ndarray, np.ndarray]:
         """Per-position payload bytes for a term (the payload half of the
@@ -1636,18 +1572,9 @@ class SegmentReader:
         mm = self._pay_mm[info.part]
         if mm is None or (info.pay_llen == 0 and info.pay_blen == 0):
             raise ValueError("segment has no payloads")
-        lens = decode_uint_blocks(
-            mm[info.pay_off : info.pay_off + info.pay_llen]
-        )
-        raw = np.asarray(
-            mm[
-                info.pay_off
-                + info.pay_llen : info.pay_off
-                + info.pay_llen
-                + info.pay_blen
-            ]
-        )
-        return lens, raw
+        at = info.pay_off + info.pay_llen
+        lens = decode_uint_runs(*pad_pieces([mm[info.pay_off : at]]))[0]
+        return lens, np.asarray(mm[at : at + info.pay_blen])
 
     # -- norms -------------------------------------------------------------
 
@@ -1856,3 +1783,42 @@ class SegmentReader:
             terms = self.terms_list(b)
             for i in range(len(terms)):
                 yield terms[i], int(t["df"][i]), int(t["ttf"][i]), b, i
+
+
+def _split(vals: np.ndarray, counts: np.ndarray) -> List[np.ndarray]:
+    at = excl_cumsum(counts).tolist()
+    return [vals[s : s + n] for s, n in zip(at, counts.tolist())]
+
+
+def read_postings(
+    pairs: Sequence[Tuple["SegmentReader", TermInfo]]
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """``(docids, freqs)`` of each ``(reader, TermInfo)`` pair, uncached:
+    the ray104 blobs of any segments and parts are copied into one padded
+    buffer and decode in one :func:`codecs.postings.decode_postings`
+    call; other formats decode through their views."""
+    out = [
+        None if ti.fmt == "ray104" else r.postings(ti).decode_all() for r, ti in pairs
+    ]
+    fast = [i for i, hit in enumerate(out) if hit is None]
+    blobs = [pairs[i][0].postings_blob(pairs[i][1]) for i in fast]
+    ids, tfs, dfs = decode_postings(*pad_pieces(blobs))
+    for i, a, b in zip(fast, _split(ids, dfs), _split(tfs, dfs)):
+        out[i] = (a, b)
+    return out
+
+
+def read_positions(
+    pairs: Sequence[Tuple["SegmentReader", TermInfo]]
+) -> List[np.ndarray]:
+    """The positions of each ``(reader, TermInfo)`` pair (each doc's run
+    in docid order, the doc's freq long): the runs of any segments and
+    parts, copied into one padded buffer, in one :func:`decode_uint_runs`
+    call."""
+    pieces = []
+    for r, ti in pairs:
+        mm = r._pos_mm[ti.part]
+        if mm is None or ti.pos_len == 0:
+            raise ValueError("segment has no positions")
+        pieces.append(mm[ti.pos_off : ti.pos_off + ti.pos_len])
+    return _split(*decode_uint_runs(*pad_pieces(pieces)))

@@ -55,7 +55,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import time
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,7 +62,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from lucene_ray.analysis.analyzer import Analyzer, analyzer_for_config
+from lucene_ray.analysis.analyzer import analyzer_for_config
 from lucene_ray.codecs.smallfloat import encode_norms
 from lucene_ray.index.build import plan_partitions, read_partition
 from lucene_ray.index.config import DEFAULT_FIELD, IndexConfig

@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 
 from lucene_ray.cluster import actor_pool
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 import pyarrow as pa

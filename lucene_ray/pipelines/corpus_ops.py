@@ -10,7 +10,6 @@ from __future__ import annotations
 import os
 
 from lucene_ray.cluster import actor_pool
-from typing import Dict
 
 import numpy as np
 import pyarrow as pa

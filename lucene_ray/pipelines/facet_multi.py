@@ -35,7 +35,7 @@ import numpy as np
 import pyarrow as pa
 
 from lucene_ray.index.config import IndexConfig
-from lucene_ray.pipelines.index_cache import CACHE_ROOT, get_or_build_index
+from lucene_ray.pipelines.index_cache import CACHE_ROOT
 
 TAG_TOKENS = 8
 TAG_MIN_LEN = 4

@@ -33,10 +33,9 @@ check; recall versus brute force and build determinism are pinned in
 from __future__ import annotations
 
 import hashlib
-import heapq
 import math
 import os
-from typing import Dict, List, Tuple
+from typing import List
 
 import numpy as np
 import pyarrow as pa
@@ -47,12 +46,9 @@ from lucene_ray.index.vectors import (  # noqa: F401 — re-exports
     EF_CONSTRUCTION,
     EF_SEARCH,
     M,
-    _ML,
     _ShardGraph,
-    _VisitBudgetExceeded,
     _levels_for,
     _normalize,
-    _splitmix64,
 )
 
 SHARD_ROWS = 1024  # vectors per shard at bench sf; a knob, not a limit

@@ -10,7 +10,6 @@ LSH-bucketed variant lives in ``pipelines/lsh_knn.py``.
 from __future__ import annotations
 
 import os
-from typing import List
 
 import numpy as np
 import pyarrow as pa

@@ -18,7 +18,7 @@ import hashlib
 import os
 
 from lucene_ray.cluster import actor_pool
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 import pyarrow as pa

@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 import os
-from typing import List, Optional
+from typing import List
 
 import pyarrow as pa
 import pyarrow.compute as pc

@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 
 from lucene_ray.cluster import actor_pool
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 import pyarrow as pa

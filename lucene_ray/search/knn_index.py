@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 import pyarrow as pa

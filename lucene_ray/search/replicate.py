@@ -29,7 +29,7 @@ import json
 import os
 import shutil
 import zlib
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from lucene_ray.index.manifest import (
     MANIFEST_NAME,

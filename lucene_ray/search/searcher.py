@@ -30,16 +30,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import pyarrow as pa
 
-from lucene_ray.analysis.analyzer import Analyzer, analyzer_for_config
+from lucene_ray.analysis.analyzer import analyzer_for_config
 from lucene_ray.index.config import DEFAULT_FIELD, IndexConfig, term_key
-from lucene_ray.index.manifest import Manifest, load_manifest, segment_dir
+from lucene_ray.index.manifest import Manifest, load_manifest
 from lucene_ray.index.points import (
     _SENTINEL as _POINT_SENTINEL,
     normalize_bound as points_normalize_bound,
     point_range_docids,
     sorted_topk_candidates,
 )
-from lucene_ray.index.segment import SegmentReader, TermInfo
+from lucene_ray.index.segment import (
+    SegmentReader,
+    TermInfo,
+    read_positions,
+    read_postings,
+)
 from lucene_ray.codecs.feature import decode_feature_values, feature_scores
 from lucene_ray.codecs.spi import format_for_name
 from lucene_ray.codecs.smallfloat import LENGTH_TABLE_INT
@@ -2989,16 +2994,16 @@ class IndexSearcher:
         unsigned dtype that holds them). None depends on the query
         weight w: a posting scores ``w - w/den``, and ``w - w/max(den)``
         is the exact float32 maximum of a run's scores (both float32
-        steps are monotone in ``den``). Decoded straight from the codec,
-        so the readers' decode caches keep no copy."""
+        steps are monotone in ``den``). Every segment's blob decodes in
+        one ``read_postings`` call, straight from the codec, so the
+        readers' decode caches keep no copy; norms and deletions apply
+        per segment on slices of its output."""
         key = ("term", term)
         hit = self.cache.get(key)
         if hit is None:
             ids, dens, tfs = [np.empty(0, np.uint32)], [np.empty(0, F32)], []
-            for seg, ti in zip(self.segments, infos):
-                if ti is None:
-                    continue
-                sids, freqs = seg.postings(ti).decode_all()
+            segs = [(s, ti) for s, ti in zip(self.segments, infos) if ti is not None]
+            for (seg, _), (sids, freqs) in zip(segs, read_postings(segs)):
                 den = F32(1.0) + freqs.astype(F32) * self.norm_inverse[seg.norms[sids]]
                 if seg.deleted is not None:
                     live = ~seg.deleted[sids]
@@ -3150,23 +3155,21 @@ class IndexSearcher:
         """Positions of one text term's live postings, cached under
         ``("pos", term)`` and row-aligned with its ``("term", term)``
         arrays: posting i's positions are ``pos[offs[i] : offs[i + 1]]``,
-        ``offs`` the exclusive cumsum of the term arrays' freqs. Decoded
-        straight from the codec; only a segment with deletions decodes
-        its postings again, for the freqs of the deleted docs' runs."""
+        ``offs`` the exclusive cumsum of the term arrays' freqs. Every
+        segment's run decodes in one ``read_positions`` call, straight
+        from the codec; the segments with deletions decode their postings
+        again (one ``read_postings`` call), for the freqs of the deleted
+        docs' runs."""
         key = ("pos", term)
         hit = self.cache.get(key)
         if hit is None:
             freqs = self._term_postings(term, infos)[3]
-            pos = [np.empty(0, np.uint32)]
-            for seg, ti in zip(self.segments, infos):
-                if ti is None:
-                    continue
-                spos = seg.positions(ti)
-                if seg.deleted is not None:
-                    sids, sfreqs = seg.postings(ti).decode_all()
-                    spos = spos[np.repeat(~seg.deleted[sids], sfreqs)]
-                pos.append(spos)
-            pos = np.concatenate(pos)
+            segs = [(s, ti) for s, ti in zip(self.segments, infos) if ti is not None]
+            pos = read_positions(segs)
+            dels = [i for i, (seg, _) in enumerate(segs) if seg.deleted is not None]
+            for i, (sids, sfreqs) in zip(dels, read_postings([segs[i] for i in dels])):
+                pos[i] = pos[i][np.repeat(~segs[i][0].deleted[sids], sfreqs)]
+            pos = np.concatenate([np.empty(0, np.uint32)] + pos)
             offs = np.zeros(
                 len(freqs) + 1, np.uint32 if len(pos) <= _KEY32_SPACE else np.int64
             )

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
 import pyarrow as pa
 
 import ray

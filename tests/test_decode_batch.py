@@ -1,21 +1,58 @@
-"""decode_postings_batch == per-term PostingsView.decode_all on every
-blob shape: FOR vs bitset docids, PFor exceptions, w=0 freq bases,
-multi-block fallback, doc_count edge sizes."""
+"""The two decode kernels against ground truth: ``decode_postings``
+(through ``decode_postings_batch`` and ``PostingsView``) against the
+encoder's input arrays and a scalar per-block reference built on
+``forutil.unpack`` / ``pfor_decode``; ``decode_uint_runs`` (through
+``decode_uint_blocks(_batch)``) against its input runs and per-block
+``forutil.unpack``. Shapes: FOR vs bitset docids, PFor exceptions, width
+0, short last rows, doc_count edge sizes, row subsets, a blob ending at
+the buffer's end."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lucene_ray.codecs.forutil import pad_pieces, pfor_decode, unpack
 from lucene_ray.codecs.postings import (
+    BLOCK_SIZE,
     PostingsView,
+    decode_postings,
     decode_postings_batch,
     encode_postings_batch,
+    encode_postings_flat,
 )
 
 
+def _reference_postings(blob):
+    """Scalar reference decoder: per block of the directory, the docid
+    gaps by ``forutil.unpack`` (or the bitset bits), the freqs by
+    ``forutil.pfor_decode``. → list of (docids, freqs) per block."""
+    view = PostingsView(blob)
+    out = []
+    for first, last, off, kind, w, fw, n_exc, _, blen in view.directory.tolist():
+        data = view.data
+        if kind == 1:
+            nb = (last - first + 8) // 8
+            ids = np.flatnonzero(np.unpackbits(data[off : off + nb])) + first
+        else:
+            nb = (blen * w + 7) // 8
+            gaps = unpack(data[off : off + nb], blen, w).astype(np.int64)
+            ids = np.cumsum(gaps) + (first - gaps[0])
+        e = off + nb + (blen * fw + 7) // 8
+        freqs = pfor_decode(
+            data[off + nb : e],
+            blen,
+            fw,
+            data[e : e + 2 * n_exc].view("<u2"),
+            data[e + 2 * n_exc : e + 6 * n_exc].view("<u4"),
+        )
+        out.append((ids.astype(np.uint32), freqs))
+    return out
+
+
 def _roundtrip(term_lists):
-    """term_lists: list of (ids, tfs). → batch-decoded list."""
+    """term_lists: list of (ids, tfs). Every term decodes to its input,
+    batched, through a view, and through the scalar reference."""
     flat_ids = np.concatenate([np.asarray(i, np.uint32) for i, _ in term_lists])
     flat_tfs = np.concatenate([np.asarray(t, np.uint32) for _, t in term_lists])
     starts = np.zeros(len(term_lists) + 1, dtype=np.int64)
@@ -28,13 +65,19 @@ def _roundtrip(term_lists):
     np.cumsum(lens[:-1], out=offs[1:])
     flat_i, flat_t, counts = decode_postings_batch(buf, offs, lens)
     np.testing.assert_array_equal(counts, np.diff(starts))
+    np.testing.assert_array_equal(flat_i, flat_ids)
+    np.testing.assert_array_equal(flat_t, flat_tfs)
     for ti, (ids, tfs) in enumerate(term_lists):
-        ref_i, ref_t = PostingsView(bytes(blobs[ti])).decode_all()
-        np.testing.assert_array_equal(ref_i, np.asarray(ids, np.uint32)), ti
+        want_i, want_t = np.asarray(ids, np.uint32), np.asarray(tfs, np.uint32)
+        ref = _reference_postings(bytes(blobs[ti]))
+        np.testing.assert_array_equal(np.concatenate([i for i, _ in ref]), want_i)
+        np.testing.assert_array_equal(np.concatenate([t for _, t in ref]), want_t)
+        view_i, view_t = PostingsView(bytes(blobs[ti])).decode_all()
         s, e = starts[ti], starts[ti + 1]
-        gi, gt = flat_i[s:e], flat_t[s:e]
-        np.testing.assert_array_equal(gi, ref_i, err_msg=f"ids term {ti}")
-        np.testing.assert_array_equal(gt, ref_t, err_msg=f"tfs term {ti}")
+        np.testing.assert_array_equal(flat_i[s:e], want_i, err_msg=f"ids term {ti}")
+        np.testing.assert_array_equal(flat_t[s:e], want_t, err_msg=f"tfs term {ti}")
+        np.testing.assert_array_equal(view_i, want_i)
+        np.testing.assert_array_equal(view_t, want_t)
 
 
 def test_fixed_shapes():
@@ -75,6 +118,121 @@ def test_fuzz_matches_per_term_decode(term_specs):
     _roundtrip(term_lists)
 
 
+@st.composite
+def postings_terms(draw):
+    """1-6 terms of 1-700 postings: sparse or dense docids (FOR or bitset
+    rows), docid 0 alone (a width-0 gap row), freqs with outliers (PFor
+    exceptions) and short last rows of under 8 postings (width-0 freq
+    bases)."""
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["sparse", "dense", "zero", "short_tail"]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "zero":
+            ids = np.array([0])
+        elif kind == "dense":
+            df = draw(st.integers(2, 700))
+            lo = int(rng.integers(0, 5000))
+            span = np.arange(lo, lo + df + df // 8)
+            ids = np.sort(rng.choice(span, df, replace=False))
+        else:
+            df = draw(st.integers(1, 700))
+            if kind == "short_tail":
+                df = 256 * draw(st.integers(1, 2)) + draw(st.integers(1, 7))
+            ids = np.sort(rng.choice(10**6, df, replace=False))
+        tfs = rng.integers(1, 4, len(ids))
+        hot = rng.random(len(ids)) < 0.02
+        tfs[hot] = rng.integers(2**16, 2**32, int(hot.sum()), dtype=np.uint64)
+        terms.append((ids.astype(np.uint32), tfs.astype(np.uint32)))
+    return terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(postings_terms(), st.randoms(use_true_random=False))
+def test_row_subsets_equal_input_slices(terms, rnd):
+    """``decode_postings`` over a random subset of (blob, row) pairs, in
+    random order, equals the matching slices of the encoder's input and
+    the scalar reference's blocks; the last blob ends where the padding
+    starts."""
+    starts = np.concatenate([[0], np.cumsum([len(i) for i, _ in terms])])
+    enc, lens = encode_postings_flat(
+        np.concatenate([i for i, _ in terms]),
+        np.concatenate([t for _, t in terms]),
+        starts,
+        np.ones(int(starts[-1]), dtype=np.uint8),
+    )
+    buf, _ = pad_pieces([enc])
+    offs = np.concatenate([[0], np.cumsum(lens)[:-1]])
+    pairs = [
+        (b, k)
+        for b, (ids, _) in enumerate(terms)
+        for k in range((len(ids) + BLOCK_SIZE - 1) // BLOCK_SIZE)
+    ]
+    pick = rnd.sample(pairs, rnd.randint(0, len(pairs)))
+    rows = (
+        np.array([b for b, _ in pick], np.int64),
+        np.array([k for _, k in pick], np.int64),
+    )
+    ids, tfs, counts = decode_postings(buf, offs, rows)
+    want = [
+        (terms[b][0][k * BLOCK_SIZE : (k + 1) * BLOCK_SIZE],
+         terms[b][1][k * BLOCK_SIZE : (k + 1) * BLOCK_SIZE])
+        for b, k in pick
+    ]
+    np.testing.assert_array_equal(counts, [len(i) for i, _ in want])
+    empty = np.empty(0, np.uint32)
+    np.testing.assert_array_equal(ids, np.concatenate([i for i, _ in want] + [empty]))
+    np.testing.assert_array_equal(tfs, np.concatenate([t for _, t in want] + [empty]))
+    for (b, k), (wi, wt) in zip(pick, want):
+        o = int(offs[b])
+        ri, rt = _reference_postings(enc[o : o + int(lens[b])])[k]
+        np.testing.assert_array_equal(ri, wi)
+        np.testing.assert_array_equal(rt, wt)
+
+
+def test_rows_cover_every_row_kind():
+    """The fixed terms below hold every row kind the kernel branches on:
+    bitset docids, PFor exceptions, a width-0 gap row, width-0 freq
+    bases and short last rows; each row, decoded alone, equals its
+    input slice."""
+    rng = np.random.default_rng(5)
+    tfs_exc = np.ones(600, dtype=np.uint32)
+    tfs_exc[[3, 300]] = 1 << 30
+    terms = [
+        (np.array([0], np.uint32), np.array([2], np.uint32)),
+        (np.arange(1000, 1600, dtype=np.uint32), tfs_exc),
+        (np.sort(rng.choice(10**6, 515, replace=False)).astype(np.uint32),
+         rng.integers(1, 9, 515).astype(np.uint32)),
+    ]
+    starts = np.concatenate([[0], np.cumsum([len(i) for i, _ in terms])])
+    enc, lens = encode_postings_flat(
+        np.concatenate([i for i, _ in terms]),
+        np.concatenate([t for _, t in terms]),
+        starts,
+        np.ones(int(starts[-1]), dtype=np.uint8),
+    )
+    offs = np.concatenate([[0], np.cumsum(lens)[:-1]])
+    dirs = [PostingsView(enc[o : o + n]).directory for o, n in zip(offs, lens)]
+    d = np.concatenate(dirs)
+    assert (d["docid_kind"] == 1).any()  # bitset rows
+    assert (d["freq_n_exc"] > 0).any()  # PFor exceptions
+    assert ((d["docid_kind"] == 0) & (d["docid_width"] == 0)).any()  # w=0 gaps
+    assert (d["freq_width"] == 0).any()  # w=0 freq bases (a 3-posting tail)
+    assert (d["block_len"] < BLOCK_SIZE).sum() >= 3  # short last rows
+    buf, _ = pad_pieces([enc])
+    all_ids = np.concatenate([i for i, _ in terms])
+    all_tfs = np.concatenate([t for _, t in terms])
+    for b, dr in enumerate(dirs):
+        for k in range(len(dr)):
+            row = (np.array([b]), np.array([k]))
+            ids, tfs, counts = decode_postings(buf, offs, row)
+            lo = starts[b] + k * BLOCK_SIZE
+            hi = min(starts[b + 1], lo + BLOCK_SIZE)
+            np.testing.assert_array_equal(ids, all_ids[lo:hi])
+            np.testing.assert_array_equal(tfs, all_tfs[lo:hi])
+            assert counts.tolist() == [hi - lo]
+
+
 def test_uint_blocks_batch_matches_scalar():
     import numpy as np
 
@@ -110,8 +268,9 @@ def test_uint_blocks_batch_matches_scalar():
 
 
 def test_segment_decoded_many_matches_scalar(ray_session, tmp_path):
-    """SegmentReader.decoded_many == per-term decoded on a real segment,
-    cold cache and warm cache, across every term of the dictionary."""
+    """SegmentReader.decoded_many == per-term decoded == the scalar
+    reference on a real segment, cold cache and warm cache, across every
+    term of the dictionary."""
     from lucene_ray.index.build import build_index
     from lucene_ray.index.config import IndexConfig
     from lucene_ray.index.manifest import segment_dir
@@ -136,6 +295,9 @@ def test_segment_decoded_many_matches_scalar(ray_session, tmp_path):
         ri, rt = fresh.decoded(info)
         np.testing.assert_array_equal(gi, ri)
         np.testing.assert_array_equal(gt, rt)
+        ref = _reference_postings(bytes(seg.postings_blob(info)))
+        np.testing.assert_array_equal(gi, np.concatenate([i for i, _ in ref]))
+        np.testing.assert_array_equal(gt, np.concatenate([t for _, t in ref]))
     # warm path: every entry now cached, same arrays come back
     again = seg.decoded_many(infos)
     for (gi, gt), (ai, at) in zip(got, again):
@@ -167,14 +329,12 @@ def uint_block_runs(draw):
 
 def _unpack_per_block(blob):
     """Reference decoder: one ``forutil.unpack`` per block."""
-    from lucene_ray.codecs.forutil import packed_size, unpack
-
     buf = np.frombuffer(blob, dtype=np.uint8)
     n = int(buf[:4].view("<u4")[0])
     out, off = [], 4
     for lo in range(0, n, 256):
         cnt, w = min(256, n - lo), int(buf[off])
-        nb = packed_size(cnt, w)
+        nb = (cnt * w + 7) // 8
         out.append(unpack(buf[off + 1 : off + 1 + nb], cnt, w))
         off += 1 + nb
     return np.concatenate(out)
@@ -183,9 +343,9 @@ def _unpack_per_block(blob):
 @settings(max_examples=300, deadline=None)
 @given(uint_block_runs())
 def test_uint_blocks_word_gather_matches_per_block_unpack(run):
-    """The batched decode (3+ blocks: one word gather per width) and the
-    1-2 block path equal per-block ``unpack`` bit for bit, at every width
-    0-32, with a partial last block and mixed widths."""
+    """``decode_uint_runs`` (full rows by the word tables, the last row
+    alone) equals per-block ``unpack`` and the input bit for bit, at every
+    width 0-32, with a partial last block and mixed widths."""
     from lucene_ray.index.segment import decode_uint_blocks
 
     blob, values = run

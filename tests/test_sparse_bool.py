@@ -135,18 +135,21 @@ class TestSparseEqualsDense:
 class TestWarmConjunctionDecodes:
     def test_second_run_decodes_nothing(self, index_dir, monkeypatch):
         """A warm head-term ``+a +b -c`` answers every probe (MUST and
-        MUST_NOT alike) from the reader's decode cache: the second run
-        makes zero ``PostingsView.decode_all`` calls."""
-        from lucene_ray.codecs.postings import PostingsView
+        MUST_NOT alike) from the caches: the second run makes zero calls
+        of the postings decoder, whether through a view or through
+        ``read_postings``."""
+        from lucene_ray.codecs import postings
+        from lucene_ray.index import segment
 
         calls = []
-        decode_all = PostingsView.decode_all
+        kernel = postings.decode_postings
 
-        def counting(view):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return decode_all(view)
+            return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(PostingsView, "decode_all", counting)
+        for module in (postings, segment):
+            monkeypatch.setattr(module, "decode_postings", counting)
         s = IndexSearcher(index_dir)
         q = "+query +window -scan"
         want = s.search(q, k=10, mode="exhaustive")
