@@ -413,10 +413,7 @@ class PostingsView:
 
     def decode_block(self, bi: int) -> Tuple[np.ndarray, np.ndarray]:
         """→ (docids uint32, freqs uint32) of block ``bi``."""
-        return self._blocks(np.array([bi]))
-
-    def _blocks(self, blocks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return decode_postings(self.buf, _FIRST, (np.zeros_like(blocks), blocks))[:2]
+        return decode_postings(self.buf, _FIRST, (np.zeros(1, int), np.array([bi])))[:2]
 
     def impacts(self, bi: int) -> np.ndarray:
         first, last, off, kind, w, fw, n_exc, n_imp, blen = self.directory[bi].item()
@@ -426,44 +423,3 @@ class PostingsView:
         out["freq"] = self.data[off : off + n_imp * 4].view("<u4")
         out["norm"] = self.data[off + n_imp * 4 : off + n_imp * 5]
         return out
-
-    def lookup_docs(self, targets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Seek-style membership probe for a sorted candidate docid list:
-        decode ONLY the blocks whose [first, last] range contains a target,
-        in one :func:`decode_postings` call — the block directory plays the
-        reference's skip structure (``Lucene104PostingsReader.java:253-264``
-        ``skipLevel1To`` / ``moveToNextLevel0Block``). Drives the leapfrog
-        conjunction: blocks with no surviving candidate are never touched.
-
-        → ``(mask bool[n], freqs uint32[n])`` aligned with ``targets``
-        (freq 0 where absent)."""
-        t = np.asarray(targets, dtype=np.int64)
-        return probe_decoded(*self._blocks(self._probed_blocks(t)), t)
-
-    def probe_decodes_all(self, targets: np.ndarray) -> bool:
-        """Whether ``lookup_docs(targets)`` decodes ¼ of the blocks or
-        more (``SegmentReader.lookup_docs`` then caches a full decode)."""
-        t = np.asarray(targets, dtype=np.int64)
-        return len(t) > 0 and len(self._probed_blocks(t)) * 4 >= self.n_blocks
-
-    def _probed_blocks(self, t: np.ndarray) -> np.ndarray:
-        """The blocks whose [first, last] range holds a target of the
-        sorted int64 list ``t``, ascending (so their postings are one
-        sorted run)."""
-        d = self.directory
-        bi = np.searchsorted(d["last_docid"], t)  # first block whose last ≥ target
-        sub = np.flatnonzero(bi < self.n_blocks)
-        return np.unique(bi[sub[d["first_docid"][bi[sub]] <= t[sub]]])
-
-
-def probe_decoded(
-    ids: np.ndarray, freqs: np.ndarray, t: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``lookup_docs`` over already-decoded (ids, freqs) of one term: →
-    ``(mask, freqs)`` aligned with the sorted int64 targets ``t``."""
-    pos = np.searchsorted(ids, t)
-    mask = pos < len(ids)
-    mask[mask] = ids[pos[mask]] == t[mask]
-    out = np.zeros(len(t), dtype=np.uint32)
-    out[mask] = freqs[pos[mask]]
-    return mask, out

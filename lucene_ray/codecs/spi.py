@@ -22,11 +22,12 @@ Two registered formats:
 
 A format implements ``encode_batch`` (term-major flat pair arrays and
 the norm byte of each pair's doc → per-term blobs) and ``view`` (blob →
-reader object exposing ``decode_all()`` and ``lookup_docs()``; the
-ray104 view additionally exposes the block directory and impacts that
-CheckIndex validates). Bulk readers (``segment.read_postings``, merge)
-decode many ray104 blobs at once with ``postings.decode_postings`` and
-send the other formats' blobs through their views.
+reader object exposing ``decode_all()``, a term's whole (docids,
+freqs); the ray104 view also exposes the block directory, per-block
+decodes and the impacts that CheckIndex validates). Bulk readers
+(``segment.read_postings``, merge) decode many ray104 blobs at once with
+``postings.decode_postings`` and send the other formats' blobs through
+their views.
 """
 
 from __future__ import annotations
@@ -36,11 +37,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from lucene_ray.codecs.forutil import ranges
-from lucene_ray.codecs.postings import (
-    PostingsView,
-    encode_postings_batch,
-    probe_decoded,
-)
+from lucene_ray.codecs.postings import PostingsView, encode_postings_batch
 
 DEFAULT_FORMAT = "ray104"
 
@@ -71,11 +68,6 @@ class PlainPostingsView:
 
     def decode_all(self) -> Tuple[np.ndarray, np.ndarray]:
         return self._ids, self._tfs
-
-    def lookup_docs(self, targets) -> Tuple[np.ndarray, np.ndarray]:
-        """Same contract as ``PostingsView.lookup_docs``: aligned
-        (mask, freqs) for a sorted candidate docid list."""
-        return probe_decoded(self._ids, self._tfs, np.asarray(targets, dtype=np.int64))
 
 
 class PlainFormat:

@@ -41,7 +41,6 @@ from lucene_ray.codecs.postings import (
     PostingsView,
     decode_postings,
     encode_postings_flat,
-    probe_decoded,
     split_blobs,
 )
 from lucene_ray.codecs.forutil import (
@@ -1490,25 +1489,6 @@ class SegmentReader:
             hit = self.postings(info).decode_all()
             self.decode_cache.put(key, hit, hit[0].nbytes + hit[1].nbytes)
         return hit
-
-    def lookup_docs(
-        self, info: TermInfo, targets: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``postings(info).lookup_docs(targets)`` through the decode
-        cache: answered from :meth:`decoded` when the term's arrays are
-        cached already, or when the probe would decode the whole list
-        anyway (its candidates reach ¼ of the blocks), so a warm
-        conjunction probe decodes nothing. Otherwise the probed blocks
-        decode in one call and the cache is left alone."""
-        if ("post", info.part, info.post_off) not in self.decode_cache:
-            view = self.postings(info)
-            if not (
-                isinstance(view, PostingsView)
-                and view.probe_decodes_all(targets)
-            ):
-                return view.lookup_docs(targets)
-        ids, freqs = self.decoded(info)
-        return probe_decoded(ids, freqs, np.asarray(targets, dtype=np.int64))
 
     def decoded_many(
         self, infos: List[TermInfo]

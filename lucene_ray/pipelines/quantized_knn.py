@@ -37,7 +37,6 @@ from lucene_ray.pipelines.knn import (
     _load_queries,
     partial_topk_table,
     reduce_topk,
-    sql_knn_cosine,
 )
 
 SCALE = 127  # symmetric int8: codes in [-127, 127]
@@ -129,7 +128,3 @@ def knn_quantized(sf_dir: str):
     partials = ds.map_batches(score_batch, batch_format="pyarrow", batch_size=4096)
     return reduce_topk(partials)
 
-
-def sql_knn_quantized() -> str:
-    """Same oracle as brute force — the quantized path is exact."""
-    return sql_knn_cosine()

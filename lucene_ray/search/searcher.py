@@ -1,23 +1,25 @@
-"""IndexSearcher: exhaustive BM25 evaluation + per-segment top-k + global
-TopDocs merge; Ray actor-pool wrapper for query datasets.
+"""IndexSearcher: BM25 evaluation over the index-wide term arrays,
+exhaustive per-segment evaluation, one global top-k; Ray actor-pool
+wrapper for query datasets.
 
 Semantics:
 
 - per-term scoring: global collection stats (df summed across segments,
   TermStates-style — ``core/search/TermQuery.java:51-82``), one float32
   BM25 weight per term, shared norm-inverse cache.
-- Boolean evaluation over dense per-segment accumulators; SHOULD scores
-  sum in clause order (deterministic float32 accumulation; the documented
-  summation order of this engine).
-- per-segment top-k: ties broken by lower docid
-  (``core/search/TopScoreDocCollector.java:94-162`` / ``HitQueue``).
-- global merge: (score desc, segment index asc, docid asc) exactly
-  ``TopDocs.merge`` (``core/search/TopDocs.java:203-228``).
-- exhaustive, term/disjunction (``_search_wand``) and conjunction
-  (``_search_conj``) paths report ``total_hits`` with relation EQ; the
-  exact-phrase path
-  (``_search_phrase``) reports GTE past the 1000-hit threshold
-  (``core/search/IndexSearcher.java:100``).
+- BM25 trees of text terms and exact phrases run over each term's live
+  postings as global docids (see ``search``); everything else, and
+  ``mode="exhaustive"``, per segment over sparse docid arrays
+  (``_eval``). Boolean scores sum in clause order on both
+  (deterministic float32 accumulation; the documented summation order
+  of this engine).
+- top-k: (score desc, global docid asc) over all segments' hits
+  (``_top_global``), which is ``TopDocs.merge`` order
+  (``core/search/TopDocs.java:203-228``) as segment bases ascend with
+  segment index.
+- every path reports ``total_hits`` with relation EQ except the
+  exact-phrase path (``_search_phrase``), which reports GTE past the
+  1000-hit threshold (``core/search/IndexSearcher.java:100``).
 """
 
 from __future__ import annotations
@@ -126,6 +128,10 @@ _KEY32_SPACE = int(np.iinfo(np.uint32).max)
 # such a host one unblocked call cost twice as much per position past
 # about 200k positions
 _PHRASE_BLOCK_POSITIONS = 1 << 16
+
+# the hits of a query that matches nothing: global docids, scores
+_NO_HITS = (np.empty(0, np.uint32), np.empty(0, F32))
+_NO_MATCH = (_NO_HITS[0], lambda rows: _NO_HITS[1])  # as a ``_wide`` node
 
 
 def _sort_key(vals: np.ndarray) -> np.ndarray:
@@ -1067,15 +1073,7 @@ class IndexSearcher:
         """Sparse Boolean evaluation: set algebra over per-clause sorted
         docid arrays — scratch is O(matching docs), never O(n_docs)
         (round-1 VERDICT: dense masks cost ~100 MB per clause on merged
-        multi-million-doc segments). Pure term conjunctions take the
-        leapfrog path (``_eval_conj_terms``) that decodes only postings
-        blocks containing surviving candidates, or reads a term's whole
-        list from the reader's decode cache when the probe needs most of
-        it, the role of ``BlockMaxConjunctionScorer``/``ConjunctionDISI``
-        (``core/search/BlockMaxConjunctionScorer.java``)."""
-        fast = self._eval_conj_terms(q, seg_idx, states)
-        if fast is not None:
-            return fast
+        multi-million-doc segments)."""
         empty = SegmentResult(np.empty(0, np.uint32), np.empty(0, F32))
         results: List[Tuple[str, SegmentResult]] = [
             (occur, self._eval(sub, seg_idx, states)) for occur, sub in q.clauses
@@ -1118,86 +1116,6 @@ class IndexSearcher:
             m = self._member(cand, rid)
             idx = np.searchsorted(cand, rid[m])
             acc[idx] += r.scores[m]
-        return SegmentResult(cand.astype(np.uint32), acc)
-
-    def _eval_conj_terms(
-        self, q: BooleanQuery, seg_idx: int, states
-    ) -> Optional[SegmentResult]:
-        """Leapfrog term conjunction: lead = rarest term decoded in full;
-        every other term (MUST/FILTER and MUST_NOT alike) probed via
-        ``SegmentReader.lookup_docs``, so only blocks holding surviving
-        candidates decode, and a probe that needs the whole list reads it
-        from the reader's decode cache. Returns None when the query shape
-        doesn't qualify (then the general sparse path runs)."""
-        occurs = {o for o, _ in q.clauses}
-        if SHOULD in occurs or not occurs & {MUST, FILTER}:
-            return None
-        if any(not isinstance(s, TermQuery) for _, s in q.clauses):
-            return None
-        seg = self.segments[seg_idx]
-        empty = SegmentResult(np.empty(0, np.uint32), np.empty(0, F32))
-        req = [(o, s) for o, s in q.clauses if o in (MUST, FILTER)]
-        keys = {id(s): term_key(s.field, s.term) for _, s in q.clauses}
-        infos = []
-        for _, s in req:
-            k = keys[id(s)]
-            ti = states[k][0][seg_idx]
-            if ti is None or states[k][1] == 0:
-                return empty
-            infos.append(ti)
-        order = np.argsort([ti.df for ti in infos], kind="stable")
-        lead = int(order[0])
-        lead_ids, lead_freqs = seg.decoded(infos[lead])
-        cand = lead_ids.astype(np.int64)
-        freqs_by_clause: Dict[int, np.ndarray] = {lead: lead_freqs}
-        if seg.deleted is not None and len(cand):
-            keep = ~seg.deleted[cand]
-            cand = cand[keep]
-            freqs_by_clause[lead] = lead_freqs[keep]
-        for oi in order[1:]:
-            if len(cand) == 0:
-                return empty
-            m, fr = seg.lookup_docs(infos[int(oi)], cand)
-            cand = cand[m]
-            for k in freqs_by_clause:
-                freqs_by_clause[k] = freqs_by_clause[k][m]
-            freqs_by_clause[int(oi)] = fr[m]
-        for o, s in q.clauses:
-            if o != MUST_NOT or len(cand) == 0:
-                continue
-            ti = states[keys[id(s)]][0][seg_idx]
-            if ti is None:
-                continue
-            m, _ = seg.lookup_docs(ti, cand)
-            keep = ~m
-            cand = cand[keep]
-            for k in freqs_by_clause:
-                freqs_by_clause[k] = freqs_by_clause[k][keep]
-        if len(cand) == 0:
-            return empty
-        text_inv = (
-            self.norm_inverse[seg.norms[cand]] if self.is_bm25 else None
-        )
-        acc = np.zeros(len(cand), dtype=F32)
-        for ci, (o, s) in enumerate(req):  # clause order, MUST scored only
-            if o != MUST:
-                continue
-            st = states[keys[id(s)]]
-            if self.is_bm25:
-                w = self._term_weight(st[1], s.boost, s.field)
-                inv = (
-                    text_inv
-                    if s.field == DEFAULT_FIELD
-                    else self._kw_norm_inv(s.field)
-                )
-                acc += w - w / (
-                    F32(1.0) + freqs_by_clause[ci].astype(F32) * inv
-                )
-            else:
-                acc += self._score_postings(
-                    seg, cand, freqs_by_clause[ci], st[1], st[2],
-                    s.boost, s.field,
-                )
         return SegmentResult(cand.astype(np.uint32), acc)
 
     def _eval_interval(
@@ -1597,22 +1515,6 @@ class IndexSearcher:
             return subs
         return None
 
-    @staticmethod
-    def _conj_eligible(q: Query) -> bool:
-        """A conjunction of text terms: only MUST, FILTER and MUST_NOT
-        clauses of default-field term queries, one MUST or FILTER at
-        least."""
-        return (
-            isinstance(q, BooleanQuery)
-            and any(o in (MUST, FILTER) for o, _ in q.clauses)
-            and all(
-                o in (MUST, FILTER, MUST_NOT)
-                and isinstance(sub, TermQuery)
-                and sub.field == DEFAULT_FIELD
-                for o, sub in q.clauses
-            )
-        )
-
     def count(self, query) -> int:
         """Exact hit count, no scores — ``IndexSearcher.count``
         (``core/search/IndexSearcher.java:495-526``): constant-score
@@ -1669,16 +1571,23 @@ class IndexSearcher:
         """→ {"docids", "keys", "scores", "total_hits", "relation"} global
         top-k with TopDocs.merge tie-breaking.
 
-        ``mode``: "auto" runs BM25 text-term queries as one pass over
-        the terms' index-wide arrays (docids and BM25 denominators of
-        the live postings, cached per term): terms and SHOULD
-        disjunctions of terms with run-max bounds (``_search_wand``),
-        conjunctions of terms (MUST / FILTER, with MUST_NOT exclusions,
-        ``_search_conj``) and exact phrases with per-doc bounds before
-        positions (``_search_phrase``), all rank-identical to full
-        scoring by construction; "exhaustive" forces full per-segment
-        scoring, "wand" forces the term/disjunction path (errors if
-        ineligible).
+        ``mode``: "auto" runs BM25 trees of text terms and exact phrases
+        as one pass over the terms' index-wide arrays (docids and BM25
+        denominators of the live postings, cached per term):
+
+        1. a term or a SHOULD disjunction of terms (msm ≤ 1) with run-max
+           bounds (``_search_wand``);
+        2. a top-level exact phrase of 2+ terms with boost > 0 and no
+           cursor, with per-doc bounds before positions
+           (``_search_phrase``);
+        3. any other boolean tree of text terms and exact phrases, every
+           occur and ``minimum_should_match``, through the index-wide
+           evaluator (``_search_wide``).
+
+        All are rank-identical to full scoring by construction. Other
+        queries, and every query under a non-BM25 similarity or on a
+        non-impact text format, are scored per segment (``_eval``), which
+        "exhaustive" forces; "wand" forces case 1 (errors if ineligible).
 
         ``k`` < 1 returns no hits, with the ``total_hits`` and relation
         of ``k=1``.
@@ -1686,8 +1595,7 @@ class IndexSearcher:
         ``after=(score, global_docid)`` — cursor pagination: only hits
         strictly after that sort position are returned
         (``IndexSearcher.searchAfter``, ``core/search/IndexSearcher.java:587-599``);
-        terms, disjunctions and conjunctions apply it in their own pass,
-        other queries (phrases included) run exhaustively."""
+        a phrase with a cursor takes case 3, whose count stays exact."""
         if k < 1:
             r = self.search(query, 1, mode, after)
             return {
@@ -1718,8 +1626,6 @@ class IndexSearcher:
                     return self._search_wand(terms, k, after=after)
                 if mode == "wand":
                     raise ValueError("query not eligible for WAND pruning")
-                if self._conj_eligible(query):
-                    return self._search_conj(query, k, after=after)
                 if (
                     isinstance(query, PhraseQuery)
                     and query.slop == 0
@@ -1728,38 +1634,22 @@ class IndexSearcher:
                     and after is None
                 ):
                     return self._search_phrase(query, k)
+                if self._wide_eligible(query):
+                    return self._search_wide(query, k, after=after)
         states = self.term_states(query_terms(query))
-        per_seg = []
-        total = 0
-        for si in range(len(self.segments)):
-            r = self._eval(query, si, states)
-            total += len(r.docids)
-            if after is not None:
-                base = self.segments[si].base_docid
-                keep = self._past((after[0], int(after[1]) - base), r.scores, r.docids)
-                r = SegmentResult(r.docids[keep], r.scores[keep])
-            per_seg.append((si, *self._topk_segment(r, k)))
-        return self._top_docs(per_seg, k, total, "EQ")
-
-    def _top_docs(self, per_seg, k: int, total: int, relation: str) -> dict:
-        """Merge per-segment top-k ``(seg_idx, docids, scores)`` lists into
-        the global top k in ``TopDocs.merge`` order (score desc, segment
-        index asc, docid asc)."""
-        rows = sorted(
-            (-float(s), si, int(d))
-            for si, ids, scores in per_seg
-            for d, s in zip(ids, scores)
-        )[:k]
-        return {
-            "docids": np.array(
-                [self.segments[si].base_docid + d for _, si, d in rows],
-                dtype=np.int64,
-            ),
-            "keys": [self.segments[si].docmap[d].as_py() for _, si, d in rows],
-            "scores": np.array([-s for s, _, _ in rows], dtype=np.float32),
-            "total_hits": total,
-            "relation": relation,
-        }
+        segs = [
+            (self._eval(query, si, states), seg) for si, seg in enumerate(self.segments)
+        ]
+        ids = np.concatenate(
+            [np.empty(0, np.int64)]
+            + [r.docids.astype(np.int64) + seg.base_docid for r, seg in segs]
+        )
+        scores = np.concatenate([np.empty(0, F32)] + [r.scores for r, _ in segs])
+        total = len(ids)
+        if after is not None:
+            keep = self._past(after, scores, ids)
+            ids, scores = ids[keep], scores[keep]
+        return self._top_global(ids, scores, k, total, "EQ")
 
     def _rewrite_join(self, q: JoinQuery) -> Query:
         """Phase 1 of ``JoinUtil.createJoinQuery`` (ScoreMode.NONE,
@@ -3054,7 +2944,7 @@ class IndexSearcher:
                 ids, den, run_max, _ = self._term_postings(t.term, infos)
                 clauses.append((self._term_weight(df, t.boost), ids, den, run_max))
         if not clauses:
-            return self._top_docs([], k, 0, "EQ")
+            return self._top_global(*_NO_HITS, k, 0, "EQ")
         if len(clauses) > 1:
             n = self._max_doc()
             acc = np.zeros(n, F32)
@@ -3098,23 +2988,24 @@ class IndexSearcher:
     def _top_global(
         self, ids: np.ndarray, scores: np.ndarray, k: int, total: int, relation: str
     ) -> dict:
-        """The top k of hits given by global docids, in (score desc,
-        global docid asc) order, which is ``TopDocs.merge`` order."""
+        """The search result of hits given by global docids: their top k
+        in (score desc, global docid asc) order, which is ``TopDocs.merge``
+        order (segment index asc breaks ties, and segment bases ascend
+        with it), and each hit's document key."""
         ids, scores = self._topk_segment(SegmentResult(ids, scores), k)
+        ids = ids.astype(np.int64)
         ends = [s.base_docid + s.n_docs for s in self.segments]
-        return self._top_docs(
-            [
-                (si, [d - self.segments[si].base_docid], [sc])
-                for si, d, sc in zip(
-                    np.searchsorted(ends, ids, side="right").tolist(),
-                    ids.tolist(),
-                    scores,
-                )
+        segs = [self.segments[si] for si in np.searchsorted(ends, ids, side="right")]
+        return {
+            "docids": ids,
+            "keys": [
+                seg.docmap[d - seg.base_docid].as_py()
+                for seg, d in zip(segs, ids.tolist())
             ],
-            k,
-            total,
-            relation,
-        )
+            "scores": scores.astype(F32),
+            "total_hits": total,
+            "relation": relation,
+        }
 
     def _run_postings(self, runs: np.ndarray, n: int) -> np.ndarray:
         """Positions of the postings of ``runs`` in a term's ``n``-long
@@ -3177,6 +3068,14 @@ class IndexSearcher:
             hit = self.cache.put(key, (offs, pos), offs.nbytes + pos.nbytes)
         return hit
 
+    def _rows_of(self, ids: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        """The indices of the global docids ``cand`` in the ascending
+        array ``ids`` (-1 where absent), through a dense int32 docid→row
+        array over the searcher's docids."""
+        row_of = np.full(self._max_doc(), -1, np.int32)
+        row_of[ids] = np.arange(len(ids), dtype=np.int32)
+        return row_of[cand]
+
     def _conjunction(
         self, id_arrays: Sequence[np.ndarray], excluded: Sequence[np.ndarray] = ()
     ) -> Tuple[np.ndarray, List[np.ndarray]]:
@@ -3184,10 +3083,8 @@ class IndexSearcher:
         in none of ``excluded`` → ``(cand, rows)``, ``rows[i]`` the
         candidates' indices in ``id_arrays[i]``. The rarest array leads;
         each other one, rarer first, maps the candidates to its rows
-        through a dense int32 docid→row array over the searcher's docids
-        (-1 where absent), and each excluded one drops candidates through
-        a dense mask."""
-        n = self._max_doc()
+        (``_rows_of``), and each excluded one drops candidates through a
+        dense mask."""
         order = sorted(range(len(id_arrays)), key=lambda i: len(id_arrays[i]))
         cand = id_arrays[order[0]]
         rows: List[Optional[np.ndarray]] = [None] * len(id_arrays)
@@ -3196,9 +3093,7 @@ class IndexSearcher:
             if len(cand) == 0:
                 rows[i] = np.empty(0, np.int32)
                 continue
-            row_of = np.full(n, -1, np.int32)
-            row_of[id_arrays[i]] = np.arange(len(id_arrays[i]), dtype=np.int32)
-            row = row_of[cand]
+            row = self._rows_of(id_arrays[i], cand)
             keep = row >= 0
             cand = cand[keep]
             rows = [r if r is None else r[keep] for r in rows]
@@ -3206,44 +3101,140 @@ class IndexSearcher:
         for ids in excluded:
             if len(cand) == 0:
                 break
-            drop = np.zeros(n, bool)
+            drop = np.zeros(self._max_doc(), bool)
             drop[ids] = True
             keep = ~drop[cand]
             cand = cand[keep]
             rows = [r[keep] for r in rows]
         return cand, rows
 
-    def _search_conj(self, q: BooleanQuery, k: int, after=None) -> dict:
-        """Top-k of a conjunction of text terms in one pass over the terms'
-        index-wide arrays (``_term_postings``), with an exact hit count
-        (relation EQ): the MUST and FILTER terms' doc conjunction less the
-        MUST_NOT terms' docs (``_conjunction``); each hit adds ``w -
-        w/den`` of the MUST clauses in clause order into a float32 array
-        (FILTER clauses match unscored), the sums of the per-segment
-        ``_eval_conj_terms`` that ``mode="exhaustive"`` runs."""
-        states = self.term_states([s.term for _, s in q.clauses])
-        req = [(o, s) for o, s in q.clauses if o != MUST_NOT]
-        if any(states[s.term][1] == 0 for _, s in req):
-            return self._top_docs([], k, 0, "EQ")
-        post = [self._term_postings(s.term, states[s.term][0]) for _, s in req]
-        cand, rows = self._conjunction(
-            [ids for ids, *_ in post],
-            [
-                self._term_postings(s.term, states[s.term][0])[0]
-                for o, s in q.clauses
-                if o == MUST_NOT
-            ],
+    def _phrase_candidates(self, terms: Sequence[str], states):
+        """The doc conjunction of an exact phrase's distinct terms (live
+        docs only) → ``(cand, rows, post, verify)``: per distinct term the
+        candidates' rows in its ``_term_postings`` arrays ``post`` (None
+        where its docs are the candidates); ``verify(chunk)``, the
+        ``_exact_phrase_hits`` (docids, phrase freqs) among ``cand[chunk]``
+        (all candidates when ``chunk`` is None). Positions are read only
+        when there are candidates."""
+        post = {t: self._term_postings(t, states[t][0]) for t in dict.fromkeys(terms)}
+        cand, rows = self._conjunction([ids for ids, *_ in post.values()])
+        n = len(cand)
+        rows = {t: None if len(post[t][0]) == n else r for t, r in zip(post, rows)}
+        slot = {
+            t: (post[t][0], *self._term_positions(t, states[t][0]))
+            for t in (post if n else ())
+        }
+
+        def verify(chunk):
+            sub = rows if chunk is None else {
+                t: chunk if r is None else r[chunk] for t, r in rows.items()
+            }
+            return self._exact_phrase_hits(
+                [slot[t] for t in terms],
+                cand if chunk is None else cand[chunk],
+                [sub[t] for t in terms],
+            )
+
+        return cand, rows, post, verify
+
+    @staticmethod
+    def _wide_eligible(q: Query) -> bool:
+        """Whether the index-wide evaluator (``_wide``) covers ``q``: a
+        default-field term, an exact phrase, or a boolean tree of them."""
+        if isinstance(q, TermQuery):
+            return q.field == DEFAULT_FIELD
+        if isinstance(q, PhraseQuery):
+            return q.slop == 0 and len(q.terms) > 0
+        return isinstance(q, BooleanQuery) and all(
+            IndexSearcher._wide_eligible(sub) for _, sub in q.clauses
         )
-        scores = np.zeros(len(cand), F32)
-        for (o, s), (_, den, *_), row in zip(req, post, rows):
-            if o == MUST:
-                w = self._term_weight(states[s.term][1], s.boost)
-                scores += w - w / den[row]
-        total = len(cand)
+
+    def _search_wide(self, q: Query, k: int, after=None) -> dict:
+        """Top-k of a tree ``_wide_eligible`` accepts, with an exact hit
+        count (relation EQ), equal to the per-segment ``_eval`` bit for
+        bit."""
+        ids, score = self._wide(q, self.term_states(query_terms(q)))
+        scores = score(slice(None))
+        total = len(ids)
         if after is not None:
-            keep = self._past(after, scores, cand)
-            cand, scores = cand[keep], scores[keep]
-        return self._top_global(cand, scores, k, total, "EQ")
+            keep = self._past(after, scores, ids)
+            ids, scores = ids[keep], scores[keep]
+        return self._top_global(ids, scores, k, total, "EQ")
+
+    def _wide(self, q: Query, states):
+        """One node of a ``_wide_eligible`` tree → ``(ids, score)``: the
+        ascending global docids of its live matches, and ``score(rows)``,
+        their float32 scores at ``rows`` (an index array into ``ids``, or
+        a slice), computed only for the rows a parent asks for. A boolean
+        with MUST or FILTER clauses matches their ``_conjunction`` less
+        the MUST_NOT matches, and maps the candidates to each SHOULD
+        clause's rows (``_rows_of``) to count ``msm``; one of SHOULD
+        clauses only sums into a dense accumulator, as ``_search_wand``.
+        A doc's score adds its matching MUST and SHOULD clauses' scores in
+        clause order from zero, the float32 sequence of ``_eval_bool``."""
+        if isinstance(q, TermQuery):
+            infos, df, _ = states[q.term]
+            if df == 0:
+                return _NO_MATCH
+            ids, den, _, _ = self._term_postings(q.term, infos)
+            w = self._term_weight(df, q.boost)
+            return ids, lambda rows: w - w / den[rows]
+        if isinstance(q, PhraseQuery):
+            cand, _, _, verify = self._phrase_candidates(q.terms, states)
+            if len(cand) == 0:
+                return _NO_MATCH
+            ids, freqs = verify(None)
+            w = self._phrase_weight(q.boost, q.terms, states)
+            inv = self._doc_norm_inverse()
+            return ids, lambda rows: self._phrase_scores(w, inv[ids[rows]], freqs[rows])
+        kids = [(o, self._wide(sub, states)) for o, sub in q.clauses]
+        should = [kid for o, kid in kids if o == SHOULD]
+        nots = [ids for o, (ids, _) in kids if o == MUST_NOT]
+        msm = q.minimum_should_match
+        if any(o in (MUST, FILTER) for o, _ in kids):
+            cand, rows = self._conjunction(
+                [ids for o, (ids, _) in kids if o in (MUST, FILTER)], nots
+            )
+            srows = [self._rows_of(ids, cand) for ids, _ in should]
+            if should and msm > 0:
+                keep = np.sum([r >= 0 for r in srows], axis=0) >= msm
+                cand = cand[keep]
+                rows = [r[keep] for r in rows]
+                srows = [r[keep] for r in srows]
+            req, opt = iter(rows), iter(srows)
+            parts = [  # (occur, score, candidates' rows) in clause order
+                (o, sc, next(opt) if o == SHOULD else next(req))
+                for o, (_, sc) in kids
+                if o != MUST_NOT
+            ]
+
+            def score(sel):
+                acc = np.zeros(len(cand[sel]), F32)
+                for o, sc, r in parts:
+                    r = r[sel]
+                    if o == MUST:
+                        acc += sc(r)
+                    elif o == SHOULD:
+                        m = r >= 0
+                        acc[m] += sc(r[m])
+                return acc
+
+            return cand, score
+        if not should:
+            return _NO_MATCH
+        n = self._max_doc()
+        acc = np.zeros(n, F32)
+        count = np.zeros(n, np.min_scalar_type(len(should)))
+        for ids, sc in should:
+            ids = ids.astype(np.intp)  # numpy converts other indices on every use
+            acc[ids] += sc(slice(None))
+            count[ids] += 1
+        keep = count >= max(1, msm)
+        for ids in nots:
+            keep[ids] = False
+        cand = np.flatnonzero(keep)
+        scores = acc[cand]
+        return cand, lambda rows: scores[rows]
 
     def _search_phrase(self, q: PhraseQuery, k: int) -> dict:
         """Top-k of an exact BM25 phrase that reads positions only for
@@ -3278,19 +3269,10 @@ class IndexSearcher:
         states = self.term_states(q.terms)
         w = self._phrase_weight(q.boost, q.terms, states)
         slots_of = Counter(q.terms)
-        post = {t: self._term_postings(t, states[t][0]) for t in slots_of}
-        cand, rows = self._conjunction([ids for ids, *_ in post.values()])
+        cand, rows, post, verify = self._phrase_candidates(q.terms, states)
         n = len(cand)
         if n == 0:
-            return self._top_docs([], k, 0, "EQ")
-        pos = {t: self._term_positions(t, states[t][0]) for t in slots_of}
-        # per term: its kernel slot (one object for all the slots it
-        # fills) and the candidates' rows, None where its docs are the
-        # candidates
-        slot = {t: (post[t][0], *pos[t]) for t in slots_of}
-        rows = {
-            t: None if len(post[t][0]) == n else r for t, r in zip(slots_of, rows)
-        }
+            return self._top_global(*_NO_HITS, k, 0, "EQ")
         inv = self._doc_norm_inverse()
         # a first chunk of twice the threshold counts the threshold at
         # once for a phrase matching every other candidate; a lone chunk
@@ -3328,14 +3310,7 @@ class IndexSearcher:
             )
             n_verified += len(chunk)
             if len(chunk):
-                sub = (
-                    rows
-                    if len(chunk) == n
-                    else {t: chunk if r is None else r[chunk] for t, r in rows.items()}
-                )
-                ids, freqs = self._exact_phrase_hits(
-                    [slot[t] for t in q.terms], cand[chunk], [sub[t] for t in q.terms]
-                )
+                ids, freqs = verify(None if len(chunk) == n else chunk)
                 scores = self._phrase_scores(w, inv[ids], freqs)
                 hit_ids.append(ids)
                 hit_scores.append(scores)

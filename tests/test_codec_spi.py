@@ -32,7 +32,7 @@ def test_registry_for_name():
         format_for_name("nope")
 
 
-def test_plain_roundtrip_and_lookup():
+def test_plain_roundtrip():
     rng = np.random.default_rng(7)
     ids = np.unique(rng.integers(0, 5000, 900)).astype(np.uint32)
     tfs = rng.integers(1, 40, len(ids)).astype(np.uint32)
@@ -42,15 +42,6 @@ def test_plain_roundtrip_and_lookup():
     got_ids, got_tfs = v.decode_all()
     np.testing.assert_array_equal(got_ids, ids)
     np.testing.assert_array_equal(got_tfs, tfs)
-    # lookup_docs contract: aligned mask + freqs, zeros where absent
-    targets = np.array([int(ids[0]), 4999, int(ids[-1]), 0], dtype=np.int64)
-    targets.sort()
-    mask, freqs = v.lookup_docs(targets)
-    for t, m, f in zip(targets, mask, freqs):
-        pos = np.searchsorted(ids, t)
-        present = pos < len(ids) and ids[pos] == t
-        assert m == present
-        assert f == (tfs[pos] if present else 0)
 
 
 def test_encode_by_format_mixed_preserves_order():

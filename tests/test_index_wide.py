@@ -1,12 +1,12 @@
-"""Conjunctions (``IndexSearcher._search_conj``) and exact phrases
-(``_search_phrase``) run as one pass over the terms' index-wide arrays and
-must equal ``mode="exhaustive"``: docids, float32 score bytes, keys, and
-the hit count under the TotalHits rule (an EQ count is exact; a GTE count
-lies between the threshold and the exact count), on generated indexes
-with deletes, opened whole, as a MultiReader and as a shard holding a
-subset of the segments. Also: ``k=0`` returns no hits with the count of
-``k=1``, and the index-wide arrays leave the readers' decode caches
-empty."""
+"""BM25 trees of text terms and exact phrases run over the terms'
+index-wide arrays (``IndexSearcher._search_wand``, ``_search_phrase`` and
+the evaluator ``_search_wide``) and must equal ``mode="exhaustive"``:
+docids, float32 score bytes, keys, and the hit count under the TotalHits
+rule (an EQ count is exact; a GTE count lies between the threshold and
+the exact count), on generated indexes with deletes, opened whole, as a
+MultiReader and as a shard holding a subset of the segments. Also:
+``k=0`` returns no hits with the count of ``k=1``, and the index-wide
+arrays leave the readers' decode caches empty."""
 
 from unittest import mock
 
@@ -67,7 +67,7 @@ def assert_like_exhaustive(got, want, threshold=searcher_mod.TOTAL_HITS_THRESHOL
 def assert_conj_pages(s, q, k):
     """3 pages through ``after`` equal the exhaustive pages, each with
     the exact count."""
-    assert IndexSearcher._conj_eligible(q)
+    assert IndexSearcher._wide_eligible(q)
     cursor = None
     for _ in range(3):
         got = s.search(q, k, after=cursor)
@@ -115,6 +115,80 @@ def test_matches_exhaustive(
             want = s.search(q, k, mode="exhaustive")
             with mock.patch.object(searcher_mod, "TOTAL_HITS_THRESHOLD", threshold):
                 assert_like_exhaustive(s.search(q, k), want, threshold)
+
+
+boosts = st.sampled_from([0.0, 0.5, 1.0, 2.5])
+# leaves: a term ("qq" is absent from every index) or an exact phrase of
+# 1-3 terms, repeated terms included
+leaves = st.one_of(
+    st.builds(TermQuery, st.sampled_from(VOCAB + ("qq",)), boosts),
+    st.builds(
+        lambda terms, boost: PhraseQuery(tuple(terms), boost=boost),
+        st.lists(st.sampled_from(VOCAB + ("qq",)), min_size=1, max_size=3),
+        boosts,
+    ),
+)
+
+
+def booleans(children):
+    """A boolean of 1-4 clauses of every occur, msm 0-3."""
+    return st.builds(
+        lambda clauses, msm: BooleanQuery(tuple(clauses), minimum_should_match=msm),
+        st.lists(
+            st.tuples(st.sampled_from([MUST, FILTER, SHOULD, MUST_NOT]), children),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(0, 3),
+    )
+
+
+# trees of depth <= 3
+trees = st.one_of(booleans(leaves), booleans(st.one_of(leaves, booleans(leaves))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    corpora(),
+    st.lists(trees, min_size=1, max_size=4),
+    st.sampled_from([1, 10, 10**9]),
+    st.data(),
+)
+def test_nested_trees_match_exhaustive(tmp_path_factory, corpus, qs, k, data):
+    """3 pages through ``after`` of every tree equal the exhaustive
+    pages, each with the exact count, and the auto searches leave the
+    readers' decode caches empty."""
+    segments, deleted = corpus
+    root = tmp_path_factory.mktemp("nested")
+    whole = str(root / "whole")
+    write_index(whole, segments, deleted)
+    cut = data.draw(st.integers(1, len(segments)))
+    parts = [str(root / "a"), str(root / "b")]
+    write_index(parts[0], segments[:cut], deleted[:cut])
+    write_index(parts[1], segments[cut:] or segments, deleted[cut:] or deleted)
+    owned = data.draw(
+        st.lists(st.integers(0, len(segments) - 1), min_size=1, unique=True)
+    )
+    for s in (
+        IndexSearcher(whole),
+        IndexSearcher(parts),
+        IndexSearcher(whole, segment_ids=owned),
+    ):
+        pages = []  # (query, cursor, auto result)
+        for q in qs:
+            assert IndexSearcher._wide_eligible(q)
+            cursor = None
+            for _ in range(3):
+                got = s.search(q, k, after=cursor)
+                pages.append((q, cursor, got))
+                if len(got["docids"]) < k:
+                    break
+                cursor = (float(got["scores"][-1]), int(got["docids"][-1]))
+        assert all(len(seg.decode_cache) == 0 for seg in s.segments)
+        for q, cursor, got in pages:
+            want = s.search(q, k, mode="exhaustive", after=cursor)
+            assert_like_exhaustive(got, want)
+            assert got["relation"] == "EQ"
 
 
 TEXTS = [

@@ -1,5 +1,5 @@
-"""Sparse Boolean evaluation + leapfrog conjunction: the pruned paths must
-be result-identical to exhaustive dense-style evaluation."""
+"""Sparse Boolean evaluation and the index-wide evaluator: both must be
+result-identical to exhaustive dense-style evaluation."""
 
 import numpy as np
 import pytest
@@ -114,16 +114,22 @@ class TestSparseEqualsDense:
             assert np.array_equal(got.docids, want_ids), f"seg {si}"
             assert np.array_equal(got.scores, want_scores), f"seg {si}"
 
-    def test_conjunction_fast_path_taken(self, searcher):
-        from lucene_ray.search.query import query_terms
+    def test_conjunction_fast_path_taken(self, searcher, monkeypatch):
+        """A term conjunction and a phrase beside a negation are served
+        by the index-wide evaluator: no per-segment evaluation runs."""
+        want = {
+            qi: searcher.search(QUERIES[qi], k=10, mode="exhaustive") for qi in (0, 5)
+        }
 
-        q = QUERIES[0]
-        states = searcher.term_states(query_terms(q))
-        assert searcher._eval_conj_terms(q, 0, states) is not None
-        # phrase clause → general path
-        qp = QUERIES[5]
-        states = searcher.term_states(query_terms(qp))
-        assert searcher._eval_conj_terms(qp, 0, states) is None
+        def per_segment(*args):
+            raise AssertionError("per-segment evaluation")
+
+        monkeypatch.setattr(IndexSearcher, "_eval", per_segment)
+        for qi, w in want.items():
+            got = searcher.search(QUERIES[qi], k=10)
+            assert got["docids"].tolist() == w["docids"].tolist()
+            assert got["scores"].tobytes() == w["scores"].tobytes()
+            assert got["total_hits"] == w["total_hits"] > 0
 
     def test_end_to_end_search_identical(self, searcher):
         r = searcher.search("+the +data -spark", k=10)
@@ -167,25 +173,6 @@ class TestWarmConjunctionDecodes:
             assert (r["total_hits"], r["relation"]) == (
                 want["total_hits"], want["relation"]
             )
-
-
-class TestLookupDocs:
-    def test_probe_matches_full_decode(self, searcher):
-        seg = searcher.segments[0]
-        ti = seg.lookup("the")
-        assert ti is not None
-        view = seg.postings(ti)
-        ids, freqs = view.decode_all()
-        # probe a mix of present and absent docids
-        targets = np.unique(
-            np.concatenate([ids[::3].astype(np.int64), np.arange(0, seg.n_docs, 7)])
-        )
-        mask, fr = view.lookup_docs(targets)
-        want_mask = np.isin(targets, ids.astype(np.int64))
-        assert np.array_equal(mask, want_mask)
-        pos = np.searchsorted(ids.astype(np.int64), targets[mask])
-        assert np.array_equal(fr[mask], freqs[pos])
-        assert (fr[~mask] == 0).all()
 
 
 class TestMinimumShouldMatch:

@@ -2,8 +2,8 @@
 
 ``encode_postings_flat`` and ``encode_uint_blocks_flat`` encode many
 runs at once; every run must come back through the readers
-(``PostingsView.decode_all`` / ``decode_block`` / ``impacts`` /
-``lookup_docs``, ``decode_postings_batch``, ``decode_uint_blocks`` and
+(``PostingsView.decode_all`` / ``decode_block`` / ``impacts``,
+``decode_postings_batch``, ``decode_uint_blocks`` and
 ``decode_uint_blocks_batch``). Runs include width-0 runs, values up to
 2^32 − 1, and short last blocks. The per-block freq widths are checked
 against the scalar PFor rule (``forutil.pfor_encode``).
@@ -101,14 +101,6 @@ def test_postings_round_trip(seed, dfs, big_ids, tf_kind):
             else:
                 assert row["freq_width"] == bit_width(int(b_tfs.max()))
                 assert row["freq_n_exc"] == 0
-        probe = np.unique(
-            np.concatenate([ids[rng.integers(0, len(ids), 5)], rng.integers(0, 2**32, 5)])
-        )
-        mask, freqs = view.lookup_docs(probe)
-        pos = np.searchsorted(ids, probe)
-        hit = (pos < len(ids)) & (ids[np.minimum(pos, len(ids) - 1)] == probe)
-        assert np.array_equal(mask, hit)
-        assert np.array_equal(freqs[hit], tfs[pos[hit]])
 
 
 @given(

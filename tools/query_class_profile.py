@@ -2,9 +2,12 @@
 
 Runs the seeded Zipf query stream of the ``serve_zipf`` benchmark
 workload (``perfbench.common.zipf_queries``) in order against one
-searcher, so first touches and repeats fall as they do when serving, and
-prints the mean milliseconds per class (term / disjunction / conjunction
-/ phrase, ``perfbench.common.query_class``), then one line per cache
+searcher, so first touches and repeats fall as they do when serving,
+then a seeded stream of ``N_MIXED`` "mixed" queries (``mixed_queries``:
+nested booleans and terms beside phrases, in the shapes of
+``MIXED_SHAPES``, over the same vocabulary and Zipf skew). It prints the
+mean milliseconds per class (term / disjunction / conjunction / phrase,
+``perfbench.common.query_class``, and mixed), then one line per cache
 (the readers' decode caches summed, the searcher cache, the query cache)
 with its hits, misses and megabytes held.
 
@@ -13,9 +16,9 @@ asserts that the top-10 docids and float32 scores are equal, and that the
 hit count follows the TotalHits rule for every class: an ``EQ`` count
 equals the exhaustive one, and a ``GTE`` count (a pruned path skipped
 candidates) lies between 1000 and the exhaustive one. For every term,
-disjunction and conjunction query with a full first page, page 2 through
-``after=(score[-1], docid[-1])`` must equal exhaustive ranks 11-20
-(docids and float32 score bytes).
+disjunction, conjunction and mixed query with a full first page, page 2
+through ``after=(score[-1], docid[-1])`` must equal exhaustive ranks
+11-20 (docids and float32 score bytes).
 
 Usage: python tools/query_class_profile.py <index_dir> [--seed N] [--n N] [--check]
 """
@@ -32,10 +35,39 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 import numpy as np
 
 from lucene_ray.search.searcher import IndexSearcher
-from perfbench.common import QUERY_CLASSES, query_class, zipf_queries
+from lucene_ray.corpus.generator import make_vocab
+from perfbench.common import CONFIG, QUERY_CLASSES, query_class, zipf_queries
 
 K = 10
 TOTAL_HITS_THRESHOLD = 1000  # the pruned exact-phrase path counts exactly up to here
+
+
+# nested booleans and terms beside phrases over 3 Zipf-ranked words,
+# N_MIXED of them after the Zipf stream
+N_MIXED = 700
+MIXED_SHAPES = (
+    "+{a} +({b} {c})",
+    '{a} "{b} {c}"',
+    "+{a} {b}",
+    '+"{a} {b}" -{c}',
+    "+{a} +{b} {c}",
+    "+({a} {b}) -{c}",
+    "+{a} -({b} {c})",
+)
+
+
+def mixed_queries(seed: int, n: int, vocab_seed: int = 42) -> list:
+    """Seeded stream of ``n`` queries, each of a uniformly drawn
+    ``MIXED_SHAPES`` shape, its words ranked in ``make_vocab(vocab_seed)``
+    with the Zipf skew of ``zipf_queries``."""
+    vocab = make_vocab(seed=vocab_seed)
+    rng = np.random.default_rng([seed, 0x313D])
+    shapes = rng.integers(0, len(MIXED_SHAPES), size=n)
+    ranks = np.minimum(rng.zipf(CONFIG["zipf_alpha"], size=(n, 3)) - 1, len(vocab) - 1)
+    return [
+        MIXED_SHAPES[s].format(**{v: vocab[r] for v, r in zip("abc", rk)})
+        for s, rk in zip(shapes, ranks)
+    ]
 
 
 def same_hits(got: dict, want: dict, start: int) -> bool:
@@ -56,21 +88,23 @@ def main() -> int:
     ap.add_argument("--check", action="store_true")
     args = ap.parse_args()
 
-    queries = zipf_queries(args.seed, args.n)
+    queries = [(q, query_class(q)) for q in zipf_queries(args.seed, args.n)]
+    queries += [(q, "mixed") for q in mixed_queries(args.seed, N_MIXED)]
+    classes = QUERY_CLASSES + ("mixed",)
     searcher = IndexSearcher(args.index_dir)
-    ms = {c: [] for c in QUERY_CLASSES}
+    ms = {c: [] for c in classes}
     results = []
     t_all = time.perf_counter()
-    for q in queries:
+    for q, c in queries:
         t0 = time.perf_counter()
         results.append(searcher.search(q, k=K))
-        ms[query_class(q)].append((time.perf_counter() - t0) * 1e3)
+        ms[c].append((time.perf_counter() - t0) * 1e3)
     total_s = time.perf_counter() - t_all
 
-    print(f"{args.n} queries, seed {args.seed}, "
+    print(f"{args.n} + {N_MIXED} mixed queries, seed {args.seed}, "
           f"{len(searcher.segments)} segments, total {total_s:.2f} s")
     print(f"{'class':<12} {'n':>5} {'mean_ms':>9} {'total_s':>8}")
-    for c in QUERY_CLASSES:
+    for c in classes:
         v = ms[c]
         mean = sum(v) / len(v) if v else 0.0
         print(f"{c:<12} {len(v):>5} {mean:>9.2f} {sum(v) / 1e3:>8.2f}")
@@ -89,14 +123,14 @@ def main() -> int:
     if not args.check:
         return 0
     bad = 0
-    for q, got in zip(queries, results):
+    for (q, c), got in zip(queries, results):
         want = searcher.search(q, k=2 * K, mode="exhaustive")
         same = same_hits(got, want, 0)
         if got["relation"] == "EQ":
             same = same and got["total_hits"] == want["total_hits"]
         else:
             same = same and TOTAL_HITS_THRESHOLD <= got["total_hits"] <= want["total_hits"]
-        paged = query_class(q) in ("term", "disjunction", "conjunction")
+        paged = c in ("term", "disjunction", "conjunction", "mixed")
         if paged and len(got["docids"]) == K:
             after = (float(got["scores"][-1]), int(got["docids"][-1]))
             same = same and same_hits(searcher.search(q, k=K, after=after), want, K)
