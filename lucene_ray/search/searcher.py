@@ -3187,6 +3187,11 @@ class IndexSearcher:
             w = self._phrase_weight(q.boost, q.terms, states)
             inv = self._doc_norm_inverse()
             return ids, lambda rows: self._phrase_scores(w, inv[ids[rows]], freqs[rows])
+        if any(
+            o in (MUST, FILTER) and isinstance(sub, TermQuery) and states[sub.term][1] == 0
+            for o, sub in q.clauses
+        ):
+            return _NO_MATCH  # before the other clauses read their postings
         kids = [(o, self._wide(sub, states)) for o, sub in q.clauses]
         should = [kid for o, kid in kids if o == SHOULD]
         nots = [ids for o, (ids, _) in kids if o == MUST_NOT]
