@@ -1582,7 +1582,7 @@ class IndexSearcher:
            (``_search_phrase``);
         3. any other boolean tree of text terms and exact phrases, every
            occur and ``minimum_should_match``, through the index-wide
-           evaluator (``_search_wide``).
+           evaluator (``_wide``), with an exact count.
 
         All are rank-identical to full scoring by construction. Other
         queries, and every query under a non-BM25 similarity or on a
@@ -1595,7 +1595,7 @@ class IndexSearcher:
         ``after=(score, global_docid)`` — cursor pagination: only hits
         strictly after that sort position are returned
         (``IndexSearcher.searchAfter``, ``core/search/IndexSearcher.java:587-599``);
-        a phrase with a cursor takes case 3, whose count stays exact."""
+        a phrase with a cursor takes case 3."""
         if k < 1:
             r = self.search(query, 1, mode, after)
             return {
@@ -1610,6 +1610,7 @@ class IndexSearcher:
         # search-time rewrite: merge repeated SHOULD/MUST clauses through
         # Similarity.computeQueryTermWeight (fork k3 query-term saturation)
         query = deduplicate_clauses(query, self.sim.compute_query_term_weight)
+        wide = False  # case 3
         if mode != "exhaustive":
             # the block-max impact→bound conversion is derived for the
             # BM25 algebra; generic similarities run exhaustively
@@ -1634,17 +1635,21 @@ class IndexSearcher:
                     and after is None
                 ):
                     return self._search_phrase(query, k)
-                if self._wide_eligible(query):
-                    return self._search_wide(query, k, after=after)
+                wide = self._wide_eligible(query)
         states = self.term_states(query_terms(query))
-        segs = [
-            (self._eval(query, si, states), seg) for si, seg in enumerate(self.segments)
-        ]
-        ids = np.concatenate(
-            [np.empty(0, np.int64)]
-            + [r.docids.astype(np.int64) + seg.base_docid for r, seg in segs]
-        )
-        scores = np.concatenate([np.empty(0, F32)] + [r.scores for r, _ in segs])
+        if wide:
+            ids, score = self._wide(query, states)
+            scores = score(slice(None))
+        else:
+            segs = [
+                (self._eval(query, si, states), seg)
+                for si, seg in enumerate(self.segments)
+            ]
+            ids = np.concatenate(
+                [np.empty(0, np.int64)]
+                + [r.docids.astype(np.int64) + seg.base_docid for r, seg in segs]
+            )
+            scores = np.concatenate([np.empty(0, F32)] + [r.scores for r, _ in segs])
         total = len(ids)
         if after is not None:
             keep = self._past(after, scores, ids)
@@ -3148,18 +3153,6 @@ class IndexSearcher:
         return isinstance(q, BooleanQuery) and all(
             IndexSearcher._wide_eligible(sub) for _, sub in q.clauses
         )
-
-    def _search_wide(self, q: Query, k: int, after=None) -> dict:
-        """Top-k of a tree ``_wide_eligible`` accepts, with an exact hit
-        count (relation EQ), equal to the per-segment ``_eval`` bit for
-        bit."""
-        ids, score = self._wide(q, self.term_states(query_terms(q)))
-        scores = score(slice(None))
-        total = len(ids)
-        if after is not None:
-            keep = self._past(after, scores, ids)
-            ids, scores = ids[keep], scores[keep]
-        return self._top_global(ids, scores, k, total, "EQ")
 
     def _wide(self, q: Query, states):
         """One node of a ``_wide_eligible`` tree → ``(ids, score)``: the

@@ -1,6 +1,6 @@
 """BM25 trees of text terms and exact phrases run over the terms'
 index-wide arrays (``IndexSearcher._search_wand``, ``_search_phrase`` and
-the evaluator ``_search_wide``) and must equal ``mode="exhaustive"``:
+the evaluator ``_wide``) and must equal ``mode="exhaustive"``:
 docids, float32 score bytes, keys, and the hit count under the TotalHits
 rule (an EQ count is exact; a GTE count lies between the threshold and
 the exact count), on generated indexes with deletes, opened whole, as a
