@@ -3161,8 +3161,9 @@ class IndexSearcher:
         a slice), computed only for the rows a parent asks for. A boolean
         with MUST or FILTER clauses matches their ``_conjunction`` less
         the MUST_NOT matches, and maps the candidates to each SHOULD
-        clause's rows (``_rows_of``) to count ``msm``; one of SHOULD
-        clauses only sums into a dense accumulator, as ``_search_wand``.
+        clause's rows (``_rows_of``) to count ``msm``; a boolean of SHOULD
+        clauses only sums them into a dense accumulator, as
+        ``_search_wand`` does.
         A doc's score adds its matching MUST and SHOULD clauses' scores in
         clause order from zero, the float32 sequence of ``_eval_bool``."""
         if isinstance(q, TermQuery):
