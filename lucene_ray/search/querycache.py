@@ -7,7 +7,8 @@ segment) match-set caching for constant-score clauses, the role of
 ``LRUCache`` holds every cross-query reuse in a searcher process: the
 reader's decoded postings/positions (``SegmentReader``), the searcher's
 term states, index-wide term arrays (docids, BM25 denominators, run
-maxima, freqs), term positions and norm inverses, and similarity scorers
+maxima, freqs), term positions, position signatures and norm inverses,
+and similarity scorers
 (``IndexSearcher``), and the query cache below. Segments are
 immutable, so entries never go stale; the bounds only cap memory in
 long-lived serving actors. This module imports nothing from the package,

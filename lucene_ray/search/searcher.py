@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -117,8 +118,7 @@ F32 = np.float32
 # (``core/search/IndexSearcher.java:100``)
 TOTAL_HITS_THRESHOLD = 1000
 
-# exact-phrase keys are uint32 (the positions' own dtype, so building
-# them needs no cast) while the candidates' key space fits
+# exact-phrase keys are uint32 while the candidates' key space fits
 _KEY32_SPACE = int(np.iinfo(np.uint32).max)
 
 # the exact-phrase kernel's passes are memory-bound: it verifies its
@@ -132,6 +132,25 @@ _PHRASE_BLOCK_POSITIONS = 1 << 16
 # the hits of a query that matches nothing: global docids, scores
 _NO_HITS = (np.empty(0, np.uint32), np.empty(0, F32))
 _NO_MATCH = (_NO_HITS[0], lambda rows: _NO_HITS[1])  # as a ``_wide`` node
+
+
+def _position_signatures(offs: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """One uint64 per posting of a term's ``(offs, pos)`` positions: bit
+    ``p & 63`` is set for every position p of the posting (every posting
+    has at least one)."""
+    if len(pos) == 0:
+        return np.empty(0, np.uint64)
+    bits = (pos & 63).astype(np.uint64)
+    np.left_shift(np.uint64(1), bits, out=bits)
+    return np.bitwise_or.reduceat(bits, offs[:-1].astype(np.intp))
+
+
+def _rotr64(sig: np.ndarray, r: int) -> np.ndarray:
+    """``sig`` (uint64) rotated right by ``r`` bits."""
+    r %= 64
+    if r == 0:
+        return sig
+    return (sig >> np.uint64(r)) | (sig << np.uint64(64 - r))
 
 
 def _sort_key(vals: np.ndarray) -> np.ndarray:
@@ -1520,8 +1539,11 @@ class IndexSearcher:
         (``core/search/IndexSearcher.java:495-526``): constant-score
         rewrite, per-leaf shortcuts (term df / maxDoc when no deletes,
         the ``Weight#count`` role), the two-clause pure-term-disjunction
-        inclusion-exclusion optimization (:507-520), and an exhaustive
-        match-set count fallback (``TotalHitCountCollectorManager``)."""
+        inclusion-exclusion optimization (:507-520), then the match count
+        of a BM25 tree of text terms and exact phrases on an
+        impact-bearing index from the index-wide evaluator (``_wide``, as
+        ``search`` matches it), and an exhaustive per-segment match-set
+        count fallback (``TotalHitCountCollectorManager``)."""
         if isinstance(query, str):
             query = parse_query(query, self.analyzer)
         else:
@@ -1560,6 +1582,8 @@ class IndexSearcher:
                 both = BooleanQuery(((MUST, t1), (MUST, t2)))
                 return c1 + c2 - self.count(both)
         states = self.term_states(query_terms(inner))
+        if self.is_bm25 and self.text_has_impacts and self._wide_eligible(inner):
+            return len(self._wide(inner, states)[0])
         return sum(
             len(self._eval(inner, si, states).docids)
             for si in range(len(self.segments))
@@ -3051,11 +3075,12 @@ class IndexSearcher:
         """Positions of one text term's live postings, cached under
         ``("pos", term)`` and row-aligned with its ``("term", term)``
         arrays: posting i's positions are ``pos[offs[i] : offs[i + 1]]``,
-        ``offs`` the exclusive cumsum of the term arrays' freqs. Every
-        segment's run decodes in one ``read_positions`` call, straight
-        from the codec; the segments with deletions decode their postings
-        again (one ``read_postings`` call), for the freqs of the deleted
-        docs' runs."""
+        ``offs`` the exclusive cumsum of the term arrays' freqs, ``pos``
+        in the narrowest unsigned dtype that holds its largest value.
+        Every segment's run decodes in one ``read_positions`` call,
+        straight from the codec; the segments with deletions decode their
+        postings again (one ``read_postings`` call), for the freqs of the
+        deleted docs' runs."""
         key = ("pos", term)
         hit = self.cache.get(key)
         if hit is None:
@@ -3065,7 +3090,12 @@ class IndexSearcher:
             dels = [i for i, (seg, _) in enumerate(segs) if seg.deleted is not None]
             for i, (sids, sfreqs) in zip(dels, read_postings([segs[i] for i in dels])):
                 pos[i] = pos[i][np.repeat(~segs[i][0].deleted[sids], sfreqs)]
-            pos = np.concatenate([np.empty(0, np.uint32)] + pos)
+            top = max((int(p.max()) for p in pos if len(p)), default=0)
+            pos = np.concatenate(
+                [np.empty(0, np.uint8)] + pos,
+                dtype=np.min_scalar_type(top),
+                casting="unsafe",
+            )
             offs = np.zeros(
                 len(freqs) + 1, np.uint32 if len(pos) <= _KEY32_SPACE else np.int64
             )
@@ -3113,18 +3143,65 @@ class IndexSearcher:
             rows = [r[keep] for r in rows]
         return cand, rows
 
+    def _signature_filter(
+        self, terms: Sequence[str], states, cand: np.ndarray, rows: Dict[str, np.ndarray]
+    ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+        """The candidates ``cand`` of an exact phrase (``rows[t]``: their
+        rows in term t's arrays) less those the terms' position
+        signatures rule out.
+
+        A term's signatures are one uint64 per live posting, row-aligned
+        with its ``("term", t)`` arrays and cached under ``("sig", t)``:
+        bit ``p & 63`` is set for each position p of the posting
+        (``_position_signatures``). They are built from the term's cached
+        ``_term_positions`` entry when a phrase reads it again, never on
+        the term's first phrase, so a phrase read once costs one
+        positions decode and nothing more.
+
+        Slot i's signatures rotate right by i, so a match at position p0
+        sets bit ``p0 & 63`` in every slot's rotated signature (the same
+        as rotating each left by ``nterms - 1 - i``, up to one common
+        rotation); a candidate whose rotated signatures AND to zero has
+        phrase freq 0. Slots whose term has no signatures are left out of
+        the AND, which keeps it sound; with fewer than two slots left
+        nothing is dropped."""
+        if len(cand) == 0:
+            return cand, rows
+        sigs = {t: self.cache.get(("sig", t)) for t in rows}
+        for t in rows:
+            if sigs[t] is None and ("pos", t) in self.cache:
+                sig = _position_signatures(*self._term_positions(t, states[t][0]))
+                sigs[t] = self.cache.put(("sig", t), sig, sig.nbytes)
+        slots = [(i, t) for i, t in enumerate(terms) if sigs[t] is not None]
+        if len(slots) < 2:
+            return cand, rows
+        # a term's signatures at the candidates, gathered once per term
+        at = {
+            t: sigs[t] if len(sigs[t]) == len(cand) else sigs[t][rows[t]]
+            for _, t in slots
+        }
+        both = reduce(np.bitwise_and, (_rotr64(at[t], i) for i, t in slots))
+        keep = both != 0
+        if keep.all():
+            return cand, rows
+        keep = np.flatnonzero(keep)
+        return cand[keep], {t: r[keep] for t, r in rows.items()}
+
     def _phrase_candidates(self, terms: Sequence[str], states):
         """The doc conjunction of an exact phrase's distinct terms (live
-        docs only) → ``(cand, rows, post, verify)``: per distinct term the
-        candidates' rows in its ``_term_postings`` arrays ``post`` (None
-        where its docs are the candidates); ``verify(chunk)``, the
-        ``_exact_phrase_hits`` (docids, phrase freqs) among ``cand[chunk]``
-        (all candidates when ``chunk`` is None). Positions are read only
-        when there are candidates."""
+        docs only), less the docs the terms' position signatures rule out
+        (``_signature_filter``, before any position is read) → ``(cand,
+        rows, post, verify)``: per distinct term the candidates' rows in
+        its ``_term_postings`` arrays ``post`` (None where its docs are
+        the candidates); ``verify(chunk)``, the ``_exact_phrase_hits``
+        (docids, phrase freqs) among ``cand[chunk]`` (all candidates when
+        ``chunk`` is None). Positions are read only when there are
+        candidates."""
         post = {t: self._term_postings(t, states[t][0]) for t in dict.fromkeys(terms)}
         cand, rows = self._conjunction([ids for ids, *_ in post.values()])
+        cand, rows = self._signature_filter(terms, states, cand, dict(zip(post, rows)))
         n = len(cand)
-        rows = {t: None if len(post[t][0]) == n else r for t, r in zip(post, rows)}
+        rows = {t: None if len(post[t][0]) == n else r for t, r in rows.items()}
         slot = {
             t: (post[t][0], *self._term_positions(t, states[t][0]))
             for t in (post if n else ())
@@ -3243,13 +3320,16 @@ class IndexSearcher:
 
         1. the doc conjunction of the phrase's distinct terms
            (``_conjunction`` over their ``_term_postings`` docids, live
-           docs only). A doc's phrase freq is at most its smallest tf
-           over the slots, where a term filling r slots counts tf - (r -
-           1): a match is counted at its occurrence in the term's last
-           slot, and the first match's r - 1 occurrences in the term's
-           earlier slots lie before every such occurrence. Its BM25 at
-           that freq bounds its score; the tfs come from the term
-           arrays, so no position is read;
+           docs only), less the docs whose position signatures rule a
+           match out (``_signature_filter``: one uint64 per posting, no
+           position read; such a doc has phrase freq 0, so no hit is
+           lost and the count is unchanged). A doc's phrase freq is at
+           most its smallest tf over the slots, where a term filling r
+           slots counts tf - (r - 1): a match is counted at its
+           occurrence in the term's last slot, and the first match's r -
+           1 occurrences in the term's earlier slots lie before every
+           such occurrence. Its BM25 at that freq bounds its score; the
+           tfs come from the term arrays, so no position is read;
         2. the candidates are verified by one ``_exact_phrase_hits`` call
            per chunk of descending bound: the first chunk holds the ``2 ·
            TOTAL_HITS_THRESHOLD`` best bounds (up to that many candidates

@@ -14,7 +14,10 @@ throughput. ``SearcherService`` keeps the actors alive across calls:
   ``IndexSearcher``: mmapped segments and the searcher's byte-bounded
   LRU of term states, index-wide term arrays (live docids, BM25
   denominators and freqs, read by term, disjunction, conjunction and
-  exact-phrase top-k), index-wide term positions (exact phrases) and the index-wide
+  exact-phrase top-k), index-wide term positions (exact phrases, in the
+  narrowest unsigned dtype that holds them), per-posting 64-bit position
+  signatures (built when a term's positions are read a second time; they
+  drop phrase candidates before positions are read) and the index-wide
   norm inverses (phrase bounds), all persisting across queries: the
   production steady state. Each reader's decode cache fills only for
   queries scored per segment (exhaustive scoring, other query types);

@@ -5,8 +5,10 @@ docids, float32 score bytes, keys, and the hit count under the TotalHits
 rule (an EQ count is exact; a GTE count lies between the threshold and
 the exact count), on generated indexes with deletes, opened whole, as a
 MultiReader and as a shard holding a subset of the segments. Also:
-``k=0`` returns no hits with the count of ``k=1``, and the index-wide
-arrays leave the readers' decode caches empty."""
+``k=0`` returns no hits with the count of ``k=1``; ``count`` of such a
+tree equals the per-segment count; cached positions past 255 and 65,535
+keep their values in a wider dtype; and the index-wide arrays leave the
+readers' decode caches empty."""
 
 from unittest import mock
 
@@ -24,6 +26,7 @@ from lucene_ray.search.query import (
     BooleanQuery,
     PhraseQuery,
     TermQuery,
+    query_terms,
 )
 from lucene_ray.search.searcher import IndexSearcher
 from test_wand import VOCAB, corpora, write_index
@@ -156,8 +159,9 @@ trees = st.one_of(booleans(leaves), booleans(st.one_of(leaves, booleans(leaves))
 )
 def test_nested_trees_match_exhaustive(tmp_path_factory, corpus, qs, k, data):
     """3 pages through ``after`` of every tree equal the exhaustive
-    pages, each with the exact count, and the auto searches leave the
-    readers' decode caches empty."""
+    pages, each with the exact count, ``count`` equals the per-segment
+    match count, and the auto searches and counts leave the readers'
+    decode caches empty."""
     segments, deleted = corpus
     root = tmp_path_factory.mktemp("nested")
     whole = str(root / "whole")
@@ -184,7 +188,15 @@ def test_nested_trees_match_exhaustive(tmp_path_factory, corpus, qs, k, data):
                 if len(got["docids"]) < k:
                     break
                 cursor = (float(got["scores"][-1]), int(got["docids"][-1]))
+        counts = [s.count(q) for q in qs]  # through the evaluator too
         assert all(len(seg.decode_cache) == 0 for seg in s.segments)
+        states = s.term_states(
+            query_terms(BooleanQuery(tuple((SHOULD, q) for q in qs)))
+        )
+        assert counts == [
+            sum(len(s._eval(q, si, states).docids) for si in range(len(s.segments)))
+            for q in qs
+        ]
         for q, cursor, got in pages:
             want = s.search(q, k, mode="exhaustive", after=cursor)
             assert_like_exhaustive(got, want)
@@ -242,6 +254,51 @@ def test_k0_phrase_past_the_threshold(searcher):
         one["total_hits"],
         one["relation"],
     )
+
+
+def test_count_skips_the_decode_caches(searcher):
+    """``count`` of a tree the evaluator covers runs index-wide (the
+    fixture has deletes, so no df shortcut applies) and equals the
+    per-segment count."""
+    queries = list(QUERIES.values()) + [
+        "+xa +xb",
+        '+"xa xb" -xc',
+        'xc "zzw zzw"',
+        "+xa +(xb xc)",
+    ]
+    counts = [searcher.count(q) for q in queries]
+    assert all(len(seg.decode_cache) == 0 for seg in searcher.segments)
+    for q, c in zip(queries, counts):
+        assert c == searcher.search(q, 1, mode="exhaustive")["total_hits"] > 0
+
+
+@pytest.mark.parametrize("gap", [300, 70_000])
+def test_positions_past_uint8(tmp_path, gap):
+    """Cached positions keep the narrowest dtype that holds them: a doc
+    whose phrase sits past position 255 (uint16) or 65,535 (uint32);
+    three auto passes (cold, building signatures, warm) equal
+    exhaustive."""
+    texts = [
+        "xa xb " + "zzw " * gap + "xa xb xc xa",
+        "xb xa " + "zzw " * gap + "xa zzw xb",
+        "xa xb",
+    ] * 2
+    write_index(str(tmp_path), [texts[:3], texts[3:]], [np.zeros(3, bool)] * 2)
+    s = IndexSearcher(str(tmp_path))
+    queries = [
+        PhraseQuery(("xa", "xb")),
+        PhraseQuery(("xb", "xa")),
+        PhraseQuery(("xb", "xc", "xa")),
+    ]
+    want = [s.search(q, 10, mode="exhaustive") for q in queries]
+    for _ in range(3):
+        for q, w in zip(queries, want):
+            assert_like_exhaustive(s.search(q, 10), w)
+    states = s.term_states(["xa"])
+    assert s._term_positions("xa", states["xa"][0])[1].dtype == (
+        np.uint16 if gap < 1 << 16 else np.uint32
+    )
+    assert s.search(queries[0], 10)["total_hits"] == 4
 
 
 def test_index_wide_arrays_skip_the_decode_caches(searcher):

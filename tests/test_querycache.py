@@ -238,11 +238,30 @@ class TestCacheWork:
         # the term, conjunction and phrase queries read only the searcher
         # cache: per text term one ("states", t) and one ("term", t)
         # entry (data, stream, window, batch: 8 misses), per phrase term
-        # one ("pos", t) entry (data, stream, window: 3 misses) and one
-        # ("norm_inv",) entry for the phrase bounds (1 miss); every other
-        # lookup of the first pass hits (0 + 2 + 2 + 4 + 4 + 6 + 7, a
-        # positions miss reading its term's freqs from the term entry).
+        # one ("pos", t) entry (data, stream, window: 3 misses), one
+        # ("norm_inv",) entry for the phrase bounds (1 miss), and per
+        # distinct phrase term a ("sig", t) lookup before positions are read,
+        # which misses until the term's positions are cached and then
+        # builds the entry: '"data stream"' misses data and stream,
+        # '"stream window"' misses stream (built now) and window (4
+        # misses). Every other lookup of the first pass hits (0 + 2 + 2
+        # + 4 + 4 + 6 + 8: a positions miss reads its term's freqs from
+        # the term entry, and building stream's signatures reads its
+        # positions entry once more).
         # Only "st*" (exhaustive multi-term scoring) reads the 4 readers'
         # decode caches
-        assert first == (0, 4, 25, 12)
-        assert second == (4, 0, 34, 0)  # a second pass misses nothing
+        assert first == (0, 4, 26, 16)
+        # the second pass builds the signatures of data and window, the
+        # terms read by one phrase each (2 misses, each reading its
+        # positions entry once more); the rest hits (2 + 4 + 6 + 4 + 4 +
+        # 9 + 9)
+        assert second == (4, 0, 38, 2)
+        for q in WORK_QUERIES:
+            s.search(q, k=10)
+        third = tuple(
+            c - a - b for a, b, c in zip(first, second, self._counts(s))
+        )
+        # a third pass misses nothing: per phrase 2 states, 2 term, 2
+        # signature and 2 positions hits and the norm inverses (2 + 4 + 6
+        # + 4 + 4 + 9 + 9)
+        assert third == (4, 0, 38, 0)

@@ -9,7 +9,11 @@ nested booleans and terms beside phrases, in the shapes of
 mean milliseconds per class (term / disjunction / conjunction / phrase,
 ``perfbench.common.query_class``, and mixed), then one line per cache
 (the readers' decode caches summed, the searcher cache, the query cache)
-with its hits, misses and megabytes held.
+with its hits, misses and megabytes held. For the phrase and mixed
+classes it also prints deterministic work counters: the candidates
+handed to the exact-phrase kernel (``_exact_phrase_hits``) per query,
+and the share of doc-conjunction candidates the position-signature
+filter (``_signature_filter``) passes.
 
 ``--check`` then re-runs every query with ``mode="exhaustive"`` and
 asserts that the top-10 docids and float32 scores are equal, and that the
@@ -70,6 +74,36 @@ def mixed_queries(seed: int, n: int, vocab_seed: int = 42) -> list:
     ]
 
 
+def count_phrase_work(searcher: IndexSearcher) -> dict:
+    """Wrap ``searcher``'s exact-phrase kernel and signature filter as
+    instance attributes (the filter only where the checkout has one;
+    drop the attributes to unwrap) → the counters they add to: ``verified``,
+    the candidates handed to the kernel; ``filter_in`` /
+    ``filter_kept``, the candidates the filter saw and kept."""
+    work = {"verified": 0, "filter_in": 0, "filter_kept": 0}
+    kernel = searcher._exact_phrase_hits
+    filt = getattr(searcher, "_signature_filter", None)
+
+    def counting_kernel(decoded, cand=None, rows=None):
+        work["verified"] += len(
+            cand
+            if cand is not None
+            else IndexSearcher._doc_conjunction([ids for ids, _, _ in decoded])
+        )
+        return kernel(decoded, cand, rows)
+
+    def counting_filter(terms, states, cand, rows):
+        kept = filt(terms, states, cand, rows)
+        work["filter_in"] += len(cand)
+        work["filter_kept"] += len(kept[0])
+        return kept
+
+    searcher._exact_phrase_hits = counting_kernel
+    if filt is not None:
+        searcher._signature_filter = counting_filter
+    return work
+
+
 def same_hits(got: dict, want: dict, start: int) -> bool:
     """``got``'s hits equal ``want``'s ranks ``start``.. ``start + K``:
     docids and float32 score bytes."""
@@ -93,13 +127,20 @@ def main() -> int:
     classes = QUERY_CLASSES + ("mixed",)
     searcher = IndexSearcher(args.index_dir)
     ms = {c: [] for c in classes}
+    work = count_phrase_work(searcher)
+    by_class = {c: dict.fromkeys(work, 0) for c in classes}
     results = []
     t_all = time.perf_counter()
     for q, c in queries:
+        before = dict(work)
         t0 = time.perf_counter()
         results.append(searcher.search(q, k=K))
         ms[c].append((time.perf_counter() - t0) * 1e3)
+        for name, v in work.items():
+            by_class[c][name] += v - before[name]
     total_s = time.perf_counter() - t_all
+    for name in ("_exact_phrase_hits", "_signature_filter"):
+        searcher.__dict__.pop(name, None)
 
     print(f"{args.n} + {N_MIXED} mixed queries, seed {args.seed}, "
           f"{len(searcher.segments)} segments, total {total_s:.2f} s")
@@ -108,6 +149,14 @@ def main() -> int:
         v = ms[c]
         mean = sum(v) / len(v) if v else 0.0
         print(f"{c:<12} {len(v):>5} {mean:>9.2f} {sum(v) / 1e3:>8.2f}")
+
+    for c in ("phrase", "mixed"):
+        w = by_class[c]
+        rate = w["filter_kept"] / w["filter_in"] if w["filter_in"] else 1.0
+        print(
+            f"work {c:<7} verified/query {w['verified'] / max(len(ms[c]), 1):>8.1f}"
+            f"  filter kept {w['filter_kept']}/{w['filter_in']} ({rate:.1%})"
+        )
 
     caches = {
         "decode": [seg.decode_cache for seg in searcher.segments],
