@@ -1,9 +1,10 @@
-"""Per-segment vector graph core — the role of Lucene's
-``Lucene99HnswVectorsFormat`` + ``HnswGraphBuilder`` / ``HnswGraphSearcher``
+"""Vector search core — the role of Lucene's ``Lucene99HnswVectorsFormat``
++ ``HnswGraphBuilder`` / ``HnswGraphSearcher``
 (``core/codecs/lucene99/Lucene99HnswVectorsFormat.java``,
 ``core/util/hnsw/HnswGraphBuilder.java``): float32 vectors plus a
-deterministic HNSW graph, stored per segment (``vectors.hnsw.npz``
-beside postings) or per embedding shard (``pipelines/hnsw_knn.py``).
+deterministic HNSW graph and int8 codes, stored per segment
+(``vectors.hnsw.npz`` beside postings), together with the one int8
+quantizer and the one exact basis-point scorer every KNN path uses.
 
 Clean-room implementation of the published HNSW algorithm (Malkov &
 Yashunin 2016); level assignment hashes the vector id (splitmix64) so
@@ -19,7 +20,6 @@ from __future__ import annotations
 import heapq
 import io
 import math
-import os
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -31,6 +31,9 @@ EF_CONSTRUCTION = 64
 EF_SEARCH = 48
 
 _ML = 1.0 / math.log(M)
+
+SCALE = 127  # symmetric int8: codes in [-127, 127]
+DELTA = 1.0 / (2 * SCALE)  # max per-component dequantization error
 
 
 class _VisitBudgetExceeded(Exception):
@@ -61,8 +64,78 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / n
 
 
+def to_bp(sims: np.ndarray) -> np.ndarray:
+    """Similarities → integer basis points, floor(sim*1e4 + 0.5): the
+    half-away rounding the SQL oracles write the same way."""
+    return np.floor(sims * 10000 + 0.5).astype(np.int64)
+
+
+def exact_bp(x: np.ndarray, qn: np.ndarray) -> np.ndarray:
+    """The exact scorer: float64 row-normalize of the raw vectors ``x``,
+    one GEMM against the normalized query matrix ``qn``, basis points →
+    int64 (rows, queries). Every exact KNN path and every re-rank scores
+    through it, so all of them match brute force bit for bit."""
+    return to_bp(_normalize(np.asarray(x, dtype=np.float64)) @ qn.T)
+
+
+def rerank_bp(
+    x: np.ndarray, keeps: List[np.ndarray], qn: np.ndarray
+) -> List[np.ndarray]:
+    """Exact basis points of each query's kept rows of ``x``: one
+    :func:`exact_bp` over the union of the kept rows, gathered per
+    query → one int64 array per entry of ``keeps``."""
+    sub = np.unique(np.concatenate(keeps))
+    bp = exact_bp(x[sub], qn)
+    return [bp[np.searchsorted(sub, keep), qi] for qi, keep in enumerate(keeps)]
+
+
+def quantize(m: np.ndarray) -> np.ndarray:
+    """Symmetric int8 quantization of row-normalized vectors (components
+    in [-1, 1]): code = round(x * 127). Matches the reference's
+    confidence-interval quantizer with the interval pinned to [-1, 1]."""
+    return np.clip(np.rint(m * SCALE), -SCALE, SCALE).astype(np.int8)
+
+
+def dequantize(q: np.ndarray) -> np.ndarray:
+    return q.astype(np.float64) / SCALE
+
+
+def int8_survivors(
+    codes: np.ndarray,
+    doc_l1: np.ndarray,
+    q_codes: np.ndarray,
+    q_l1: np.ndarray,
+    k: int,
+) -> List[np.ndarray]:
+    """Filter-then-verify over int8 codes (the
+    ``Lucene99ScalarQuantizedVectorsFormat`` scoring path): one int32
+    GEMM scores every row, and → per query, the rows whose quantized
+    score could still reach the exact top-k. The bound
+
+        |x.y - x_hat.y_hat|  <=  DELTA * (sum|x_i| + sum|y_hat_j|)
+
+    follows from x.y - x_hat.y_hat = x.(y - y_hat) + (x - x_hat).y_hat
+    with per-component error <= DELTA; ``doc_l1`` is sum|x| (or an upper
+    bound of it), ``q_l1`` is sum|y_hat|. Rows with ``approx + eps <
+    theta - 1e-4`` are dropped (theta = k-th largest ``approx - eps``);
+    the extra basis-point quantum keeps same-bucket ties in the final
+    (bp, id) order, so no true top-k member is ever dropped. int32 dots
+    (<= dim*127^2) are exact; the rescale's ~1e-16 error sits inside
+    the 1e-9 slack."""
+    if len(codes) == 0:
+        return [np.empty(0, np.int64) for _ in range(len(q_codes))]
+    approx = (codes.astype(np.int32) @ q_codes.T.astype(np.int32)) / (SCALE * SCALE)
+    eps = DELTA * (doc_l1[:, None] + q_l1[None, :]) + 1e-9
+    kth = len(codes) - min(k, len(codes))
+    theta = np.partition(approx - eps, kth, axis=0)[kth]
+    return [
+        np.flatnonzero(approx[:, qi] + eps[:, qi] >= theta[qi] - 1e-4)
+        for qi in range(len(q_codes))
+    ]
+
+
 class _ShardGraph:
-    """In-memory HNSW graph for one shard (build + search).
+    """In-memory HNSW graph for one segment (build + search).
 
     Neighbor storage: per level, an int32 matrix [n, cap] padded with
     -1 (cap = 2M at level 0, M above), plus a per-node neighbor count.
@@ -70,25 +143,19 @@ class _ShardGraph:
     """
 
     def __init__(self, vectors: np.ndarray, vec_ids: np.ndarray):
+        xn = _normalize(vectors.astype(np.float64))
         # quantize through float32 (the persisted dtype, like Lucene's
         # float vectors) so a saved+loaded graph scores identically
-        self.v = _normalize(vectors.astype(np.float64)).astype(np.float32).astype(np.float64)
+        self.v = xn.astype(np.float32).astype(np.float64)
         # raw (un-normalized) float32 vectors — the exact-fallback path
         # (``KnnFloatVectorQuery.java`` visitedLimit → exact scan) scores
-        # from these with the identical float64 expression brute-force
-        # ``knn_cosine`` uses, so gate-exact results hash-match its oracle
+        # from these through ``exact_bp``, like brute-force ``knn_cosine``
         self.raw = vectors.astype(np.float32)
-        # int8 scalar-quantized codes (the
-        # ``Lucene99ScalarQuantizedVectorsFormat`` role: Lucene stores
-        # int8 codes in .veq AND keeps raw floats in .vec for re-rank/
-        # merge). Quantized from the SAME float64-normalized form the
-        # exact scan scores, so the error-bounded prune+re-rank in
-        # ``exact_topk_quantized`` is provably brute-force-identical.
-        self.codes = np.clip(
-            np.rint(_normalize(vectors.astype(np.float64)) * 127),
-            -127,
-            127,
-        ).astype(np.int8)
+        # int8 codes (the ``Lucene99ScalarQuantizedVectorsFormat`` role:
+        # Lucene stores int8 codes in .veq AND keeps raw floats in .vec
+        # for re-rank/merge), quantized from the SAME float64-normalized
+        # form the exact scan scores
+        self.codes = quantize(xn)
         self.ids = vec_ids.astype(np.int64)
         self.levels = _levels_for(self.ids)
         self.max_level = -1
@@ -296,35 +363,17 @@ class _ShardGraph:
         tie: np.ndarray = None,
     ) -> List[List[Tuple[int, int]]]:
         """Exact per-shard top-k — the ``KnnFloatVectorQuery.java``
-        visitedLimit-exceeded fallback, scored bit-identically to
-        brute-force ``knn_cosine``: float64 normalize of the RAW float32
-        vectors, one GEMM against the normalized query matrix, then
-        ``floor(sim*1e4 + 0.5)`` basis points. → per query row of ``qm``,
-        a list of (bp, row_index) cut and ordered by (bp desc, tie asc)
-        — the FINAL ordering, so the cut can never drop a global winner.
+        visitedLimit-exceeded fallback, scored by :func:`exact_bp` from
+        the RAW float32 vectors, bit-identically to brute-force
+        ``knn_cosine``. → per query row of ``qm``, a list of
+        (bp, row_index) cut and ordered by (bp desc, tie asc) — the
+        FINAL ordering, so the cut can never drop a global winner.
 
         ``tie``: per-row tie-break values (global ids); defaults to
         ``self.ids``. ``accept``: optional bool row mask.
         """
-        emb = (self.raw if self.raw is not None else self.v).astype(
-            np.float64
-        )
-        ties = self.ids if tie is None else np.asarray(tie, dtype=np.int64)
-        rows = np.arange(len(emb))
-        if accept is not None:
-            rows = rows[accept]
-            if len(rows) == 0:
-                return [[] for _ in range(qm.shape[0])]
-            emb = emb[rows]
-        norms = np.linalg.norm(emb, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        sims = (emb / norms) @ qm.T  # (n_rows, n_queries)
-        out: List[List[Tuple[int, int]]] = []
-        for qi in range(qm.shape[0]):
-            bp = np.floor(sims[:, qi] * 10000 + 0.5).astype(np.int64)
-            order = np.lexsort((ties[rows], -bp))[: min(k, len(rows))]
-            out.append([(int(bp[j]), int(rows[j])) for j in order])
-        return out
+        rows = self._rows(accept)
+        return self._topk(qm, k, rows, [np.arange(len(rows))] * len(qm), tie)
 
     def exact_topk_quantized(
         self,
@@ -334,68 +383,41 @@ class _ShardGraph:
         tie: np.ndarray = None,
     ) -> List[List[Tuple[int, int]]]:
         """Same contract and PROVABLY same output as :meth:`exact_topk`,
-        but the full scan runs on int8 codes (one int32 GEMM — the
-        ``Lucene99ScalarQuantizedVectorsFormat`` scoring path); exact
-        float64 math touches only the error-bound survivors
-        (``quantized_knn.py`` bound: |x.y − x̂.ŷ| ≤ δ(Σ|x|+Σ|ŷ|),
-        δ=1/254, so pruning below θ−1e-4 can never drop a true top-k
-        member or flip a same-bucket tie). Falls back to the float scan
-        on pre-codes graphs."""
+        but the full scan runs on the int8 codes (:func:`int8_survivors`,
+        the ``Lucene99ScalarQuantizedVectorsFormat`` scoring path); exact
+        float64 math touches only the survivors. Falls back to the float
+        scan on pre-codes graphs."""
         if self.codes is None:
             return self.exact_topk(qm, k, accept=accept, tie=tie)
-        ties = self.ids if tie is None else np.asarray(tie, dtype=np.int64)
-        rows = np.arange(len(self.codes))
-        if accept is not None:
-            rows = rows[accept]
-            if len(rows) == 0:
-                return [[] for _ in range(qm.shape[0])]
-        codes = self.codes[rows]
-        # exact side: float64 normalize of the raw float32 vectors —
-        # the identical expression exact_topk / brute-force knn use
-        raw = (self.raw if self.raw is not None else self.v).astype(
-            np.float64
-        )[rows]
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        x = raw / norms
-        q_codes = np.clip(np.rint(qm * 127), -127, 127).astype(np.int8)
-        approx = (codes.astype(np.int32) @ q_codes.T.astype(np.int32)) / (
-            127.0 * 127.0
+        rows = self._rows(accept)
+        raw = self.raw if self.raw is not None else self.v
+        q_codes = quantize(qm)
+        keeps = int8_survivors(
+            self.codes[rows],
+            np.abs(_normalize(raw[rows].astype(np.float64))).sum(axis=1),
+            q_codes,
+            np.abs(dequantize(q_codes)).sum(axis=1),
+            k,
         )
-        delta = 1.0 / 254.0
-        doc_l1 = np.abs(x).sum(axis=1)
-        q_l1_hat = np.abs(q_codes.astype(np.float64) / 127.0).sum(axis=1)
-        out: List[List[Tuple[int, int]]] = []
-        for qi in range(qm.shape[0]):
-            a = approx[:, qi]
-            eps = delta * (doc_l1 + q_l1_hat[qi]) + 1e-9
-            kk = min(k, len(a))
-            lower = a - eps
-            theta = np.partition(lower, len(lower) - kk)[len(lower) - kk]
-            keep = np.flatnonzero(a + eps >= theta - 1e-4)
-            sims = x[keep] @ qm[qi]
-            bp = np.floor(sims * 10000 + 0.5).astype(np.int64)
-            sub_rows = rows[keep]
-            order = np.lexsort((ties[sub_rows], -bp))[:kk]
-            out.append([(int(bp[j]), int(sub_rows[j])) for j in order])
-        return out
+        return self._topk(qm, k, rows, keeps, tie)
 
-    def save(self, path: str) -> None:
-        arrs: Dict[str, np.ndarray] = {
-            "v": self.v.astype(np.float32),
-            "ids": self.ids,
-            "meta": np.array([self.entry, self.max_level], np.int64),
-        }
-        if self.raw is not None:
-            arrs["raw"] = self.raw
-        if self.codes is not None:
-            arrs["codes"] = self.codes
-        for l, (nb, c) in enumerate(zip(self.nbrs, self.cnt)):
-            arrs[f"nbrs{l}"] = nb
-            arrs[f"cnt{l}"] = c
-        tmp = path + ".tmp"
-        np.savez(tmp, **arrs)
-        os.replace(tmp + ".npz", path)
+    def _rows(self, accept: np.ndarray = None) -> np.ndarray:
+        if accept is None:
+            return np.arange(len(self.ids))
+        return np.flatnonzero(accept)
+
+    def _topk(self, qm, k, rows, keeps, tie) -> List[List[Tuple[int, int]]]:
+        """Exact re-rank of each query's kept positions in ``rows``, cut
+        to k by (bp desc, tie asc)."""
+        if len(rows) == 0:
+            return [[] for _ in range(qm.shape[0])]
+        ties = (self.ids if tie is None else np.asarray(tie, dtype=np.int64))[rows]
+        raw = (self.raw if self.raw is not None else self.v)[rows]
+        out: List[List[Tuple[int, int]]] = []
+        for keep, bp in zip(keeps, rerank_bp(raw, keeps, qm)):
+            order = np.lexsort((ties[keep], -bp))[:k]
+            out.append([(int(bp[j]), int(rows[keep[j]])) for j in order])
+        return out
 
     @classmethod
     def load(cls, path: str) -> "_ShardGraph":
@@ -415,11 +437,9 @@ class _ShardGraph:
         return g
 
 
-
-
 def graph_to_bytes(g: _ShardGraph) -> bytes:
     """Serialize a built graph to npz bytes (for write_segment's
-    checksummed put())."""
+    checksummed put()); :meth:`_ShardGraph.load` reads them back."""
     arrs: Dict[str, np.ndarray] = {
         "v": g.v.astype(np.float32),
         "ids": g.ids,

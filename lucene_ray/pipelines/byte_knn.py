@@ -28,10 +28,10 @@ import pyarrow as pa
 
 from lucene_ray.index.build import build_index
 from lucene_ray.index.config import IndexConfig
+from lucene_ray.pipelines.index_cache import CACHE_ROOT
 from lucene_ray.pipelines.knn import KNN_K, QUERY_VEC_IDS, _load_queries
+from lucene_ray.pipelines.vector_index import _joined_input
 from lucene_ray.search.knn_index import knn_search_index_byte
-
-CACHE_ROOT = os.environ.get("LUCENE_RAY_CACHE", "/tmp/lucene_ray_idx")
 
 BYTE_CONFIG = IndexConfig(
     rows_per_segment=1024,
@@ -50,41 +50,27 @@ def to_byte_codes(emb: np.ndarray) -> np.ndarray:
 
 
 def _byte_input(sf_dir: str) -> str:
-    """documents ⋈ embeddings with the derived byte-vector column →
-    one scratch parquet (doc_id, text, bvec list<int8>), cached."""
+    """The vector index's input (embeddings LEFT JOIN documents, one row
+    per embedding) with the embedding replaced by the derived byte
+    vectors → one scratch parquet (doc_id, text, bvec list<int8>),
+    cached."""
     import pyarrow.parquet as pq
 
-    docs = os.path.join(sf_dir, "documents.parquet")
-    embp = os.path.join(sf_dir, "embeddings.parquet")
-    tag = hashlib.sha1(
-        f"bytevec:{os.path.abspath(docs)}:{os.path.getmtime(docs)}:"
-        f"{os.path.getmtime(embp)}".encode()
-    ).hexdigest()[:16]
+    src = _joined_input(sf_dir)
+    tag = hashlib.sha1(f"bytevec:v2:{src}".encode()).hexdigest()[:16]
     out = os.path.join(CACHE_ROOT, f"bytevec_{tag}.parquet")
     if os.path.exists(out):
         return out
-    os.makedirs(CACHE_ROOT, exist_ok=True)
-    d = pq.read_table(docs, columns=["doc_id", "text"])
-    e = pq.read_table(embp, columns=["vec_id", "embedding"])
-    e = e.sort_by("vec_id")
-    d = d.sort_by("doc_id")
-    emb = e.column("embedding").combine_chunks()
-    dim = len(emb[0])
+    t = pq.read_table(src)
+    emb = t.column("embedding").combine_chunks()
     codes = to_byte_codes(
-        np.asarray(emb.values, dtype=np.float64).reshape(len(emb), dim)
+        np.asarray(emb.values, dtype=np.float64).reshape(len(emb), -1)
     )
     bvec = pa.FixedSizeListArray.from_arrays(
-        pa.array(codes.reshape(-1), pa.int8()), dim
+        pa.array(codes.reshape(-1), pa.int8()), codes.shape[1]
     ).cast(pa.list_(pa.int8()))
-    tbl = pa.table(
-        {
-            "doc_id": d.column("doc_id"),
-            "text": d.column("text"),
-            "bvec": bvec,
-        }
-    )
     tmp = out + f".tmp{os.getpid()}"
-    pq.write_table(tbl, tmp)
+    pq.write_table(t.drop(["embedding"]).append_column("bvec", bvec), tmp)
     os.replace(tmp, out)
     return out
 

@@ -289,12 +289,8 @@ def knn_classify(
     import ray.data
     import pyarrow.parquet as pq
 
-    from lucene_ray.pipelines.ivf_knn import (
-        _normalize,
-        build_ivf,
-        ivf_chunks,
-        ivf_radii,
-    )
+    from lucene_ray.index.vectors import _normalize
+    from lucene_ray.pipelines.ivf_knn import build_ivf, ivf_chunks, ivf_radii
 
     path = os.path.join(sf_dir, "embeddings.parquet")
     n_rows = pq.ParquetFile(path).metadata.num_rows  # footer only

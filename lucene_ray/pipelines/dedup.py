@@ -868,12 +868,8 @@ def embedding_near_dup(
     import ray
     import ray.data
 
-    from lucene_ray.pipelines.ivf_knn import (
-        _normalize,
-        build_ivf,
-        ivf_chunks,
-        ivf_radii,
-    )
+    from lucene_ray.index.vectors import _normalize
+    from lucene_ray.pipelines.ivf_knn import build_ivf, ivf_chunks, ivf_radii
 
     path = os.path.join(sf_dir, "embeddings.parquet")
     import pyarrow.parquet as pq

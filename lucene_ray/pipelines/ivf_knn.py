@@ -1,6 +1,6 @@
 """IVF (inverted-file) approximate nearest neighbor — an INDEX-RESIDENT
-ANN over the ``embeddings`` table, the scale path the task brief asks
-for beside brute force (``knn.py``) and LSH (``lsh_knn.py``).
+ANN over the ``embeddings`` table, a scale path beside brute force
+(``knn.py``) and LSH (``lsh_knn.py``).
 
 Shape (classic IVF, e.g. the coarse-quantizer layout of FAISS-style
 systems, built Ray-Data-first):
@@ -34,6 +34,15 @@ from typing import List, Set
 import numpy as np
 import pyarrow as pa
 
+from lucene_ray.index.vectors import (
+    DELTA,
+    _normalize,
+    dequantize,
+    int8_survivors,
+    quantize,
+    rerank_bp,
+)
+from lucene_ray.pipelines.index_cache import CACHE_ROOT
 from lucene_ray.pipelines.knn import (
     KNN_K,
     _emb_path,
@@ -45,13 +54,6 @@ from lucene_ray.pipelines.knn import (
 N_LISTS = 8
 KMEANS_ITERS = 8
 SAMPLE_ROWS = 4096
-CACHE_ROOT = os.environ.get("LUCENE_RAY_CACHE", "/tmp/lucene_ray_idx")
-
-
-def _normalize(m: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(m, axis=1, keepdims=True)
-    n[n == 0] = 1.0
-    return m / n
 
 
 def train_centroids(sample: np.ndarray, n_lists: int, seed: int = 13) -> np.ndarray:
@@ -90,8 +92,6 @@ def build_ivf(
     import ray
     import ray.data
 
-    from lucene_ray.pipelines.quantized_knn import quantize
-
     emb = _emb_path(sf_dir)
     prefix = "ivfq" if with_codes else "ivf"
     tag = hashlib.sha1(
@@ -117,9 +117,7 @@ def build_ivf(
     c_ref = ray.put(cents)
 
     def assign(b: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        cm = _ray.get(c_ref)
+        cm = ray.get(c_ref)
         a = b.column("embedding").combine_chunks()
         m = np.asarray(a.values, dtype=np.float64).reshape(len(a), -1)
         mn = _normalize(m)
@@ -225,58 +223,75 @@ def _probe_lists(
     return [set(int(c) for c in row) for row in order]
 
 
-def ivf_knn(sf_dir: str, nprobe: int = N_LISTS, n_lists: int = N_LISTS):
+def _ivf_search(sf_dir: str, nprobe: int, n_lists: int, with_codes: bool):
     """→ (qid, rank, vec_id, sim_bp) like ``knn_cosine``. Reads ONLY the
-    probed list partitions; exact re-rank within them."""
+    probed list partitions; within them each query keeps its probed
+    rows — or, ``with_codes``, only their :func:`int8_survivors` — and
+    re-ranks them exactly (:func:`rerank_bp`)."""
     import ray
     import ray.data
-
-    ivf_dir = build_ivf(sf_dir, n_lists)
-    cents = np.load(os.path.join(ivf_dir, "centroids.npy"))
-    q = _load_queries(sf_dir)
-    qn = _normalize(q.astype(np.float64))
-    probe = _probe_lists(qn, cents, nprobe)
-    needed = sorted(set().union(*probe))
-    q_ref = ray.put((qn, probe))
-
-    def score(b: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        qm, probe_sets = _ray.get(q_ref)
-        a = b.column("embedding").combine_chunks()
-        m = np.asarray(a.values, dtype=np.float64).reshape(len(a), -1)
-        sims = _normalize(m) @ qm.T
-        vec_ids = np.asarray(b.column("vec_id"), dtype=np.int64)
-        lists = np.asarray(b.column("list").cast(pa.int64()))
-        per_q = []
-        for qi in range(qm.shape[0]):
-            mask = np.isin(lists, list(probe_sets[qi]))
-            per_q.append(
-                (
-                    vec_ids[mask],
-                    np.floor(sims[mask, qi] * 10000 + 0.5).astype(np.int64),
-                )
-            )
-        return partial_topk_table(per_q)
-
-    # partition pruning: the hive `list=` filter prunes whole partition
-    # dirs at the read — only probed lists are touched at all
     from ray.data.datasource.partitioning import (
         Partitioning,
         PathPartitionFilter,
     )
 
-    needed_set = set(needed)
+    ivf_dir = build_ivf(sf_dir, n_lists, with_codes=with_codes)
+    cents = np.load(os.path.join(ivf_dir, "centroids.npy"))
+    qn = _normalize(_load_queries(sf_dir))
+    probe = _probe_lists(qn, cents, nprobe)
+    q_codes = quantize(qn)
+    q_l1 = np.abs(dequantize(q_codes)).sum(axis=1)
+    bcast = ray.put((qn, q_codes, q_l1, probe))
+
+    def score(b: pa.Table) -> pa.Table:
+        qm, qc, ql1, probe_sets = ray.get(bcast)
+        lists = np.asarray(b.column("list").cast(pa.int64()))
+        keeps = [np.flatnonzero(np.isin(lists, list(p))) for p in probe_sets]
+        if with_codes:
+            codes = np.asarray(
+                b.column("code").combine_chunks().values, dtype=np.int8
+            ).reshape(len(b), -1)
+            # the floats are not read for the bound: sum|x| <= sum|x_hat|
+            # + dim*DELTA over the codes
+            doc_l1 = np.abs(dequantize(codes)).sum(axis=1) + codes.shape[1] * DELTA
+            keeps = [
+                rows[
+                    int8_survivors(
+                        codes[rows],
+                        doc_l1[rows],
+                        qc[qi : qi + 1],
+                        ql1[qi : qi + 1],
+                        KNN_K,
+                    )[0]
+                ]
+                for qi, rows in enumerate(keeps)
+            ]
+        a = b.column("embedding").combine_chunks()
+        emb = np.asarray(a.values, dtype=np.float64).reshape(len(a), -1)
+        vec_ids = np.asarray(b.column("vec_id"), dtype=np.int64)
+        return partial_topk_table(
+            [(vec_ids[keep], bp) for keep, bp in zip(keeps, rerank_bp(emb, keeps, qm))]
+        )
+
+    # partition pruning: the hive `list=` filter prunes whole partition
+    # dirs at the read — only probed lists are touched at all
+    needed = set().union(*probe)
     ds = ray.data.read_parquet(
         os.path.join(ivf_dir, "data"),
-        columns=["vec_id", "embedding", "list"],
+        columns=["vec_id", "embedding", "list"] + (["code"] if with_codes else []),
         partitioning=Partitioning("hive", field_types={"list": int}),
         partition_filter=PathPartitionFilter.of(
-            lambda kv: int(kv["list"]) in needed_set, style="hive"
+            lambda kv: int(kv["list"]) in needed, style="hive"
         ),
     )
     partials = ds.map_batches(score, batch_format="pyarrow", batch_size=4096)
     return reduce_topk(partials)
+
+
+def ivf_knn(sf_dir: str, nprobe: int = N_LISTS, n_lists: int = N_LISTS):
+    """→ (qid, rank, vec_id, sim_bp) like ``knn_cosine``. Reads ONLY the
+    probed list partitions; exact re-rank within them."""
+    return _ivf_search(sf_dir, nprobe, n_lists, with_codes=False)
 
 
 def knn_ivf(sf_dir: str):
@@ -302,101 +317,10 @@ def ivf_knn_quantized(
     probed ``list=`` partitions are read at all, every batch scores with
     one int32 matmul over the stored codes, and only candidates whose
     quantized score ± the per-pair bound could reach the top-k are
-    re-ranked with exact float math (see pipelines/quantized_knn.py for
-    the bound) — so at nprobe == n_lists results equal brute force and
-    share its oracle."""
-    import ray
-    import ray.data
-
-    from lucene_ray.pipelines.quantized_knn import (
-        DELTA,
-        SCALE,
-        dequantize,
-        quantize,
-    )
-
-    ivf_dir = build_ivf_quantized(sf_dir, n_lists)
-    cents = np.load(os.path.join(ivf_dir, "centroids.npy"))
-    qn = _normalize(_load_queries(sf_dir).astype(np.float64))
-    probe = _probe_lists(qn, cents, nprobe)
-    q_codes = quantize(qn)
-    q_l1_hat = np.abs(dequantize(q_codes)).sum(axis=1)
-    bcast = ray.put((qn, q_codes, q_l1_hat, probe))
-
-    def score(b: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        qm, qc, ql1, probe_sets = _ray.get(bcast)
-        codes = np.asarray(
-            b.column("code").combine_chunks().values, dtype=np.int8
-        ).reshape(len(b), -1)
-        vec_ids = np.asarray(b.column("vec_id"), dtype=np.int64)
-        lists = np.asarray(b.column("list").cast(pa.int64()))
-        approx = (codes.astype(np.int32) @ qc.T.astype(np.int32)) / (
-            SCALE * SCALE
-        )
-        # the float column is only GATHERED for survivors below; the
-        # bound needs sum|x| <= sum|x_hat| + d*delta over the codes
-        doc_l1 = np.abs(dequantize(codes)).sum(axis=1) + codes.shape[1] * DELTA
-        eps = DELTA * (doc_l1[:, None] + ql1[None, :]) + 1e-9
-        keeps = []
-        keep_union = np.zeros(len(b), dtype=bool)
-        for qi in range(qm.shape[0]):
-            mask = np.isin(lists, list(probe_sets[qi]))
-            if not mask.any():
-                keeps.append(np.empty(0, np.int64))
-                continue
-            a, e = approx[mask, qi], eps[mask, qi]
-            k = min(KNN_K, len(a))
-            lower = a - e
-            theta = np.partition(lower, len(lower) - k)[len(lower) - k]
-            # slack of one bp quantum: the FINAL order is (bp, vec_id),
-            # so a pruned candidate must be a full bucket below the
-            # k-th survivor or a same-bucket smaller-vec_id tie could
-            # outrank it (the ADVICE r01 rounded-cut rule)
-            keep = np.flatnonzero(mask)[np.flatnonzero(a + e >= theta - 1e-4)]
-            keeps.append(keep)
-            keep_union[keep] = True
-        # ONE float matmul over the survivor union, per-query gathers —
-        # the same bit-parity-safe shape as knn_quantized
-        sub = np.flatnonzero(keep_union)
-        if len(sub):
-            a_full = b.column("embedding").combine_chunks()
-            emb = _normalize(
-                np.asarray(a_full.values, dtype=np.float64).reshape(
-                    len(b), -1
-                )
-            )
-            pos = np.full(len(b), -1, np.int64)
-            pos[sub] = np.arange(len(sub))
-            sims_sub = emb[sub] @ qm.T
-        per_q = []
-        for qi, keep in enumerate(keeps):
-            if len(keep) == 0:
-                per_q.append((np.empty(0, np.int64), np.empty(0, np.int64)))
-                continue
-            bp = np.floor(
-                sims_sub[pos[keep], qi] * 10000 + 0.5
-            ).astype(np.int64)
-            per_q.append((vec_ids[keep], bp))
-        return partial_topk_table(per_q)
-
-    from ray.data.datasource.partitioning import (
-        Partitioning,
-        PathPartitionFilter,
-    )
-
-    needed = set().union(*probe)
-    ds = ray.data.read_parquet(
-        os.path.join(ivf_dir, "data"),
-        columns=["vec_id", "embedding", "code", "list"],
-        partitioning=Partitioning("hive", field_types={"list": int}),
-        partition_filter=PathPartitionFilter.of(
-            lambda kv: int(kv["list"]) in needed, style="hive"
-        ),
-    )
-    partials = ds.map_batches(score, batch_format="pyarrow", batch_size=4096)
-    return reduce_topk(partials)
+    re-ranked with exact float math (``index.vectors.int8_survivors``)
+    — so at nprobe == n_lists results equal brute force and share its
+    oracle."""
+    return _ivf_search(sf_dir, nprobe, n_lists, with_codes=True)
 
 
 def knn_ivf_quantized(sf_dir: str):

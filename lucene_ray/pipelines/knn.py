@@ -2,9 +2,9 @@
 
 Brute-force cosine top-k: the query matrix is broadcast once via
 ``ray.put`` and every ``map_batches`` task scores its batch with one
-float64 matmul — the scale path (per-batch partial top-k, tiny global
-reduce) per the task brief's similarity-search requirement. An
-LSH-bucketed variant lives in ``pipelines/lsh_knn.py``.
+float64 matmul (``index.vectors.exact_bp``) — the scale path (per-batch
+partial top-k, tiny global reduce). An LSH-bucketed variant lives in
+``pipelines/lsh_knn.py``.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import os
 import numpy as np
 import pyarrow as pa
 
+from lucene_ray.index.vectors import _normalize, exact_bp
+
 QUERY_VEC_IDS = [0, 1, 2]
 KNN_K = 5
 
@@ -22,21 +24,20 @@ def _emb_path(sf_dir: str) -> str:
     return os.path.join(sf_dir, "embeddings.parquet")
 
 
-def _load_queries(sf_dir: str) -> np.ndarray:
-    """Read ONLY the query vectors (predicate pushdown — never the full
-    embedding table on the driver)."""
+def _load_queries(sf_dir: str, vec_ids=QUERY_VEC_IDS) -> np.ndarray:
+    """Read ONLY the query vectors, in ``vec_ids`` order (predicate
+    pushdown — never the full embedding table in this process)."""
     import pyarrow.parquet as pq
 
     tbl = pq.read_table(
         _emb_path(sf_dir),
         columns=["vec_id", "embedding"],
-        filters=[("vec_id", "in", list(QUERY_VEC_IDS))],
+        filters=[("vec_id", "in", list(vec_ids))],
     )
     vid = np.asarray(tbl.column("vec_id"))
     order = {int(v): i for i, v in enumerate(vid)}
-    rows = [tbl.column("embedding")[order[q]].as_py() for q in QUERY_VEC_IDS]
-    q = np.array(rows, dtype=np.float64)
-    return q
+    rows = [tbl.column("embedding")[order[q]].as_py() for q in vec_ids]
+    return np.array(rows, dtype=np.float64)
 
 
 def partial_topk_table(per_q) -> pa.Table:
@@ -103,108 +104,64 @@ def reduce_topk(partials) -> pa.Table:
     )
 
 
-def knn_cosine(sf_dir: str):
-    """→ (qid, rank, vec_id, sim_bp) — cosine top-k per query vector,
-    sim as integer basis points (floor(sim*1e4 + 0.5), the identical
-    expression on both engine and oracle sides) for exact comparison;
-    ties broken by lower vec_id (same rule as the docid tie-break)."""
+def _lang_keys(sf_dir: str, lang: str) -> np.ndarray:
+    """Sorted doc ids of ``lang`` — the filter side reads ONLY the
+    doc_id column, with the predicate pushed into the parquet read."""
+    import pyarrow.parquet as pq
+
+    ids = pq.read_table(
+        os.path.join(sf_dir, "documents.parquet"),
+        columns=["doc_id"],
+        filters=[("lang", "=", lang)],
+    ).column("doc_id")
+    return np.sort(np.asarray(ids, dtype=np.int64))
+
+
+def _brute_force(sf_dir: str, allowed: np.ndarray = None):
+    """Brute-force cosine top-k over the embeddings, optionally over the
+    ``allowed`` vec ids only: the query matrix (and the filter) broadcast
+    once, every batch scores with :func:`exact_bp`, partial top-k per
+    batch, distributed reduce."""
     import ray
     import ray.data
 
-    q = _load_queries(sf_dir)
-    qn = q / np.linalg.norm(q, axis=1, keepdims=True)
-    q_ref = ray.put(qn)
+    bcast = ray.put((_normalize(_load_queries(sf_dir)), allowed))
 
     def score_batch(b: pa.Table) -> pa.Table:
-        qm = ray.get(q_ref)
+        qm, ok_ids = ray.get(bcast)
         arr = b.column("embedding").combine_chunks()
-        flat = np.asarray(arr.values, dtype=np.float64)
-        emb = flat.reshape(len(arr), -1)  # uniform-dim list<float> column
-        norms = np.linalg.norm(emb, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        sims = (emb / norms) @ qm.T  # (batch, nq)
+        emb = np.asarray(arr.values, dtype=np.float64).reshape(len(arr), -1)
         vec_ids = np.asarray(b.column("vec_id"), dtype=np.int64)
-        # bp = floor(x*1e4 + 0.5): half-away rounding written as the SAME
-        # expression as the SQL oracle; cut by the final (bp, vec_id)
-        # order inside partial_topk_table (ADVICE r01)
-        return partial_topk_table(
-            [
-                (vec_ids, np.floor(sims[:, qi] * 10000 + 0.5).astype(np.int64))
-                for qi in range(qm.shape[0])
-            ]
-        )
+        if ok_ids is not None:
+            keep = np.isin(vec_ids, ok_ids)
+            emb, vec_ids = emb[keep], vec_ids[keep]
+        bp = exact_bp(emb, qm)
+        return partial_topk_table([(vec_ids, bp[:, qi]) for qi in range(len(qm))])
 
     ds = ray.data.read_parquet(_emb_path(sf_dir), columns=["vec_id", "embedding"])
     partials = ds.map_batches(score_batch, batch_format="pyarrow", batch_size=4096)
     return reduce_topk(partials)
 
 
+def knn_cosine(sf_dir: str):
+    """→ (qid, rank, vec_id, sim_bp) — cosine top-k per query vector,
+    sim as integer basis points (floor(sim*1e4 + 0.5), the identical
+    expression on both engine and oracle sides) for exact comparison;
+    ties broken by lower vec_id (same rule as the docid tie-break)."""
+    return _brute_force(sf_dir)
+
+
 def knn_filtered(sf_dir: str, lang: str = "en"):
     """Pre-filtered vector search — ``KnnFloatVectorQuery``'s filter
     argument (``core/search/KnnFloatVectorQuery.java``: the kNN search
     only visits documents accepted by the filter — Lucene evaluates the
-    filter into a per-segment bitset first). Ray plan: the filter side
-    reads ONLY the (doc_id) column with the predicate pushed into the
-    parquet read, the sorted id set is broadcast once via ``ray.put``
-    (8 bytes/id — the "broadcast small side" pattern; a non-selective
-    filter at cluster scale would instead co-partition ids and vectors
-    and semi-join per partition), and every embedding batch masks by
-    membership before the same broadcast-query partial-top-k scoring as
+    filter into a per-segment bitset first). The sorted id set is
+    broadcast once with the queries (8 bytes/id — the "broadcast small
+    side" pattern; a non-selective filter at cluster scale would instead
+    co-partition ids and vectors and semi-join per partition), and every
+    embedding batch masks by membership before the same scoring as
     ``knn_cosine``."""
-    import pyarrow.parquet as pq_
-
-    import ray
-    import ray.data
-
-    q = _load_queries(sf_dir)
-    qn = q / np.linalg.norm(q, axis=1, keepdims=True)
-    ids = pq_.read_table(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id"],
-        filters=[("lang", "=", lang)],
-    ).column("doc_id")
-    allowed = np.sort(np.asarray(ids, dtype=np.int64))
-    bcast = ray.put((qn, allowed))
-
-    def score_batch(b: pa.Table) -> pa.Table:
-        qm, ok_ids = ray.get(bcast)
-        vec_ids = np.asarray(b.column("vec_id"), dtype=np.int64)
-        pos = np.searchsorted(ok_ids, vec_ids)
-        safe = np.minimum(pos, len(ok_ids) - 1)
-        keep = (
-            np.zeros(len(vec_ids), dtype=bool)
-            if len(ok_ids) == 0
-            else ok_ids[safe] == vec_ids
-        )
-        if not keep.any():
-            return pa.table(
-                {
-                    "qi": pa.array([], pa.int32()),
-                    "vec_id": pa.array([], pa.int64()),
-                    "sim_bp": pa.array([], pa.int64()),
-                }
-            )
-        arr = b.column("embedding").combine_chunks()
-        flat = np.asarray(arr.values, dtype=np.float64)
-        emb = flat.reshape(len(arr), -1)[keep]
-        vec_ids = vec_ids[keep]
-        norms = np.linalg.norm(emb, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        sims = (emb / norms) @ qm.T
-        return partial_topk_table(
-            [
-                (vec_ids, np.floor(sims[:, qi] * 10000 + 0.5).astype(np.int64))
-                for qi in range(qm.shape[0])
-            ]
-        )
-
-    emb_ds = ray.data.read_parquet(
-        _emb_path(sf_dir), columns=["vec_id", "embedding"]
-    )
-    partials = emb_ds.map_batches(
-        score_batch, batch_format="pyarrow", batch_size=4096
-    )
-    return reduce_topk(partials)
+    return _brute_force(sf_dir, _lang_keys(sf_dir, lang))
 
 
 def sql_knn_filtered(lang: str = "en") -> str:

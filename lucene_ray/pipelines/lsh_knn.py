@@ -32,6 +32,9 @@ from typing import List
 import numpy as np
 import pyarrow as pa
 
+from lucene_ray.index.vectors import _normalize, exact_bp
+from lucene_ray.pipelines.knn import _load_queries
+
 N_TABLES = 8
 N_BITS = 12
 
@@ -78,27 +81,14 @@ def lsh_knn(sf_dir: str, query_vec_ids: List[int] = (0, 1, 2), k: int = 5):
     exact cosine re-rank of candidates; recall < 1 by construction, but
     deterministic — ``sql_lsh_knn`` replicates the identical plan in
     DuckDB for the driver's full value-hash gate."""
-    import pyarrow.parquet as pq
     import ray
     import ray.data
 
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    q_tbl = pq.read_table(
-        path,
-        columns=["vec_id", "embedding"],
-        filters=[("vec_id", "in", list(query_vec_ids))],
-    )
-    arr = q_tbl.column("embedding").combine_chunks()
-    q_raw = np.asarray(arr.values, dtype=np.float64).reshape(len(arr), -1)
-    q_ids = np.asarray(q_tbl.column("vec_id"), dtype=np.int64)
-    order = {int(v): i for i, v in enumerate(q_ids)}
-    q_emb = q_raw[[order[q] for q in query_vec_ids]]
-    dim = q_emb.shape[1]
-    planes = _planes(dim)
+    q_emb = _load_queries(sf_dir, query_vec_ids)
+    planes = _planes(q_emb.shape[1])
     q_sig = _signatures(q_emb, planes)  # (nq, T) — signatures are
     # norm-invariant (sign of projection), so raw vectors are fine here
-    qn = q_emb / np.linalg.norm(q_emb, axis=1, keepdims=True)
-    bcast = ray.put((planes, q_sig, qn))
+    bcast = ray.put((planes, q_sig, _normalize(q_emb)))
 
     def stage(b: pa.Table) -> pa.Table:
         pl, qs, qm = ray.get(bcast)
@@ -106,19 +96,10 @@ def lsh_knn(sf_dir: str, query_vec_ids: List[int] = (0, 1, 2), k: int = 5):
         emb = np.asarray(a.values, dtype=np.float64).reshape(len(a), -1)
         sig = _signatures(emb, pl)
         vids = np.asarray(b.column("vec_id"), dtype=np.int64)
-        nrm = np.linalg.norm(emb, axis=1, keepdims=True)
-        nrm[nrm == 0] = 1.0
-        emb_n = emb / nrm
         out_q, out_v, out_s = [], [], []
         for qi in range(qs.shape[0]):
-            match = (sig == qs[qi][None, :]).any(axis=1)
-            cand = np.flatnonzero(match)
-            if len(cand) == 0:
-                continue
-            sims = emb_n[cand] @ qm[qi]
-            bp = np.floor(sims * 10000 + 0.5).astype(np.int64)  # same
-            # half-away bp rule as knn_cosine (self-sim sits on the
-            # integer boundary where plain floor flips on ±1ulp)
+            cand = np.flatnonzero((sig == qs[qi][None, :]).any(axis=1))
+            bp = exact_bp(emb[cand], qm[qi : qi + 1])[:, 0]
             top = np.lexsort((vids[cand], -bp))[:k]  # partial top-k by the
             # final ordering — can never drop a global winner
             out_q.extend([int(query_vec_ids[qi])] * len(top))
@@ -145,6 +126,7 @@ def lsh_knn(sf_dir: str, query_vec_ids: List[int] = (0, 1, 2), k: int = 5):
             }
         )
 
+    path = os.path.join(sf_dir, "embeddings.parquet")
     ds = ray.data.read_parquet(path, columns=["vec_id", "embedding"])
     partials = ds.map_batches(stage, batch_format="pyarrow", batch_size=4096)
     return partials.groupby("qid").map_groups(topk, batch_format="pyarrow")

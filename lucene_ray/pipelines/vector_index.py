@@ -6,10 +6,13 @@ of ``core/document/KnnFloatVectorField.java`` +
 ``core/search/KnnFloatVectorQuery.java``, where vectors live in the
 leaf, not in a side file keyed off the corpus.
 
-The input composition (documents ⋈ embeddings on doc_id = vec_id) is a
+The input composition (embeddings LEFT JOIN documents on vec_id =
+doc_id, so the index holds one vector per embedding row) is a
 driver-side DuckDB join materialized once into a scratch parquet — at
 100 TB this would be a Ray Data zip/join producing the build's input
 shards; the BUILD itself is the standard partition fan-out either way.
+The HNSW gate entries (``pipelines/hnsw_knn.py``) search this same
+index.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ import pyarrow as pa
 
 from lucene_ray.index.build import build_index
 from lucene_ray.index.config import IndexConfig
+from lucene_ray.index.vectors import EF_SEARCH
+from lucene_ray.pipelines.index_cache import CACHE_ROOT
 from lucene_ray.pipelines.knn import KNN_K, QUERY_VEC_IDS, _load_queries
 from lucene_ray.search.knn_index import knn_search_index
-
-CACHE_ROOT = os.environ.get("LUCENE_RAY_CACHE", "/tmp/lucene_ray_idx")
 
 VEC_CONFIG = IndexConfig(
     rows_per_segment=1024,
@@ -35,14 +38,14 @@ VEC_CONFIG = IndexConfig(
 
 
 def _joined_input(sf_dir: str) -> str:
-    """documents ⋈ embeddings → one scratch parquet (doc_id, text,
-    embedding), cached by content mtime."""
+    """embeddings LEFT JOIN documents → one scratch parquet (doc_id,
+    text, embedding), one row per embedding, cached by content mtime."""
     import duckdb
 
     docs = os.path.join(sf_dir, "documents.parquet")
     emb = os.path.join(sf_dir, "embeddings.parquet")
     tag = hashlib.sha1(
-        f"vecjoin:{os.path.abspath(docs)}:{os.path.getmtime(docs)}:"
+        f"vecjoin:v2:{os.path.abspath(docs)}:{os.path.getmtime(docs)}:"
         f"{os.path.getmtime(emb)}".encode()
     ).hexdigest()[:16]
     out = os.path.join(CACHE_ROOT, f"vecjoin_{tag}.parquet")
@@ -53,9 +56,9 @@ def _joined_input(sf_dir: str) -> str:
     duckdb.sql(
         f"""
         copy (
-          select d.doc_id, d.text, e.embedding
-          from '{docs}' d join '{emb}' e on e.vec_id = d.doc_id
-          order by d.doc_id
+          select e.vec_id as doc_id, d.text, e.embedding
+          from '{emb}' e left join '{docs}' d on d.doc_id = e.vec_id
+          order by e.vec_id
         ) to '{tmp}' (format parquet)
         """
     )
@@ -75,17 +78,20 @@ def build_vector_index(sf_dir: str) -> str:
     return idx_dir
 
 
-def knn_index_resident(sf_dir: str):
-    """Driver-gate entry: the standard KNN query set against the
-    index's own per-segment vectors+graphs, in gate-exact mode (the
-    ``KnnFloatVectorQuery.java`` visitedLimit exact-fallback per leaf,
-    provably brute-force-identical) so it hash-matches
-    ``sql_knn_cosine``. The approximate graph path and the deleted-doc
-    mask stay pinned in tests/test_vector_index.py. Output schema
-    matches ``knn_hnsw``."""
+def resident_knn(
+    sf_dir: str, ef: int = EF_SEARCH, exact: bool = True, allowed_keys=None
+) -> pa.Table:
+    """The standard KNN query set against the index's own per-segment
+    vectors+graphs → (qid, rank, vec_id, sim_bp), the schema of
+    ``knn_cosine``. ``exact``: the ``KnnFloatVectorQuery.java``
+    visitedLimit exact fallback on every leaf, provably
+    brute-force-identical. ``allowed_keys``: the doc ids the filter
+    accepts."""
     idx = build_vector_index(sf_dir)
     q = _load_queries(sf_dir)
-    res = knn_search_index(idx, q, k=KNN_K, exact=True)
+    res = knn_search_index(
+        idx, q, k=KNN_K, ef=ef, exact=exact, allowed_keys=allowed_keys
+    )
     qids = np.asarray([QUERY_VEC_IDS[i] for i in res.column("qi").to_pylist()])
     return pa.table(
         {
@@ -95,3 +101,10 @@ def knn_index_resident(sf_dir: str):
             "sim_bp": res.column("sim_bp"),
         }
     )
+
+
+def knn_index_resident(sf_dir: str):
+    """Gate entry: :func:`resident_knn` in gate-exact mode, so it
+    hash-matches ``sql_knn_cosine``. The approximate graph path and the
+    deleted-doc mask stay pinned in tests/test_vector_index.py."""
+    return resident_knn(sf_dir)

@@ -1,5 +1,6 @@
 """Regression tests for the round-1 ADVICE findings: phrase key packing,
-k3 query-term weighting (duplicate-clause dedup), knn floor rounding."""
+k3 query-term weighting (duplicate-clause dedup). The knn basis-point
+rounding rule is tested in ``tests/test_knn_filtered.py``."""
 
 import numpy as np
 import pytest

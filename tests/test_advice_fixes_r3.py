@@ -1,62 +1,21 @@
 """Regression tests for the round-2 ADVICE findings:
 
-1. knn_classify scratch cache key includes the embeddings file mtime —
-   regenerating embeddings.parquet in place (same row count) must not
-   silently reuse stale normalized blocks/labels.
-2. export_matches resume markers are query-scoped — a partition written
+1. export_matches resume markers are query-scoped — a partition written
    by a previous export with a DIFFERENT query into the same out_dir is
    discarded, not counted as done.
-3. dedup_components label propagation uses pointer jumping — chain-shaped
+2. dedup_components label propagation uses pointer jumping — chain-shaped
    duplicate clusters with eccentricity > max_rounds still converge.
-4. search_sorted on a string-index-sorted index routes through the
+3. search_sorted on a string-index-sorted index routes through the
    ordinal/str_sort path instead of the numeric early-exit (which raised
    TypeError descending and skipped the string merge ascending).
+
+The knn_classify cache-key finding of that round is tested in
+``tests/test_classify.py``.
 """
 
-import os
-import shutil
-
-import numpy as np
-import pyarrow as pa
-import pyarrow.parquet as pq
 import pytest
 
 DOCS = "/root/testdata/sf0.001/documents.parquet"
-
-
-def _write_embeddings(path: str, labels: np.ndarray) -> None:
-    rng = np.random.default_rng(7)
-    n, dim = len(labels), 8
-    emb = rng.normal(size=(n, dim))
-    # opposite directions along dim0 so COSINE neighbors are label-determined
-    emb[:, 0] += (labels * 2.0 - 1.0) * 50.0
-    t = pa.table(
-        {
-            "vec_id": pa.array(np.arange(n, dtype=np.int64)),
-            "embedding": pa.array(list(emb.astype(np.float64)), pa.list_(pa.float64())),
-            "label": pa.array(labels.astype(np.int64)),
-        }
-    )
-    pq.write_table(t, path)
-
-
-class TestKnnClassifyCacheInvalidation:
-    def test_regenerated_embeddings_not_stale(self, ray_session, tmp_path):
-        from lucene_ray.pipelines.classify import knn_classify
-
-        sf = str(tmp_path)
-        path = os.path.join(sf, "embeddings.parquet")
-        labels_a = np.array([0] * 10 + [1] * 10)
-        _write_embeddings(path, labels_a)
-        a = knn_classify(sf, k=3).to_pandas()
-        assert set(a["label_pred"]) == {0, 1}
-
-        # regenerate IN PLACE: same row count, flipped labels, bumped mtime
-        _write_embeddings(path, 1 - labels_a)
-        os.utime(path, (os.path.getmtime(path) + 5, os.path.getmtime(path) + 5))
-        b = knn_classify(sf, k=3).to_pandas()
-        merged = a.merge(b, on="vec_id", suffixes=("_old", "_new"))
-        assert (merged["label_pred_new"] == 1 - merged["label_pred_old"]).all()
 
 
 class TestExportQueryScopedResume:

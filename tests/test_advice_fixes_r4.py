@@ -1,19 +1,17 @@
 """Regression tests for the round-3 ADVICE findings (fixed in round 4).
 
-1. ``add_indexes`` refuses num_buckets / vector_col mismatches (merge
-   assumes uniform part counts; mixed vector adoption would later drop
-   vector sidecars silently).
-2. A merge over mixed vector-bearing / vector-less segments raises
-   instead of silently dropping the sidecars.
-3. ``_adopt_one``'s idempotency check verifies lineage + base_docid
+1. ``add_indexes`` refuses num_buckets mismatches (merge assumes uniform
+   part counts).
+2. ``_adopt_one``'s idempotency check verifies lineage + base_docid
    before reusing a pre-existing segment dir (a stale retry rebuilds).
-4. ``knn_search_index`` resolves keys through the docmap column's
-   native Arrow type — string keys work.
+
+The vector findings of that round (vector_col mismatch, mixed vector
+merge, string keys in ``knn_search_index``) are tested in
+``tests/test_vector_index.py``.
 """
 
 import json
 import os
-import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -23,16 +21,11 @@ import pytest
 from lucene_ray.index.add_indexes import _adopt_one, add_indexes
 from lucene_ray.index.build import build_index
 from lucene_ray.index.config import IndexConfig
-from lucene_ray.index.merge import force_merge
 
 
-def _write_vec_corpus(path: str, n: int = 60, dim: int = 8, str_keys=False):
+def _write_vec_corpus(path: str, n: int = 60, dim: int = 8):
     rng = np.random.default_rng(7)
-    keys = (
-        [f"doc-{i:04d}" for i in range(n)]
-        if str_keys
-        else list(range(n))
-    )
+    keys = list(range(n))
     emb = rng.standard_normal((n, dim)).astype(np.float32)
     tbl = pa.table(
         {
@@ -54,52 +47,6 @@ class TestAddIndexesCompat:
         build_index(src, b, IndexConfig(rows_per_segment=30, num_buckets=4))
         with pytest.raises(ValueError, match="num_buckets"):
             add_indexes(a, [b])
-
-    def test_vector_col_mismatch_rejected(self, ray_session, tmp_path):
-        src = str(tmp_path / "p.parquet")
-        _write_vec_corpus(src)
-        a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        build_index(
-            src,
-            a,
-            IndexConfig(
-                rows_per_segment=30, num_buckets=2, vector_col="embedding"
-            ),
-        )
-        build_index(src, b, IndexConfig(rows_per_segment=30, num_buckets=2))
-        with pytest.raises(ValueError, match="vector_col"):
-            add_indexes(a, [b])
-
-
-class TestMixedVectorMerge:
-    def test_merge_refuses_mixed_vector_segments(self, ray_session, tmp_path):
-        src = str(tmp_path / "p.parquet")
-        _write_vec_corpus(src)
-        idx = str(tmp_path / "idx")
-        build_index(
-            src,
-            idx,
-            IndexConfig(
-                rows_per_segment=30, num_buckets=2, vector_col="embedding"
-            ),
-        )
-        # simulate a corrupt/legacy adoption: strip one segment's vectors
-        segs = sorted(
-            s
-            for s in os.listdir(os.path.join(idx, "segments"))
-            if s.startswith("seg_")
-        )
-        assert len(segs) >= 2
-        victim = os.path.join(idx, "segments", segs[0])
-        mp = os.path.join(victim, "meta.json")
-        with open(mp) as f:
-            meta = json.load(f)
-        assert meta.get("vectors")
-        del meta["vectors"]
-        with open(mp, "w") as f:
-            json.dump(meta, f)
-        with pytest.raises(ValueError, match="mixed vector"):
-            force_merge(idx, max_segments=1)
 
 
 class TestAdoptIdempotency:
@@ -133,31 +80,3 @@ class TestAdoptIdempotency:
         ) as f:
             on_disk = json.load(f)
         assert on_disk["base_docid"] == 250
-
-
-class TestStringKeyKnn:
-    def test_knn_index_string_keys(self, ray_session, tmp_path):
-        from lucene_ray.search.knn_index import knn_search_index
-
-        src = str(tmp_path / "p.parquet")
-        emb = _write_vec_corpus(src, str_keys=True)
-        idx = str(tmp_path / "idx")
-        build_index(
-            src,
-            idx,
-            IndexConfig(
-                rows_per_segment=30, num_buckets=2, vector_col="embedding"
-            ),
-        )
-        q = emb[:2].astype(np.float64)
-        res = knn_search_index(idx, q, k=3, exact=True)
-        assert res.num_rows == 6
-        assert res.column("key").type == pa.string()
-        keys = res.column("key").to_pylist()
-        assert all(k.startswith("doc-") for k in keys)
-        # a query identical to a stored vector must rank it first
-        by_q = {}
-        for r in res.to_pylist():
-            by_q.setdefault(r["qi"], []).append(r)
-        assert by_q[0][0]["key"] == "doc-0000"
-        assert by_q[1][0]["key"] == "doc-0001"

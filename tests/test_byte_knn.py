@@ -134,18 +134,39 @@ class TestByteKernel:
         assert res[0] == want
 
 
+def _assert_matches_oracle(sf):
+    got = knn_byte(sf).to_pandas()
+    con = duckdb.connect()
+    con.execute(
+        f"create view embeddings as select * from "
+        f"'{sf}/embeddings.parquet'"
+    )
+    want = con.execute(sql_knn_byte()).df()
+    assert len(got) == len(want) > 0
+    for c in ["qid", "rank", "vec_id", "dot", "score"]:
+        assert (got[c].values == want[c].values).all(), c
+
+
 class TestGateOracle:
     def test_matches_oracle(self, ray_session):
-        got = knn_byte(SF).to_pandas()
-        con = duckdb.connect()
-        con.execute(
-            f"create view embeddings as select * from "
-            f"'{SF}/embeddings.parquet'"
+        _assert_matches_oracle(SF)
+
+    def test_more_documents_than_embeddings(self, ray_session, tmp_path):
+        """Documents without an embedding (sf0.1 holds 5000 documents
+        and 2000 embeddings) stay out of the byte index: one vector per
+        embedding row."""
+        docs = pq.read_table(f"{SF}/documents.parquet")
+        extra = docs.slice(0, 100).set_column(
+            0, "doc_id", pa.array(np.arange(100) + 10**6, pa.int64())
         )
-        want = con.execute(sql_knn_byte()).df()
-        assert len(got) == len(want) > 0
-        for c in ["qid", "rank", "vec_id", "dot", "score"]:
-            assert (got[c].values == want[c].values).all(), c
+        pq.write_table(
+            pa.concat_tables([docs, extra]), tmp_path / "documents.parquet"
+        )
+        pq.write_table(
+            pq.read_table(f"{SF}/embeddings.parquet"),
+            tmp_path / "embeddings.parquet",
+        )
+        _assert_matches_oracle(str(tmp_path))
 
     def test_byte_code_rule(self):
         x = np.array([[0.99, -1.2, 0.005, -0.006]])

@@ -1,8 +1,12 @@
 """Naive Bayes classification (lucene/classification role): model
 shapes, integer micro-nat scoring parity with a naive recompute, and
-deterministic tie-breaking."""
+deterministic tie-breaking; kNN classification against brute force and
+its cache key."""
+
+import os
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -63,6 +67,22 @@ def test_empty_doc_ties_break_ascending(model):
         assert int(np.argmax(prior)) == 0
 
 
+def _write_embeddings(path: str, labels: np.ndarray) -> None:
+    rng = np.random.default_rng(7)
+    n, dim = len(labels), 8
+    emb = rng.normal(size=(n, dim))
+    # opposite directions along dim0 so COSINE neighbors are label-determined
+    emb[:, 0] += (labels * 2.0 - 1.0) * 50.0
+    t = pa.table(
+        {
+            "vec_id": pa.array(np.arange(n, dtype=np.int64)),
+            "embedding": pa.array(list(emb.astype(np.float64)), pa.list_(pa.float64())),
+            "label": pa.array(labels.astype(np.int64)),
+        }
+    )
+    pq.write_table(t, path)
+
+
 class TestKnnClassify:
     def test_multi_block_equals_single_block(self, ray_session):
         from lucene_ray.pipelines.classify import knn_classify
@@ -97,3 +117,20 @@ class TestKnnClassify:
             row = got.loc[ids[qi]]
             assert row["label_pred"] == vl[win]
             assert row["votes"] == vc[win]
+
+    def test_regenerated_embeddings_not_stale(self, ray_session, tmp_path):
+        from lucene_ray.pipelines.classify import knn_classify
+
+        sf = str(tmp_path)
+        path = os.path.join(sf, "embeddings.parquet")
+        labels_a = np.array([0] * 10 + [1] * 10)
+        _write_embeddings(path, labels_a)
+        a = knn_classify(sf, k=3).to_pandas()
+        assert set(a["label_pred"]) == {0, 1}
+
+        # regenerate IN PLACE: same row count, flipped labels, bumped mtime
+        _write_embeddings(path, 1 - labels_a)
+        os.utime(path, (os.path.getmtime(path) + 5, os.path.getmtime(path) + 5))
+        b = knn_classify(sf, k=3).to_pandas()
+        merged = a.merge(b, on="vec_id", suffixes=("_old", "_new"))
+        assert (merged["label_pred_new"] == 1 - merged["label_pred_old"]).all()

@@ -1,13 +1,14 @@
-"""HNSW graph ANN: recall vs brute force, determinism, shard persistence."""
+"""HNSW graph ANN: recall vs brute force, determinism, graph persistence."""
 
 import numpy as np
 import pytest
 
-from lucene_ray.pipelines.hnsw_knn import (
+from lucene_ray.index.vectors import (
     EF_SEARCH,
     _levels_for,
     _normalize,
     _ShardGraph,
+    graph_to_bytes,
 )
 
 
@@ -69,9 +70,9 @@ def test_build_deterministic(cloud):
 def test_save_load_roundtrip(tmp_path, cloud):
     v = cloud[:100]
     g = _ShardGraph(v, np.arange(100, dtype=np.int64))
-    p = str(tmp_path / "shard.npz")
-    g.save(p)
-    h = _ShardGraph.load(p)
+    p = tmp_path / "graph.npz"
+    p.write_bytes(graph_to_bytes(g))
+    h = _ShardGraph.load(str(p))
     q = _normalize(v[:1].astype(np.float64))[0]
     assert g.search(q, 5, 32) == h.search(q, 5, 32)
 

@@ -2,12 +2,12 @@
 (``Lucene99ScalarQuantizedVectorsFormat`` role): codes are stored
 beside the raw float32 vectors, the exact-scan path scans codes with an
 error-bounded prune + exact re-rank, and the result is provably
-identical to the float scan (``quantized_knn.py`` bound)."""
+identical to the float scan (``index.vectors.int8_survivors`` bound)."""
 
 import numpy as np
 import pytest
 
-from lucene_ray.index.vectors import _ShardGraph
+from lucene_ray.index.vectors import _ShardGraph, graph_to_bytes
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,8 @@ class TestQuantizedExactScan:
     def test_save_load_roundtrip_keeps_codes(self, graph, tmp_path):
         g, v = graph
         p = str(tmp_path / "g.npz")
-        g.save(p)
+        with open(p, "wb") as fh:
+            fh.write(graph_to_bytes(g))
         g2 = _ShardGraph.load(p)
         assert g2.codes is not None
         assert np.array_equal(g2.codes, g.codes)
@@ -75,7 +76,8 @@ class TestQuantizedExactScan:
     def test_pre_codes_graph_falls_back(self, graph, tmp_path):
         g, v = graph
         p = str(tmp_path / "g.npz")
-        g.save(p)
+        with open(p, "wb") as fh:
+            fh.write(graph_to_bytes(g))
         g2 = _ShardGraph.load(p)
         g2.codes = None  # simulate a pre-int8 graph file
         rng = np.random.default_rng(5)

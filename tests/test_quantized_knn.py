@@ -6,13 +6,9 @@ arbitrary vectors."""
 import numpy as np
 import pytest
 
+from lucene_ray.index.vectors import DELTA, dequantize, quantize
 from lucene_ray.pipelines.knn import knn_cosine
-from lucene_ray.pipelines.quantized_knn import (
-    DELTA,
-    dequantize,
-    knn_quantized,
-    quantize,
-)
+from lucene_ray.pipelines.quantized_knn import knn_quantized
 
 SF = "/root/testdata/sf0.001"
 

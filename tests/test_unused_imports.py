@@ -4,7 +4,7 @@ An ``ast`` scan of every module under ``lucene_ray/``: a name bound by a
 module-level ``import`` or ``from ... import`` must be read somewhere in
 its module (attribute access, annotation, ``__all__`` entry), or be
 imported from that module by another file of the repository (a
-re-export, e.g. ``hnsw_knn._levels_for`` for its tests). ``from
+re-export, e.g. a name a test imports through a pipeline module). ``from
 __future__`` imports and ``__init__.py`` files are exempt.
 """
 

@@ -1,6 +1,8 @@
 """Index-resident vectors: per-segment graph storage, KNN with live-doc
-masking, merge rebuild, checksum coverage."""
+masking, merge rebuild, checksum coverage, string keys, and the
+add_indexes / merge guards against mixed vector segments."""
 
+import json
 import os
 
 import numpy as np
@@ -8,9 +10,11 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from lucene_ray.index.add_indexes import add_indexes
 from lucene_ray.index.build import build_index
 from lucene_ray.index.config import IndexConfig
 from lucene_ray.index.manifest import load_manifest, segment_dir
+from lucene_ray.index.merge import force_merge
 from lucene_ray.index.vectors import VECTORS_FILE
 from lucene_ray.search.knn_index import knn_search_index
 
@@ -33,6 +37,25 @@ def _mk_input(root) -> str:
     src = str(root / "docs.parquet")
     pq.write_table(tbl, src)
     return src
+
+
+def _write_vec_corpus(path: str, n: int = 60, dim: int = 8, str_keys=False):
+    rng = np.random.default_rng(7)
+    keys = (
+        [f"doc-{i:04d}" for i in range(n)]
+        if str_keys
+        else list(range(n))
+    )
+    emb = rng.standard_normal((n, dim)).astype(np.float32)
+    tbl = pa.table(
+        {
+            "doc_id": pa.array(keys),
+            "text": pa.array([f"alpha beta doc {i} gamma" for i in range(n)]),
+            "embedding": pa.array(list(emb), pa.list_(pa.float32())),
+        }
+    )
+    pq.write_table(tbl, path)
+    return emb
 
 
 CFG = IndexConfig(rows_per_segment=64, num_buckets=1, vector_col="embedding")
@@ -125,8 +148,6 @@ class TestVectorIndex:
         assert len(set(after["key"]) & set(truth)) >= 4
 
     def test_merge_rebuilds_graph(self, ray_session, tmp_path_factory):
-        from lucene_ray.index.merge import force_merge
-
         root = tmp_path_factory.mktemp("vecmerge")
         src = _mk_input(root)
         d = str(root / "idx")
@@ -152,3 +173,77 @@ class TestVectorIndex:
         assert t.num_rows > 0
         r0 = t.to_pydict()
         assert r0["vec_id"][0] == r0["qid"][0] and r0["sim_bp"][0] == 10000
+
+
+class TestAddIndexesVectorCol:
+    def test_vector_col_mismatch_rejected(self, ray_session, tmp_path):
+        src = str(tmp_path / "p.parquet")
+        _write_vec_corpus(src)
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        build_index(
+            src,
+            a,
+            IndexConfig(
+                rows_per_segment=30, num_buckets=2, vector_col="embedding"
+            ),
+        )
+        build_index(src, b, IndexConfig(rows_per_segment=30, num_buckets=2))
+        with pytest.raises(ValueError, match="vector_col"):
+            add_indexes(a, [b])
+
+
+class TestMixedVectorMerge:
+    def test_merge_refuses_mixed_vector_segments(self, ray_session, tmp_path):
+        src = str(tmp_path / "p.parquet")
+        _write_vec_corpus(src)
+        idx = str(tmp_path / "idx")
+        build_index(
+            src,
+            idx,
+            IndexConfig(
+                rows_per_segment=30, num_buckets=2, vector_col="embedding"
+            ),
+        )
+        # simulate a corrupt/legacy adoption: strip one segment's vectors
+        segs = sorted(
+            s
+            for s in os.listdir(os.path.join(idx, "segments"))
+            if s.startswith("seg_")
+        )
+        assert len(segs) >= 2
+        victim = os.path.join(idx, "segments", segs[0])
+        mp = os.path.join(victim, "meta.json")
+        with open(mp) as f:
+            meta = json.load(f)
+        assert meta.get("vectors")
+        del meta["vectors"]
+        with open(mp, "w") as f:
+            json.dump(meta, f)
+        with pytest.raises(ValueError, match="mixed vector"):
+            force_merge(idx, max_segments=1)
+
+
+class TestStringKeyKnn:
+    def test_knn_index_string_keys(self, ray_session, tmp_path):
+        src = str(tmp_path / "p.parquet")
+        emb = _write_vec_corpus(src, str_keys=True)
+        idx = str(tmp_path / "idx")
+        build_index(
+            src,
+            idx,
+            IndexConfig(
+                rows_per_segment=30, num_buckets=2, vector_col="embedding"
+            ),
+        )
+        q = emb[:2].astype(np.float64)
+        res = knn_search_index(idx, q, k=3, exact=True)
+        assert res.num_rows == 6
+        assert res.column("key").type == pa.string()
+        keys = res.column("key").to_pylist()
+        assert all(k.startswith("doc-") for k in keys)
+        # a query identical to a stored vector must rank it first
+        by_q = {}
+        for r in res.to_pylist():
+            by_q.setdefault(r["qi"], []).append(r)
+        assert by_q[0][0]["key"] == "doc-0000"
+        assert by_q[1][0]["key"] == "doc-0001"
