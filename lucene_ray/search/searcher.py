@@ -17,9 +17,10 @@ Semantics:
   (``_top_global``), which is ``TopDocs.merge`` order
   (``core/search/TopDocs.java:203-228``) as segment bases ascend with
   segment index.
-- every path reports ``total_hits`` with relation EQ except the
-  exact-phrase path (``_search_phrase``), which reports GTE past the
-  1000-hit threshold (``core/search/IndexSearcher.java:100``).
+- every path reports ``total_hits`` with relation EQ except the first
+  search of a large exact phrase (``_search_phrase``), which reports GTE
+  past the 1000-hit threshold (``core/search/IndexSearcher.java:100``);
+  a phrase searched again has a cached entry and an exact count.
 """
 
 from __future__ import annotations
@@ -132,6 +133,11 @@ _PHRASE_BLOCK_POSITIONS = 1 << 16
 # the hits of a query that matches nothing: global docids, scores
 _NO_HITS = (np.empty(0, np.uint32), np.empty(0, F32))
 _NO_MATCH = (_NO_HITS[0], lambda rows: _NO_HITS[1])  # as a ``_wide`` node
+
+# the searcher-cache value under ``("phrase", terms)`` of an exact phrase
+# searched once by the bounded path (``_search_phrase``): its next search
+# builds the phrase's entry (``_phrase_postings``)
+_SEEN = object()
 
 
 def _position_signatures(offs: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -1602,11 +1608,14 @@ class IndexSearcher:
         1. a term or a SHOULD disjunction of terms (msm ≤ 1) with run-max
            bounds (``_search_wand``);
         2. a top-level exact phrase of 2+ terms with boost > 0 and no
-           cursor, with per-doc bounds before positions
-           (``_search_phrase``);
+           cursor (``_search_phrase``): on its first search with per-doc
+           bounds before positions, from then on from its cached entry
+           (``_phrase_postings``, the matches in a term's layout) through
+           the term path's run-max bounds;
         3. any other boolean tree of text terms and exact phrases, every
            occur and ``minimum_should_match``, through the index-wide
-           evaluator (``_wide``), with an exact count.
+           evaluator (``_wide``, whose phrase leaves read or build the
+           phrase's entry), with an exact count.
 
         All are rank-identical to full scoring by construction. Other
         queries, and every query under a non-BM25 similarity or on a
@@ -2930,33 +2939,89 @@ class IndexSearcher:
                 ids.append(sids.astype(np.uint32) + np.uint32(seg.base_docid))
                 dens.append(den)
                 tfs.append(freqs)
-            ids, den = np.concatenate(ids), np.concatenate(dens)
-            tf = np.concatenate([np.empty(0, np.uint8)] + tfs)
-            tf = tf.astype(np.min_scalar_type(int(tf.max()) if len(tf) else 0))
-            run_max = (
-                np.maximum.reduceat(den, np.arange(0, len(den), self.RUN))
-                if len(den)
-                else den
-            )
-            hit = self.cache.put(
+            hit = self._put_postings(
                 key,
-                (ids, den, run_max, tf),
-                ids.nbytes + den.nbytes + run_max.nbytes + tf.nbytes,
+                np.concatenate(ids),
+                np.concatenate(dens),
+                np.concatenate([np.empty(0, np.uint8)] + tfs),
             )
         return hit
 
-    def _search_wand(self, terms: List[TermQuery], k: int, after=None) -> dict:
-        """Top-k of a text term or a SHOULD disjunction of text terms in
-        one pass over the terms' index-wide arrays (``_term_postings``),
-        with exact hit counts (relation EQ):
+    def _put_postings(
+        self, key, ids: np.ndarray, den: np.ndarray, tf: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Cache index-wide postings under ``key`` in the layout of
+        ``_term_postings`` → ``(ids, den, run_max, tf)``: the run maxima
+        of ``den`` are added and ``tf`` is narrowed to the smallest
+        unsigned dtype that holds it."""
+        tf = tf.astype(np.min_scalar_type(int(tf.max()) if len(tf) else 0))
+        run_max = (
+            np.maximum.reduceat(den, np.arange(0, len(den), self.RUN))
+            if len(den)
+            else den
+        )
+        return self.cache.put(
+            key,
+            (ids, den, run_max, tf),
+            ids.nbytes + den.nbytes + run_max.nbytes + tf.nbytes,
+        )
 
-        - a term scores ``w - w/den``; a disjunction adds its terms'
-          scores in clause order into one float32 accumulator over the
-          index's docids, the exhaustive path's sums;
+    def _phrase_postings(
+        self, terms: Sequence[str], states, cand=None, verify=None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Index-wide arrays of an exact phrase in the layout of
+        ``_term_postings``, cached under ``("phrase", terms)``: the global
+        docids of its live matches (ascending), their BM25 denominators
+        ``1 + freq·normInv`` at the phrase freq, the largest denominator
+        of each run of ``RUN`` matches, and the phrase freqs. A match
+        scores ``w - w/den``, the float32 sequence of ``_phrase_scores``,
+        so the term path scores a phrase from here on. Built from one
+        ``verify(None)`` over the phrase's ``_phrase_candidates`` (taken
+        here unless given), so the candidates are still
+        signature-filtered and verified in position blocks."""
+        if verify is None:
+            cand, _, _, verify = self._phrase_candidates(terms, states)
+        ids, freqs = verify(None) if len(cand) else (_NO_HITS[0], _NO_HITS[0])
+        den = F32(1.0) + freqs.astype(F32) * self._doc_norm_inverse()[ids]
+        return self._put_postings(("phrase", tuple(terms)), ids, den, freqs)
+
+    def _clause(self, q, states):
+        """``(w, ids, den, run_max)`` of a text term or exact phrase leaf,
+        its weight and index-wide arrays (``_term_postings``,
+        ``_phrase_postings``); None for a term no doc holds. A phrase
+        without an entry builds it."""
+        if isinstance(q, TermQuery):
+            infos, df, _ = states[q.term]
+            if df == 0:
+                return None
+            ids, den, run_max, _ = self._term_postings(q.term, infos)
+            return self._term_weight(df, q.boost), ids, den, run_max
+        entry = self.cache.get(("phrase", tuple(q.terms)))
+        if entry is None or entry is _SEEN:
+            entry = self._phrase_postings(q.terms, states)
+        ids, den, run_max, _ = entry
+        return self._phrase_weight(q.boost, q.terms, states), ids, den, run_max
+
+    def _search_wand(self, terms: List[TermQuery], k: int, after=None) -> dict:
+        """Top-k of a text term or a SHOULD disjunction of text terms:
+        their ``_clause``s, in clause order, scored by
+        ``_search_clauses``."""
+        states = self.term_states([t.term for t in terms])
+        clauses = [self._clause(t, states) for t in terms]
+        return self._search_clauses([c for c in clauses if c is not None], k, after)
+
+    def _search_clauses(self, clauses, k: int, after=None) -> dict:
+        """Top-k of clauses ``(w, ids, den, run_max)`` over index-wide
+        arrays (``_term_postings`` and ``_phrase_postings`` layout) in one
+        pass, with exact hit counts (relation EQ):
+
+        - a clause scores ``w - w/den``; several add their scores in
+          clause order into one float32 accumulator over the index's
+          docids, the exhaustive path's sums;
         - θ, a lower bound of the k-th best score past the cursor: the
           k-th best exact score of a sample of at least k distinct live
-          docs past the cursor; per term, the docs of its k runs with the
-          largest maxima; the largest over the terms;
+          docs past the cursor; per clause, the docs of its k runs with
+          the largest maxima; the largest over the clauses;
         - only the runs (``w - w/max(den)`` ≥ θ), then the hits, scoring
           ≥ θ reach the final selection (``_topk_segment``), in (score
           desc, global docid asc) order, which is ``TopDocs.merge``
@@ -2965,13 +3030,6 @@ class IndexSearcher:
 
         A weight below zero turns the run maxima into minima, so such a
         query selects from every hit."""
-        states = self.term_states([t.term for t in terms])
-        clauses = []  # (w, ids, den, run_max) in clause order
-        for t in terms:
-            infos, df, _ = states[t.term]
-            if df > 0:
-                ids, den, run_max, _ = self._term_postings(t.term, infos)
-                clauses.append((self._term_weight(df, t.boost), ids, den, run_max))
         if not clauses:
             return self._top_global(*_NO_HITS, k, 0, "EQ")
         if len(clauses) > 1:
@@ -3235,29 +3293,24 @@ class IndexSearcher:
         """One node of a ``_wide_eligible`` tree → ``(ids, score)``: the
         ascending global docids of its live matches, and ``score(rows)``,
         their float32 scores at ``rows`` (an index array into ``ids``, or
-        a slice), computed only for the rows a parent asks for. A boolean
-        with MUST or FILTER clauses matches their ``_conjunction`` less
-        the MUST_NOT matches, and maps the candidates to each SHOULD
-        clause's rows (``_rows_of``) to count ``msm``; a boolean of SHOULD
-        clauses only sums them into a dense accumulator, as
-        ``_search_wand`` does.
+        a slice), computed only for the rows a parent asks for. A term or
+        exact phrase leaf scores ``w - w/den`` over its ``_clause``
+        arrays; a phrase leaf verifies every candidate anyway, so it
+        builds the phrase's entry on its first search and reads no
+        postings, positions or signatures once the entry is cached. A
+        boolean with MUST or FILTER clauses matches their
+        ``_conjunction`` less the MUST_NOT matches, and maps the
+        candidates to each SHOULD clause's rows (``_rows_of``) to count
+        ``msm``; a boolean of SHOULD clauses only sums them into a dense
+        accumulator, as ``_search_clauses`` does.
         A doc's score adds its matching MUST and SHOULD clauses' scores in
         clause order from zero, the float32 sequence of ``_eval_bool``."""
-        if isinstance(q, TermQuery):
-            infos, df, _ = states[q.term]
-            if df == 0:
+        if isinstance(q, (TermQuery, PhraseQuery)):
+            clause = self._clause(q, states)
+            if clause is None:
                 return _NO_MATCH
-            ids, den, _, _ = self._term_postings(q.term, infos)
-            w = self._term_weight(df, q.boost)
+            w, ids, den, _ = clause
             return ids, lambda rows: w - w / den[rows]
-        if isinstance(q, PhraseQuery):
-            cand, _, _, verify = self._phrase_candidates(q.terms, states)
-            if len(cand) == 0:
-                return _NO_MATCH
-            ids, freqs = verify(None)
-            w = self._phrase_weight(q.boost, q.terms, states)
-            inv = self._doc_norm_inverse()
-            return ids, lambda rows: self._phrase_scores(w, inv[ids[rows]], freqs[rows])
         if any(
             o in (MUST, FILTER) and isinstance(sub, TermQuery) and states[sub.term][1] == 0
             for o, sub in q.clauses
@@ -3313,10 +3366,25 @@ class IndexSearcher:
         return cand, lambda rows: scores[rows]
 
     def _search_phrase(self, q: PhraseQuery, k: int) -> dict:
-        """Top-k of an exact BM25 phrase that reads positions only for
-        docs whose score bound can reach the top k — the bound-then-verify
-        shape of Koios (PAPERS.md), per document, over the terms'
-        index-wide arrays:
+        """Top-k of an exact BM25 phrase of 2+ terms, boost > 0.
+
+        A phrase with a cached entry (``_phrase_postings``: its matches
+        in the layout of a term's arrays) scores it through the term path
+        (``_search_clauses``) with an exact count (EQ), and reads no
+        postings, positions or signatures. The entry is built from one
+        verification of every candidate:
+
+        - on the first search when that verification is the whole search
+          anyway: at most ``2 · TOTAL_HITS_THRESHOLD`` candidates, or a
+          weight ≤ 0 (no bounds);
+        - otherwise on the second search: the first leaves a "seen"
+          marker under the entry's key, the role of the reference's
+          ``UsageTrackingQueryCachingPolicy`` (a costly query is cached
+          once it is seen again), and takes the bounded path below.
+
+        The bounded path reads positions only for docs whose score bound
+        can reach the top k — the bound-then-verify shape of Koios
+        (PAPERS.md), per document, over the terms' index-wide arrays:
 
         1. the doc conjunction of the phrase's distinct terms
            (``_conjunction`` over their ``_term_postings`` docids, live
@@ -3344,28 +3412,34 @@ class IndexSearcher:
 
         The top k equals the exhaustive path's bit for bit: verified docs
         score through the same ``_phrase_scores`` as ``_eval_phrase``, and
-        a skipped doc scores ≤ its bound < θ."""
+        a skipped doc scores ≤ its bound < θ; an entry's ``w - w/den`` is
+        the same float32 sequence."""
         states = self.term_states(q.terms)
         w = self._phrase_weight(q.boost, q.terms, states)
-        slots_of = Counter(q.terms)
-        cand, rows, post, verify = self._phrase_candidates(q.terms, states)
-        n = len(cand)
-        if n == 0:
-            return self._top_global(*_NO_HITS, k, 0, "EQ")
-        inv = self._doc_norm_inverse()
-        # a first chunk of twice the threshold counts the threshold at
-        # once for a phrase matching every other candidate; a lone chunk
-        # needs no bounds
+        key = ("phrase", tuple(q.terms))
+        entry = self.cache.get(key)
+        # a first chunk of twice the threshold counts the threshold at once
+        # for a phrase matching every other candidate; a lone chunk needs
+        # no bounds and verifies every candidate anyway
         step = 2 * TOTAL_HITS_THRESHOLD
-        bound = None
-        if n > step and w > 0:
-            min_tf = None
-            for t, r in rows.items():
-                tf = post[t][3] if r is None else post[t][3][r]
-                if slots_of[t] > 1:
-                    tf = np.maximum(tf.astype(np.int64) - (slots_of[t] - 1), 0)
-                min_tf = tf if min_tf is None else np.minimum(min_tf, tf)
-            bound = self._phrase_scores(w, inv[cand], min_tf)
+        if entry is None or entry is _SEEN:
+            cand, rows, post, verify = self._phrase_candidates(q.terms, states)
+            if entry is _SEEN or len(cand) <= step or w <= 0:
+                entry = self._phrase_postings(q.terms, states, cand, verify)
+        if entry is not None:
+            return self._search_clauses([(w, *entry[:3])], k)
+        # the first search of a phrase past a lone chunk: bounded
+        self.cache.put(key, _SEEN, self._OBJ_BYTES)
+        slots_of = Counter(q.terms)
+        n = len(cand)
+        inv = self._doc_norm_inverse()
+        min_tf = None
+        for t, r in rows.items():
+            tf = post[t][3] if r is None else post[t][3][r]
+            if slots_of[t] > 1:
+                tf = np.maximum(tf.astype(np.int64) - (slots_of[t] - 1), 0)
+            min_tf = tf if min_tf is None else np.minimum(min_tf, tf)
+        bound = self._phrase_scores(w, inv[cand], min_tf)
         hit_ids, hit_scores = [np.empty(0, np.uint32)], [np.empty(0, F32)]
         top = np.empty(0, F32)  # the k best exact scores so far
         total = n_verified = 0
@@ -3376,17 +3450,13 @@ class IndexSearcher:
             if theta_known:
                 lo = float(top.min())
             else:
-                rest = () if bound is None else bound[bound < hi]
+                rest = bound[bound < hi]
                 lo = (
                     float(np.partition(rest, len(rest) - step)[len(rest) - step])
                     if len(rest) > step
                     else -np.inf
                 )
-            chunk = (
-                np.arange(n)
-                if bound is None
-                else np.flatnonzero((bound >= lo) & (bound < hi))
-            )
+            chunk = np.flatnonzero((bound >= lo) & (bound < hi))
             n_verified += len(chunk)
             if len(chunk):
                 ids, freqs = verify(None if len(chunk) == n else chunk)
@@ -3405,13 +3475,12 @@ class IndexSearcher:
             missing = TOTAL_HITS_THRESHOLD - total
             step = int(2 * missing * n_verified / max(total, 1)) if missing > 0 else n
         # a candidate bounded below θ was never verified
-        skipped = bound is not None and bool((bound < hi).any())
         return self._top_global(
             np.concatenate(hit_ids),
             np.concatenate(hit_scores),
             k,
             total,
-            "GTE" if skipped else "EQ",
+            "GTE" if (bound < hi).any() else "EQ",
         )
 
     def search_batch(
@@ -3468,7 +3537,8 @@ class SearcherActor:
         self.query_factory = query_factory
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids = batch.column("qid").to_pylist()
+        # the qid column keeps its Arrow type, an empty batch's included
+        qids = batch.column("qid").combine_chunks()
         queries = batch.column("query").to_pylist()
         if self.query_factory is not None:
             queries = [self.query_factory(q) for q in queries]
@@ -3478,11 +3548,11 @@ class SearcherActor:
             else [self.k] * len(qids)
         )
         # group by k only if heterogeneous; common case single k
-        if len(set(ks)) == 1:
-            return self.searcher.search_batch(qids, queries, ks[0])
+        if len(set(ks)) <= 1:
+            return self.searcher.search_batch(qids, queries, ks[0] if ks else self.k)
         parts = [
-            self.searcher.search_batch([q], [qt], kk)
-            for q, qt, kk in zip(qids, queries, ks)
+            self.searcher.search_batch(qids[i : i + 1], [qt], kk)
+            for i, (qt, kk) in enumerate(zip(queries, ks))
         ]
         return pa.concat_tables(parts)
 

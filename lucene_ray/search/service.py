@@ -17,9 +17,13 @@ throughput. ``SearcherService`` keeps the actors alive across calls:
   exact-phrase top-k), index-wide term positions (exact phrases, in the
   narrowest unsigned dtype that holds them), per-posting 64-bit position
   signatures (built when a term's positions are read a second time; they
-  drop phrase candidates before positions are read) and the index-wide
-  norm inverses (phrase bounds), all persisting across queries: the
-  production steady state. Each reader's decode cache fills only for
+  drop phrase candidates before positions are read), exact-phrase
+  entries (a phrase's matches in the layout of a term's arrays, built on
+  the phrase's second search, or its first when that verifies every
+  candidate anyway; a repeated phrase then reads no positions) with the
+  "seen" markers of phrases searched once, and the index-wide norm
+  inverses (phrase bounds and entries), all persisting across queries:
+  the production steady state. Each reader's decode cache fills only for
   queries scored per segment (exhaustive scoring, other query types);
 - queries submitted as pyarrow-table shards round-robin across the pool
   (``submit`` returns object refs; ``search`` gathers);
@@ -113,20 +117,20 @@ class SearcherService:
         self, qids: List[int], queries: List[str], batch_size: int = 16
     ) -> pa.Table:
         """Shard (qid, query) into batches, round-robin across the pool,
-        gather one result table (qid, rank, key, docid, score)."""
+        gather one result table (qid, rank, key, docid, score). No queries
+        still send one empty batch to one actor, so the result has the
+        schema of every other call."""
         n = len(qids)
         qid_arr = pa.array(qids, pa.int64())
         q_arr = pa.array(queries, pa.string())
         refs = []
-        for i, s in enumerate(range(0, n, batch_size)):
+        for i, s in enumerate(range(0, max(n, 1), batch_size)):
             e = min(s + batch_size, n)
             batch = pa.table({"qid": qid_arr[s:e], "query": q_arr[s:e]})
             refs.append(
                 self.actors[i % len(self.actors)].search_batch.remote(batch)
             )
         parts = ray.get(refs)
-        if not parts:
-            return pa.table({})
         # every part has the same schema, zero-hit ones included
         # (``IndexSearcher.search_batch``); permissive promotion only
         # matters for a pool whose actors serve different indexes

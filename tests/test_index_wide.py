@@ -243,11 +243,13 @@ def test_k0_counts_like_k1(searcher, cls, mode):
     )
 
 
-def test_k0_phrase_past_the_threshold(searcher):
-    """A phrase count that stops short at k=1 stops short at k=0 too."""
+def test_k0_phrase_past_the_threshold(searcher, tmp_path):
+    """A phrase count that stops short at k=1 stops short at k=0 too, both
+    the phrase's first search (a repeated phrase counts exactly from its
+    cached entry, ``tests/test_phrase_entries.py``)."""
     with mock.patch.object(searcher_mod, "TOTAL_HITS_THRESHOLD", 3):
         one = searcher.search(QUERIES["phrase"], 1)
-        none = searcher.search(QUERIES["phrase"], 0)
+        none = IndexSearcher(str(tmp_path)).search(QUERIES["phrase"], 0)
     assert one["relation"] == "GTE"
     assert len(none["docids"]) == 0
     assert (none["total_hits"], none["relation"]) == (

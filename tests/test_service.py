@@ -118,3 +118,14 @@ def test_search_batch_schema_and_rows(index_dir):
     assert t.to_pylist() == want and t.num_rows > 5
     empty = s.search_batch([1, 2], ["zzz_nohit", "zzz_nohit zzz_other"], k=5)
     assert empty.schema == BATCH_SCHEMA and empty.num_rows == 0
+
+
+def test_empty_search_has_the_result_schema(index_dir):
+    """``SearcherService.search`` with no queries returns an empty table
+    with the schema of every other call."""
+    svc = SearcherService(index_dir, num_actors=2, k=5)
+    empty = svc.search([], [])
+    hits = svc.search([0, 1], ["data", "zzz_nohit"])
+    svc.shutdown()
+    assert empty.num_rows == 0 and hits.num_rows > 0
+    assert empty.schema == hits.schema == BATCH_SCHEMA

@@ -12,8 +12,10 @@ mean milliseconds per class (term / disjunction / conjunction / phrase,
 with its hits, misses and megabytes held. For the phrase and mixed
 classes it also prints deterministic work counters: the candidates
 handed to the exact-phrase kernel (``_exact_phrase_hits``) per query,
-and the share of doc-conjunction candidates the position-signature
-filter (``_signature_filter``) passes.
+the share of doc-conjunction candidates the position-signature filter
+(``_signature_filter``) passes, and the cached phrase entries
+(``("phrase", terms)``, built by ``_phrase_postings``) the class's
+queries hit and built, with the built entries' megabytes.
 
 ``--check`` then re-runs every query with ``mode="exhaustive"`` and
 asserts that the top-10 docids and float32 scores are equal, and that the
@@ -75,14 +77,39 @@ def mixed_queries(seed: int, n: int, vocab_seed: int = 42) -> list:
 
 
 def count_phrase_work(searcher: IndexSearcher) -> dict:
-    """Wrap ``searcher``'s exact-phrase kernel and signature filter as
-    instance attributes (the filter only where the checkout has one;
-    drop the attributes to unwrap) → the counters they add to: ``verified``,
-    the candidates handed to the kernel; ``filter_in`` /
-    ``filter_kept``, the candidates the filter saw and kept."""
-    work = {"verified": 0, "filter_in": 0, "filter_kept": 0}
+    """Wrap ``searcher``'s exact-phrase kernel, signature filter, phrase
+    entry builder and searcher-cache lookups as instance attributes (the
+    filter and the builder only where the checkout has them; drop the
+    attributes to unwrap) → the counters they add to: ``verified``, the
+    candidates handed to the kernel; ``filter_in`` / ``filter_kept``, the
+    candidates the filter saw and kept; ``entry_hits``, the lookups that
+    found a cached phrase entry (``("phrase", terms)``, "seen" markers
+    not counted); ``entry_builds`` / ``entry_bytes``, the phrase entries
+    built and their bytes."""
+    work = {
+        "verified": 0,
+        "filter_in": 0,
+        "filter_kept": 0,
+        "entry_hits": 0,
+        "entry_builds": 0,
+        "entry_bytes": 0,
+    }
     kernel = searcher._exact_phrase_hits
     filt = getattr(searcher, "_signature_filter", None)
+    build = getattr(searcher, "_phrase_postings", None)
+    get = searcher.cache.get
+
+    def counting_get(key):
+        hit = get(key)
+        if key[0] == "phrase" and isinstance(hit, tuple):
+            work["entry_hits"] += 1
+        return hit
+
+    def counting_build(*args, **kwargs):
+        entry = build(*args, **kwargs)
+        work["entry_builds"] += 1
+        work["entry_bytes"] += sum(a.nbytes for a in entry)
+        return entry
 
     def counting_kernel(decoded, cand=None, rows=None):
         work["verified"] += len(
@@ -99,8 +126,11 @@ def count_phrase_work(searcher: IndexSearcher) -> dict:
         return kept
 
     searcher._exact_phrase_hits = counting_kernel
+    searcher.cache.get = counting_get
     if filt is not None:
         searcher._signature_filter = counting_filter
+    if build is not None:
+        searcher._phrase_postings = counting_build
     return work
 
 
@@ -139,8 +169,9 @@ def main() -> int:
         for name, v in work.items():
             by_class[c][name] += v - before[name]
     total_s = time.perf_counter() - t_all
-    for name in ("_exact_phrase_hits", "_signature_filter"):
+    for name in ("_exact_phrase_hits", "_signature_filter", "_phrase_postings"):
         searcher.__dict__.pop(name, None)
+    searcher.cache.__dict__.pop("get", None)
 
     print(f"{args.n} + {N_MIXED} mixed queries, seed {args.seed}, "
           f"{len(searcher.segments)} segments, total {total_s:.2f} s")
@@ -156,6 +187,8 @@ def main() -> int:
         print(
             f"work {c:<7} verified/query {w['verified'] / max(len(ms[c]), 1):>8.1f}"
             f"  filter kept {w['filter_kept']}/{w['filter_in']} ({rate:.1%})"
+            f"  phrase entries: hits {w['entry_hits']} builds"
+            f" {w['entry_builds']} {w['entry_bytes'] / 2**20:.1f} MB"
         )
 
     caches = {
