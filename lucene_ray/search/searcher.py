@@ -13,6 +13,11 @@ Semantics:
   (``_eval``). Boolean scores sum in clause order on both
   (deterministic float32 accumulation; the documented summation order
   of this engine).
+- one match set: every consumer of a query's matches (``count``,
+  facets, field and expression sorts, grouping, block and query-time
+  joins, diversified top-k, drill-sideways, ``search`` past its pruned
+  cases) takes the global docids and scores of ``_matches`` and reads
+  doc values at them through ``_column``; ties break by global docid.
 - top-k: (score desc, global docid asc) over all segments' hits
   (``_top_global``), which is ``TopDocs.merge`` order
   (``core/search/TopDocs.java:203-228``) as segment bases ascend with
@@ -1545,15 +1550,10 @@ class IndexSearcher:
         (``core/search/IndexSearcher.java:495-526``): constant-score
         rewrite, per-leaf shortcuts (term df / maxDoc when no deletes,
         the ``Weight#count`` role), the two-clause pure-term-disjunction
-        inclusion-exclusion optimization (:507-520), then the match count
-        of a BM25 tree of text terms and exact phrases on an
-        impact-bearing index from the index-wide evaluator (``_wide``, as
-        ``search`` matches it), and an exhaustive per-segment match-set
-        count fallback (``TotalHitCountCollectorManager``)."""
-        if isinstance(query, str):
-            query = parse_query(query, self.analyzer)
-        else:
-            query = localize_query(query)
+        inclusion-exclusion optimization (:507-520), then the size of the
+        query's match set (``_matches``, as ``search`` matches it; the
+        ``TotalHitCountCollectorManager`` role)."""
+        query = self._query(query)
         no_deletes = all(s.deleted is None for s in self.segments)
         inner = query.query if isinstance(query, ConstantScoreQuery) else query
 
@@ -1587,13 +1587,7 @@ class IndexSearcher:
             if min(c1, c2) / max(c1, c2) < 0.1:
                 both = BooleanQuery(((MUST, t1), (MUST, t2)))
                 return c1 + c2 - self.count(both)
-        states = self.term_states(query_terms(inner))
-        if self.is_bm25 and self.text_has_impacts and self._wide_eligible(inner):
-            return len(self._wide(inner, states)[0])
-        return sum(
-            len(self._eval(inner, si, states).docids)
-            for si in range(len(self.segments))
-        )
+        return len(self._matches(inner)[0])
 
     def search(
         self, query, k: int = 10, mode: str = "auto", after=None
@@ -1621,6 +1615,7 @@ class IndexSearcher:
         queries, and every query under a non-BM25 similarity or on a
         non-impact text format, are scored per segment (``_eval``), which
         "exhaustive" forces; "wand" forces case 1 (errors if ineligible).
+        Case 3 and the per-segment path are the query's ``_matches``.
 
         ``k`` < 1 returns no hits, with the ``total_hits`` and relation
         of ``k=1``.
@@ -1634,16 +1629,7 @@ class IndexSearcher:
             return {
                 **r, "docids": r["docids"][:0], "keys": [], "scores": r["scores"][:0]
             }
-        if isinstance(query, str):
-            query = parse_query(query, self.analyzer)
-        else:
-            query = localize_query(query)
-        if isinstance(query, JoinQuery):
-            query = self._rewrite_join(query)
-        # search-time rewrite: merge repeated SHOULD/MUST clauses through
-        # Similarity.computeQueryTermWeight (fork k3 query-term saturation)
-        query = deduplicate_clauses(query, self.sim.compute_query_term_weight)
-        wide = False  # case 3
+        query = self._query(query)
         if mode != "exhaustive":
             # the block-max impact→bound conversion is derived for the
             # BM25 algebra; generic similarities run exhaustively
@@ -1668,47 +1654,131 @@ class IndexSearcher:
                     and after is None
                 ):
                     return self._search_phrase(query, k)
-                wide = self._wide_eligible(query)
-        states = self.term_states(query_terms(query))
-        if wide:
-            ids, score = self._wide(query, states)
-            scores = score(slice(None))
-        else:
-            segs = [
-                (self._eval(query, si, states), seg)
-                for si, seg in enumerate(self.segments)
-            ]
-            ids = np.concatenate(
-                [np.empty(0, np.int64)]
-                + [r.docids.astype(np.int64) + seg.base_docid for r, seg in segs]
-            )
-            scores = np.concatenate([np.empty(0, F32)] + [r.scores for r, _ in segs])
+        ids, scores = self._matches(query, exhaustive=mode == "exhaustive")
         total = len(ids)
         if after is not None:
             keep = self._past(after, scores, ids)
             ids, scores = ids[keep], scores[keep]
         return self._top_global(ids, scores, k, total, "EQ")
 
+    # -- the match set -----------------------------------------------------
+
+    def _query(self, query) -> Query:
+        """The searched form of ``query``, a string (parsed) or a ``Query``
+        (localized): every ``JoinQuery`` node rewritten into its keyword
+        terms (``_rewrite_join``), then repeated SHOULD/MUST clauses merged
+        through ``Similarity.computeQueryTermWeight`` (fork k3 query-term
+        saturation, ``deduplicate_clauses``)."""
+        if isinstance(query, str):
+            q = parse_query(query, self.analyzer)
+        else:
+            q = self._unjoin(localize_query(query))
+        return deduplicate_clauses(q, self.sim.compute_query_term_weight)
+
+    def _unjoin(self, q: Query) -> Query:
+        """``q`` with every ``JoinQuery`` node, at any depth, rewritten by
+        ``_rewrite_join``."""
+        if isinstance(q, JoinQuery):
+            return self._rewrite_join(q)
+        if isinstance(q, BooleanQuery):
+            return replace(q, clauses=tuple((o, self._unjoin(s)) for o, s in q.clauses))
+        if isinstance(q, DisjunctionMaxQuery):
+            return replace(q, disjuncts=tuple(map(self._unjoin, q.disjuncts)))
+        if isinstance(q, CoveringQuery):
+            return replace(q, queries=tuple(map(self._unjoin, q.queries)))
+        if isinstance(q, ConstantScoreQuery):
+            return replace(q, query=self._unjoin(q.query))
+        return q
+
+    def _matches(
+        self, q: Query, exhaustive: bool = False
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The match set of a ``_query`` → ``(ids, scores)``: the ascending
+        int64 global docids of its live matches and their float32 scores.
+        A BM25 tree of text terms and exact phrases on an impact-bearing
+        index runs index-wide (``_wide``); any other query, and every query
+        when ``exhaustive``, per segment (``_eval``), each segment's docids
+        shifted by its base. Every consumer of a query's matches (counts,
+        facets, sorts, groups, joins) reads them here."""
+        states = self.term_states(query_terms(q))
+        if (
+            not exhaustive
+            and self.is_bm25
+            and self.text_has_impacts
+            and self._wide_eligible(q)
+        ):
+            ids, score = self._wide(q, states)
+            return ids.astype(np.int64), score(slice(None))
+        rs = [self._eval(q, si, states) for si in range(len(self.segments))]
+        ids = np.concatenate(
+            [np.empty(0, np.int64)]
+            + [r.docids.astype(np.int64) + s.base_docid for r, s in zip(rs, self.segments)]
+        )
+        return ids, np.concatenate([np.empty(0, F32)] + [r.scores for r in rs])
+
+    def _bounds(self, ids: np.ndarray) -> np.ndarray:
+        """Segment i's part of the ascending global docids ``ids`` is
+        ``ids[b[i] : b[i + 1]]``: one ``searchsorted`` on the segment bases
+        (which ascend with segment index)."""
+        bases = [s.base_docid for s in self.segments]
+        return np.append(np.searchsorted(ids, bases), len(ids))
+
+    def _column(self, field: Optional[str], ids: np.ndarray) -> pa.Array:
+        """Doc-values column ``field`` (None: the document keys, ``docmap``)
+        at the global docids ``ids``, as one Arrow array. Ascending ids are
+        cut per segment by ``_bounds``; ids in another order are gathered
+        ascending and put back in their order."""
+        back = None
+        if np.any(ids[1:] < ids[:-1]):
+            back = np.argsort(ids)
+            ids = ids[back]
+        b = self._bounds(ids)
+        col = pa.concat_arrays(
+            [
+                (s.docmap if field is None else s.dv(field)).take(
+                    pa.array(ids[lo:hi] - s.base_docid)
+                )
+                for s, lo, hi in zip(self.segments, b[:-1], b[1:])
+            ]
+        )
+        return col if back is None else col.take(pa.array(np.argsort(back)))
+
+    @staticmethod
+    def _groups(vals: pa.Array) -> Tuple[list, np.ndarray]:
+        """Group codes of a column → ``(values, codes)``: its distinct
+        values in ascending order, then None (for nulls), and each row's
+        index into them."""
+        enc = vals.dictionary_encode()
+        uniq = enc.dictionary.to_pylist()
+        order = sorted(range(len(uniq)), key=uniq.__getitem__)
+        rank = np.empty(len(uniq) + 1, np.int64)
+        rank[order] = np.arange(len(uniq))
+        rank[-1] = len(uniq)
+        codes = enc.indices.fill_null(len(uniq)).to_numpy(zero_copy_only=False)
+        return [uniq[i] for i in order] + [None], rank[codes]
+
+    @staticmethod
+    def _ranked(codes: np.ndarray, ids: np.ndarray, scores: np.ndarray):
+        """Rows in (group code, score desc, docid asc) order → ``(order,
+        rank)``: the row order, and each ordered row's rank in its
+        group."""
+        order = np.lexsort((ids, -scores, codes))
+        g = codes[order]
+        starts = np.flatnonzero(np.diff(g, prepend=-1))
+        runs = np.diff(np.append(starts, len(g)))
+        return order, np.arange(len(g)) - np.repeat(starts, runs)
+
     def _rewrite_join(self, q: JoinQuery) -> Query:
         """Phase 1 of ``JoinUtil.createJoinQuery`` (ScoreMode.NONE,
         ``lucene/join/.../JoinUtil.java:61-107``): evaluate the from-side
-        query, gather its match set's ``from_field`` doc values per
-        segment (the reference collects them from the index the same
-        way), and rewrite into a SHOULD disjunction of keyword terms over
-        ``to_field`` — the TermsQuery the reference builds. The collected
-        term set is small by construction (distinct join-key values), so
-        the rewrite broadcast-shapes like every dictionary expansion."""
-        from_q = parse_query(q.from_query, self.analyzer)
-        from_q = deduplicate_clauses(from_q, self.sim.compute_query_term_weight)
-        states = self.term_states(query_terms(from_q))
-        terms: set = set()
-        for si, seg in enumerate(self.segments):
-            r = self._eval(from_q, si, states)
-            if len(r.docids):
-                vals = seg.dv(q.from_field).take(
-                    pa.array(r.docids.astype(np.int64))
-                )
-                terms.update(v for v in vals.to_pylist() if v is not None)
+        query, gather its match set's ``from_field`` doc values (the
+        reference collects them from the index the same way), and rewrite
+        into a SHOULD disjunction of keyword terms over ``to_field`` — the
+        TermsQuery the reference builds. The collected term set is small
+        by construction (distinct join-key values), so the rewrite
+        broadcast-shapes like every dictionary expansion."""
+        ids, _ = self._matches(self._query(q.from_query))
+        terms = set(self._column(q.from_field, ids).to_pylist()) - {None}
         if not terms:
             # match-nothing: a keyword value that cannot exist
             return TermQuery("\x00__join_none__", field=q.to_field)
@@ -1728,53 +1798,22 @@ class IndexSearcher:
         ``ScoreMode.java``): every parent value of ``parent_field`` is
         scored with the MAX of its children's scores for the child query
         (float32 max is order-free, so results are bit-exact against the
-        SQL oracle); the best child (score desc, segment, docid asc) is
+        SQL oracle); the best child (score desc, global docid asc) is
         carried along. Parents tie-break by value asc.
 
         → table (rank, parent, key, docid, score), top-k parents."""
-        if isinstance(query, str):
-            query = parse_query(query, self.analyzer)
-        else:
-            query = localize_query(query)
-        query = deduplicate_clauses(query, self.sim.compute_query_term_weight)
-        states = self.term_states(query_terms(query))
-        # per-segment partial max per parent — the combiner shape: at
-        # cluster scale each segment task emits |parents| rows, the merge
-        # below touches only those partials
-        best: Dict[object, Tuple[float, int, int]] = {}
-        for si, seg in enumerate(self.segments):
-            r = self._eval(query, si, states)
-            if len(r.docids) == 0:
-                continue
-            vals = seg.dv(parent_field).take(
-                pa.array(r.docids.astype(np.int64))
-            ).to_pylist()
-            for d, s, g in zip(r.docids, r.scores, vals):
-                cur = best.get(g)
-                cand = (float(s), si, int(d))
-                if cur is None or (
-                    cand[0] > cur[0]
-                    or (cand[0] == cur[0] and (cand[1], cand[2]) < (cur[1], cur[2]))
-                ):
-                    best[g] = cand
-        ranked = sorted(
-            best.items(), key=lambda kv: (-kv[1][0], kv[0] is None, kv[0])
-        )[:k]
-        out_p, out_rank, out_key, out_docid, out_score = [], [], [], [], []
-        for rank, (g, (s, si, d)) in enumerate(ranked):
-            seg = self.segments[si]
-            out_p.append(g)
-            out_rank.append(rank)
-            out_key.append(seg.docmap[d].as_py())
-            out_docid.append(seg.base_docid + d)
-            out_score.append(s)
+        ids, scores = self._matches(self._query(query))
+        values, codes = self._groups(self._column(parent_field, ids))
+        order, rank = self._ranked(codes, ids, scores)
+        best = order[rank == 0]
+        top = best[np.lexsort((codes[best], -scores[best]))[:k]]
         return pa.table(
             {
-                "parent": pa.array(out_p),
-                "rank": pa.array(out_rank, pa.int32()),
-                "key": pa.array(out_key),
-                "docid": pa.array(out_docid, pa.int64()),
-                "score": pa.array(out_score, pa.float32()),
+                "parent": pa.array([values[c] for c in codes[top]]),
+                "rank": pa.array(np.arange(len(top), dtype=np.int32)),
+                "key": self._column(None, ids[top]),
+                "docid": pa.array(ids[top]),
+                "score": pa.array(scores[top]),
             }
         )
 
@@ -1786,61 +1825,28 @@ class IndexSearcher:
         the SUM (and count → average) of its matching children's scores.
         Child scores quantize to integer basis points FIRST
         (``floor(s·1e4 + 0.5)``) so the per-parent sums are order-free —
-        a float32 sum's value would depend on accumulation order across
-        segments (documented divergence from the reference's sequential
-        float sum; ranks agree wherever the float sum is
-        order-insensitive). Avg is integer division ``total_bp // n``.
+        a float32 sum's value would depend on accumulation order
+        (documented divergence from the reference's sequential float sum;
+        ranks agree wherever the float sum is order-insensitive). Avg is
+        integer division ``total_bp // n``.
 
         → table (rank, parent, n_children, total_bp, avg_bp), top-k
         parents by (total_bp desc, parent asc)."""
-        if isinstance(query, str):
-            query = parse_query(query, self.analyzer)
-        else:
-            query = localize_query(query)
-        query = deduplicate_clauses(query, self.sim.compute_query_term_weight)
-        states = self.term_states(query_terms(query))
-        totals: Dict[object, int] = {}
-        counts: Dict[object, int] = {}
-        for si, seg in enumerate(self.segments):
-            r = self._eval(query, si, states)
-            if len(r.docids) == 0:
-                continue
-            vals = seg.dv(parent_field).take(
-                pa.array(r.docids.astype(np.int64))
-            )
-            vals = (
-                vals.combine_chunks()
-                if isinstance(vals, pa.ChunkedArray)
-                else vals
-            )
-            bp = np.floor(
-                r.scores.astype(np.float64) * 10000 + 0.5
-            ).astype(np.int64)
-            # per-segment combiner: factorize parents, one add.at pass
-            enc = vals.dictionary_encode()
-            codes = np.asarray(enc.indices, dtype=np.int64)
-            uniq = enc.dictionary.to_pylist()
-            part_tot = np.zeros(len(uniq), np.int64)
-            part_cnt = np.zeros(len(uniq), np.int64)
-            np.add.at(part_tot, codes, bp)
-            np.add.at(part_cnt, codes, 1)
-            for g, t, c in zip(uniq, part_tot, part_cnt):
-                totals[g] = totals.get(g, 0) + int(t)
-                counts[g] = counts.get(g, 0) + int(c)
-        ranked = sorted(
-            totals.items(), key=lambda kv: (-kv[1], kv[0] is None, kv[0])
-        )[:k]
+        ids, scores = self._matches(self._query(query))
+        values, codes = self._groups(self._column(parent_field, ids))
+        bp = np.floor(scores.astype(np.float64) * 10000 + 0.5).astype(np.int64)
+        total = np.zeros(len(values), np.int64)
+        np.add.at(total, codes, bp)
+        n = np.bincount(codes, minlength=len(values))
+        has = np.flatnonzero(n)  # codes ascend with the parent value
+        top = has[np.lexsort((has, -total[has]))[:k]]
         return pa.table(
             {
-                "rank": pa.array(range(len(ranked)), pa.int32()),
-                "parent": pa.array([g for g, _ in ranked]),
-                "n_children": pa.array(
-                    [counts[g] for g, _ in ranked], pa.int64()
-                ),
-                "total_bp": pa.array([t for _, t in ranked], pa.int64()),
-                "avg_bp": pa.array(
-                    [t // counts[g] for g, t in ranked], pa.int64()
-                ),
+                "rank": pa.array(np.arange(len(top), dtype=np.int32)),
+                "parent": pa.array([values[c] for c in top]),
+                "n_children": pa.array(n[top], pa.int64()),
+                "total_bp": pa.array(total[top]),
+                "avg_bp": pa.array(total[top] // n[top], pa.int64()),
             }
         )
 
@@ -1851,55 +1857,27 @@ class IndexSearcher:
         ``DiversifiedTopDocsCollector`` role (``misc/src/java/org/apache/
         lucene/misc/search/DiversifiedTopDocsCollector.java``): at most
         ``max_per_key`` hits per key value among the results. Selection
-        is the greedy order — scan hits by (score desc, seg, docid asc),
-        take a hit iff its key has fewer than ``max_per_key`` already-
-        taken hits, stop at ``k`` — which equals filtering per-key rank
-        ≤ cap then taking the global top-k (a higher-scored same-key hit
-        is skipped only when the cap is already exhausted). Hits with a
-        null key are skipped, like missing values in the reference's
-        key source.
+        is the greedy order — scan hits by (score desc, global docid
+        asc), take a hit iff its key has fewer than ``max_per_key``
+        already-taken hits, stop at ``k`` — which equals filtering per-key
+        rank < cap then taking the global top-k (a higher-scored same-key
+        hit is skipped only when the cap is already exhausted); that is
+        how it runs. Hits with a null key are skipped, like missing
+        values in the reference's key source.
 
         → table (rank, key_value, key, docid, score)."""
-        if isinstance(query, str):
-            query = parse_query(query, self.analyzer)
-        else:
-            query = localize_query(query)
-        query = deduplicate_clauses(query, self.sim.compute_query_term_weight)
-        states = self.term_states(query_terms(query))
-        rows = []  # (-score, seg, docid, key_value)
-        for si, seg in enumerate(self.segments):
-            r = self._eval(query, si, states)
-            if len(r.docids) == 0:
-                continue
-            vals = seg.dv(key_field).take(
-                pa.array(r.docids.astype(np.int64))
-            ).to_pylist()
-            for d, s, g in zip(r.docids, r.scores, vals):
-                if g is None:
-                    continue
-                rows.append((-float(s), si, int(d), g))
-        rows.sort(key=lambda t: (t[0], t[1], t[2]))
-        taken: Dict[object, int] = {}
-        out = []
-        for ns, si, d, g in rows:
-            if taken.get(g, 0) >= max_per_key:
-                continue
-            taken[g] = taken.get(g, 0) + 1
-            out.append((-ns, si, d, g))
-            if len(out) >= k:
-                break
+        ids, scores = self._matches(self._query(query))
+        values, codes = self._groups(self._column(key_field, ids))
+        order, rank = self._ranked(codes, ids, scores)
+        keep = order[(rank < max_per_key) & (codes[order] < len(values) - 1)]
+        top = keep[np.lexsort((ids[keep], -scores[keep]))[:k]]
         return pa.table(
             {
-                "rank": pa.array(range(len(out)), pa.int32()),
-                "key_value": pa.array([g for *_, g in out]),
-                "key": pa.array(
-                    [self.segments[si].docmap[d].as_py() for _, si, d, _ in out]
-                ),
-                "docid": pa.array(
-                    [self.segments[si].base_docid + d for _, si, d, _ in out],
-                    pa.int64(),
-                ),
-                "score": pa.array([s for s, *_ in out], pa.float32()),
+                "rank": pa.array(np.arange(len(top), dtype=np.int32)),
+                "key_value": pa.array([values[c] for c in codes[top]]),
+                "key": self._column(None, ids[top]),
+                "docid": pa.array(ids[top]),
+                "score": pa.array(scores[top]),
             }
         )
 
@@ -1941,13 +1919,7 @@ class IndexSearcher:
         (segment) containing ``docid``, explain against that leaf. The
         root ``value`` is read from the SAME evaluation kernel ``search()``
         uses, so ``explain(q, d).value == score(q, d)`` bit-for-bit."""
-        if isinstance(query, str):
-            query = parse_query(query, self.analyzer)
-        else:
-            query = localize_query(query)
-        if isinstance(query, JoinQuery):
-            query = self._rewrite_join(query)
-        query = deduplicate_clauses(query, self.sim.compute_query_term_weight)
+        query = self._query(query)
         docid = int(docid)
         si = None
         for i, seg in enumerate(self.segments):
@@ -2269,12 +2241,16 @@ class IndexSearcher:
         """Field sort — the ``Sort``/``TopFieldCollector`` role
         (``core/search/TopFieldCollectorManager.java``): top-k of the
         query's match set ordered by a numeric doc-values column, ties
-        broken by (segment order, docid) exactly like ``TopDocs.merge``
-        for fields (``core/search/TopDocs.java:203-228``). The sort field
-        is a ``dv_cols`` column — numeric/timestamp (SortField.LONG
-        family) or string (SortField.STRING, per-segment ordinals +
-        raw-value global merge); null values are excluded on every
-        path.
+        broken by global docid, which is ``TopDocs.merge``'s (segment
+        order, docid) for fields (``core/search/TopDocs.java:203-228``).
+        The sort field is a ``dv_cols`` column — numeric/timestamp
+        (SortField.LONG family) or string (SortField.STRING, ordinals of
+        the candidates' values); null values are excluded on every path.
+
+        Candidates are chosen per segment from its part of the match set:
+        the first k when the index sort is the query sort, the point
+        sidecar's walk for a large part, else every match; their values
+        are gathered once and sorted once.
 
         ``after=(sort_value, global_docid)`` — cursor pagination
         (``IndexSearcher.searchAfter(after, query, n, sort)``): only
@@ -2284,160 +2260,95 @@ class IndexSearcher:
 
         → {"docids", "keys", "sort_values", "total_hits", "relation"}.
         """
-        if isinstance(query, str):
-            query = parse_query(query, self.analyzer)
-        else:
-            query = localize_query(query)
-        query = deduplicate_clauses(query, self.sim.compute_query_term_weight)
-        states = self.term_states(query_terms(query))
+        ids, _ = self._matches(self._query(query))
         # early termination when the index sort matches the query sort
         # (``TopFieldCollector`` canEarlyTerminate over
         # ``IndexWriterConfig.setIndexSort``-ed segments,
         # ``core/search/TopFieldCollectorManager.java``): segment docid
-        # order IS the sort order, so the leaf top-k is the first k
-        # matches — no per-match key gather, no per-segment sort
-        want_dir = "desc" if descending else "asc"
-        early = self.config.index_sort == (sort_field, want_dir)
-        if early and self.segments:
-            # string DV sort goes through per-segment ordinals + raw-value
-            # global merge (str_sort below); the numeric early-exit key
-            # algebra doesn't apply to object arrays — take the general path
+        # order IS the sort order, so a segment's top-k is its first k
+        # matches; a string sort (whose order is not numeric) and a cursor
+        # take the general paths
+        want = (sort_field, "desc" if descending else "asc")
+        early = self.config.index_sort == want and after is None and bool(self.segments)
+        if early:
             ty = self.segments[0].dv(sort_field).type
-            if pa.types.is_string(ty) or pa.types.is_large_string(ty):
-                early = False
-        c_val = c_si = c_doc = None
+            early = not (pa.types.is_string(ty) or pa.types.is_large_string(ty))
         if after is not None:
-            c_val, c_gdoc = after
-            for i, s in enumerate(self.segments):
-                if s.base_docid <= c_gdoc < s.base_docid + s.n_docs:
-                    c_si, c_doc = i, int(c_gdoc - s.base_docid)
-                    break
-            else:
-                raise ValueError(f"after docid {c_gdoc} not in index")
-            early = False  # cursor filtering needs the general paths
+            c_val, c_doc = after[0], int(after[1])
+            if not any(
+                s.base_docid <= c_doc < s.base_docid + s.n_docs for s in self.segments
+            ):
+                raise ValueError(f"after docid {c_doc} not in index")
 
-        def _after_mask(v, d, si, cval) -> np.ndarray:
-            # strictly after (sort_key, seg, docid) — the field-sort twin
-            # of the score-path searchAfter predicate; ``cval`` is the
+        def after_mask(v, d, cval) -> np.ndarray:
+            # strictly after (sort key, global docid) — the field-sort twin
+            # of the score path's searchAfter predicate; ``cval`` is the
             # cursor value in the CALLER's value space (raw DV for the
             # scan path, normalized for the point walk)
             strict = (v < cval) if descending else (v > cval)
-            if si > c_si:
-                return strict | (v == cval)
-            if si == c_si:
-                return strict | ((v == cval) & (d > c_doc))
-            return strict
+            return strict | ((v == cval) & (d > c_doc))
 
-        rows = []  # (sort_key, seg_idx, docid, raw_value)
-        total = 0
-        str_sort = False  # set when the sort column is a string DV
-        for si, seg in enumerate(self.segments):
-            r = self._eval(query, si, states)
-            total += len(r.docids)
-            if len(r.docids) == 0:
-                continue
-            if early:
-                ids = np.sort(r.docids.astype(np.int64))[:k]
-                vals = np.asarray(seg.dv(sort_field).take(pa.array(ids)))
-                skey = -_sort_key(vals) if descending else _sort_key(vals)
-                for key_, d, v in zip(skey, ids, vals):
-                    rows.append((key_, si, int(d), v))
-                continue
-            pi = seg.point_index(sort_field)
+        parts, walked = [], []  # per segment: candidates, chosen by a walk
+        b = self._bounds(ids)
+        for seg, lo, hi in zip(self.segments, b[:-1], b[1:]):
+            cand, walk = ids[lo:hi], False
+            pi = None if early else seg.point_index(sort_field)
             n_cval = None
             if pi is not None and after is not None:
                 n_cval = points_normalize_bound(c_val, pi[2])
                 if n_cval is _POINT_SENTINEL:
                     pi = None  # unnormalizable cursor → scan path
-            if pi is not None and len(r.docids) >= max(point_walk_min, 4 * k):
+            if early:
+                cand = cand[:k]
+            elif pi is not None and len(cand) >= max(point_walk_min, 4 * k):
                 # point-based competitive iterator (``NumericComparator``
                 # role, ``core/search/comparators/NumericComparator.java``):
                 # walk the sorted permutation from the competitive end,
-                # touching O(k * n/|matches|) entries instead of
-                # gathering + sorting every match's doc value. Pool is
-                # guaranteed to contain the true top-k; final order +
-                # display values come from the same DV column as the
-                # scan path, so results are identical.
+                # touching O(k * n/|matches|) entries instead of gathering
+                # every match's doc value; the pool (cursor applied)
+                # contains the segment's true top-k, and takes its final
+                # order and values from the same DV column as the scan
+                base = seg.base_docid
                 qual = None
                 if after is not None:
-                    def qual(v, d, _si=si, _cv=n_cval):
-                        return _after_mask(v, d, _si, _cv)
-                cv, cd = sorted_topk_candidates(
-                    pi[0], pi[1], np.sort(r.docids), k, descending,
+                    def qual(v, d, _base=base, _cv=n_cval):
+                        return after_mask(v, d.astype(np.int64) + _base, _cv)
+                _, cd = sorted_topk_candidates(
+                    pi[0], pi[1], cand - base, k, descending,
                     start_value=n_cval, qualifier=qual,
                 )
-                ck = -_sort_key(cv) if descending else _sort_key(cv)
-                sel = np.lexsort((cd, ck))[:k]
-                ids = cd[sel].astype(np.int64)
-                vals = np.asarray(seg.dv(sort_field).take(pa.array(ids)))
-                skey = -_sort_key(vals) if descending else _sort_key(vals)
-                for key_, d, v in zip(skey, ids, vals):
-                    rows.append((key_, si, int(d), v))
-                continue
-            col = seg.dv(sort_field)
-            ids_m = r.docids
-            vals = np.asarray(col.take(pa.array(ids_m.astype(np.int64))))
-            if vals.dtype.kind in "OU":
-                # SortField.STRING: string DV columns sort by per-segment
-                # ORDINALS (the SortedDocValues ordinal role,
-                # ``core/search/comparators/TermOrdValComparator.java``) —
-                # the per-segment cut uses ordinals, the global merge
-                # compares raw values (stable two-pass sort below)
-                str_sort = True
-                ok_ = np.array([v is not None for v in vals], dtype=bool)
-                if not ok_.all():
-                    ids_m, vals = ids_m[ok_], vals[ok_]
-                    if len(ids_m) == 0:
-                        continue
-                if after is not None:
-                    ok = _after_mask(vals, ids_m, si, c_val)
-                    ids_m, vals = ids_m[ok], vals[ok]
-                    if len(ids_m) == 0:
-                        continue
-                _, inv = np.unique(vals, return_inverse=True)
-                skey = -inv if descending else inv
-                sel = np.lexsort((ids_m, skey))[:k]
-                for i in sel:
-                    rows.append((skey[i], si, int(ids_m[i]), vals[i]))
-                continue
-            if vals.dtype.kind == "M":
-                # docs with a null sort value carry no key: exclude them,
-                # matching the point walk (whose sidecar drops nulls) —
-                # NaT would otherwise view as INT64_MIN and rank FIRST
-                # under descending negation
-                ok_ = ~np.isnat(vals)
-                if not ok_.all():
-                    ids_m, vals = ids_m[ok_], vals[ok_]
-                    if len(ids_m) == 0:
-                        continue
-            if after is not None:
-                ok = _after_mask(vals, ids_m, si, c_val)
-                ids_m, vals = ids_m[ok], vals[ok]
-                if len(ids_m) == 0:
-                    continue
-            skey = -_sort_key(vals) if descending else _sort_key(vals)
-            sel = np.lexsort((ids_m, skey))[:k]
-            for i in sel:
-                rows.append((skey[i], si, int(ids_m[i]), vals[i]))
-        if str_sort:
-            # global merge on raw values: stable two-pass sort gives
-            # (value dir, seg asc, docid asc) without needing a global
-            # ordinal space
-            rows.sort(key=lambda t: (t[1], t[2]))
-            rows.sort(key=lambda t: t[3], reverse=descending)
+                cand, walk = np.sort(cd.astype(np.int64)) + base, True
+            parts.append(cand)
+            walked.append(np.full(len(cand), walk))
+        cand = np.concatenate([np.empty(0, np.int64)] + parts)
+        walked = np.concatenate([np.empty(0, bool)] + walked)
+        vals = np.asarray(self._column(sort_field, cand))
+        ok = np.ones(len(cand), bool)
+        if vals.dtype.kind in "OU":
+            ok = np.array([v is not None for v in vals], dtype=bool)
+        elif vals.dtype.kind == "M":
+            # docs with a null sort value carry no key: exclude them,
+            # matching the point walk (whose sidecar drops nulls) — NaT
+            # would otherwise view as INT64_MIN and rank FIRST under
+            # descending negation
+            ok = ~np.isnat(vals)
+        if after is not None:
+            scan = ok & ~walked
+            ok[scan] = after_mask(vals[scan], cand[scan], c_val)
+        cand, vals = cand[ok], vals[ok]
+        if vals.dtype.kind in "OU":
+            # SortField.STRING: the ordinals of the candidates' values
+            # (the SortedDocValues ordinal role,
+            # ``core/search/comparators/TermOrdValComparator.java``)
+            skey = np.unique(vals, return_inverse=True)[1]
         else:
-            rows.sort(key=lambda t: (t[0], t[1], t[2]))
-        rows = rows[:k]
-        docids = np.array(
-            [self.segments[si].base_docid + d for _, si, d, _ in rows],
-            dtype=np.int64,
-        )
-        keys = [self.segments[si].docmap[d].as_py() for _, si, d, _ in rows]
+            skey = _sort_key(vals)
+        top = np.lexsort((cand, -skey if descending else skey))[:k]
         return {
-            "docids": docids,
-            "keys": keys,
-            "sort_values": [v.item() if hasattr(v, "item") else v for *_, v in rows],
-            "total_hits": total,
+            "docids": cand[top],
+            "keys": self._column(None, cand[top]).to_pylist(),
+            "sort_values": [v.item() if hasattr(v, "item") else v for v in vals[top]],
+            "total_hits": len(ids),
             "relation": "EQ",
         }
 
@@ -2452,74 +2363,46 @@ class IndexSearcher:
         (``core/search/Sort.java``, ``TopFieldCollector`` with secondary
         comparators): top-k ordered by each numeric DV field in turn
         (``(field, "desc"|"asc")`` pairs), ties after ALL fields broken
-        by (segment order, docid). The PRIMARY field's point sidecar (if
-        any) prunes candidates exactly as in :meth:`search_sorted` — the
-        walk pool contains every match whose primary value ties or beats
-        the pool's k-th best, which is a superset of the true multi-key
-        top-k, so secondary ordering is decided over the small pool.
+        by global docid. The PRIMARY field's point sidecar (if any)
+        prunes a segment's candidates exactly as in :meth:`search_sorted`
+        — the walk pool contains every match whose primary value ties or
+        beats the pool's k-th best, which is a superset of the true
+        multi-key top-k, so secondary ordering is decided over the small
+        pool.
 
         → {"docids", "keys", "sort_values" (tuples), "total_hits",
         "relation"}."""
-        if isinstance(query, str):
-            query = parse_query(query, self.analyzer)
-        else:
-            query = localize_query(query)
-        query = deduplicate_clauses(query, self.sim.compute_query_term_weight)
-        states = self.term_states(query_terms(query))
+        ids, _ = self._matches(self._query(query))
         specs = [(f, d == "desc") for f, d in sort_spec]
         pf, pdesc = specs[0]
-        rows = []  # (key_tuple, si, docid, raw_tuple)
-        total = 0
-        for si, seg in enumerate(self.segments):
-            r = self._eval(query, si, states)
-            total += len(r.docids)
-            if len(r.docids) == 0:
-                continue
-            ids_m = r.docids
+        parts = []
+        b = self._bounds(ids)
+        for seg, lo, hi in zip(self.segments, b[:-1], b[1:]):
+            cand = ids[lo:hi]
             pi = seg.point_index(pf)
-            if pi is not None and len(ids_m) >= max(point_walk_min, 4 * k):
+            if pi is not None and len(cand) >= max(point_walk_min, 4 * k):
                 _, cd = sorted_topk_candidates(
-                    pi[0], pi[1], np.sort(ids_m), k, pdesc
+                    pi[0], pi[1], cand - seg.base_docid, k, pdesc
                 )
-                ids_m = cd
-            ids64 = pa.array(ids_m.astype(np.int64))
-            vals = [np.asarray(seg.dv(f).take(ids64)) for f, _ in specs]
-            ok_ = None
-            for v in vals:
-                if v.dtype.kind == "M":
-                    m_ = ~np.isnat(v)
-                    ok_ = m_ if ok_ is None else (ok_ & m_)
-            if ok_ is not None and not ok_.all():
-                ids_m = ids_m[ok_]
-                vals = [v[ok_] for v in vals]
-                if len(ids_m) == 0:
-                    continue
-            skeys = [
-                (-_sort_key(v) if d else _sort_key(v))
-                for v, (_, d) in zip(vals, specs)
-            ]
-            sel = np.lexsort((ids_m, *reversed(skeys)))[:k]
-            for i in sel:
-                rows.append(
-                    (
-                        tuple(kk[i] for kk in skeys),
-                        si,
-                        int(ids_m[i]),
-                        tuple(v[i].item() for v in vals),
-                    )
-                )
-        rows.sort(key=lambda t: (t[0], t[1], t[2]))
-        rows = rows[:k]
-        docids = np.array(
-            [self.segments[si].base_docid + d for _, si, d, _ in rows],
-            dtype=np.int64,
-        )
-        keys = [self.segments[si].docmap[d].as_py() for _, si, d, _ in rows]
+                cand = np.sort(cd.astype(np.int64)) + seg.base_docid
+            parts.append(cand)
+        cand = np.concatenate([np.empty(0, np.int64)] + parts)
+        vals = [np.asarray(self._column(f, cand)) for f, _ in specs]
+        ok = np.ones(len(cand), bool)
+        for v in vals:
+            if v.dtype.kind == "M":
+                ok &= ~np.isnat(v)
+        cand, vals = cand[ok], [v[ok] for v in vals]
+        skeys = [
+            (-_sort_key(v) if d else _sort_key(v))
+            for v, (_, d) in zip(vals, specs)
+        ]
+        top = np.lexsort((cand, *reversed(skeys)))[:k]
         return {
-            "docids": docids,
-            "keys": keys,
-            "sort_values": [v for *_, v in rows],
-            "total_hits": total,
+            "docids": cand[top],
+            "keys": self._column(None, cand[top]).to_pylist(),
+            "sort_values": [tuple(v[i].item() for v in vals) for i in top],
+            "total_hits": len(ids),
             "relation": "EQ",
         }
 
@@ -2536,58 +2419,31 @@ class IndexSearcher:
         ``lucene/expressions/src/java/org/apache/lucene/expressions/
         ExpressionSortField.java``). ``expr`` is a source string or a
         compiled ``Expression``; all math is float64 like the
-        reference's double-valued expressions. Ties break by
-        (segment order, docid) like every other collector here.
+        reference's double-valued expressions. Ties break by global
+        docid like every other collector here.
 
         → {"docids", "keys", "expr_values", "scores", "total_hits",
         "relation"}.
         """
         if isinstance(expr, str):
             expr = Expression(expr)
-        if isinstance(query, str):
-            query = parse_query(query, self.analyzer)
-        else:
-            query = localize_query(query)
-        query = deduplicate_clauses(query, self.sim.compute_query_term_weight)
-        states = self.term_states(query_terms(query))
-        rows = []  # (sort_key, seg_idx, docid, value, score)
-        total = 0
-        for si, seg in enumerate(self.segments):
-            r = self._eval(query, si, states)
-            total += len(r.docids)
-            if len(r.docids) == 0:
-                continue
-            bindings = {}
-            take = pa.array(r.docids.astype(np.int64))
-            for var in expr.variables:
-                if var == "_score":
-                    bindings["_score"] = r.scores.astype(np.float64)
-                else:
-                    bindings[var] = np.asarray(
-                        seg.dv(var).take(take), dtype=np.float64
-                    )
-            vals = np.asarray(expr.evaluate(bindings), dtype=np.float64)
-            if vals.shape == ():  # constant expression
-                vals = np.full(len(r.docids), float(vals))
-            skey = -vals if descending else vals
-            sel = np.lexsort((r.docids, skey))[:k]
-            for i in sel:
-                rows.append(
-                    (skey[i], si, int(r.docids[i]), vals[i], float(r.scores[i]))
-                )
-        rows.sort(key=lambda t: (t[0], t[1], t[2]))
-        rows = rows[:k]
-        docids = np.array(
-            [self.segments[si].base_docid + d for _, si, d, _, _ in rows],
-            dtype=np.int64,
-        )
-        keys = [self.segments[si].docmap[d].as_py() for _, si, d, _, _ in rows]
+        ids, scores = self._matches(self._query(query))
+        bindings = {
+            var: scores.astype(np.float64)
+            if var == "_score"
+            else np.asarray(self._column(var, ids), dtype=np.float64)
+            for var in expr.variables
+        }
+        vals = np.asarray(expr.evaluate(bindings), dtype=np.float64)
+        if vals.shape == ():  # constant expression
+            vals = np.full(len(ids), float(vals))
+        top = np.lexsort((ids, -vals if descending else vals))[:k]
         return {
-            "docids": docids,
-            "keys": keys,
-            "expr_values": [float(v) for *_, v, _ in rows],
-            "scores": np.array([s for *_, s in rows], dtype=F32),
-            "total_hits": total,
+            "docids": ids[top],
+            "keys": self._column(None, ids[top]).to_pylist(),
+            "expr_values": vals[top].tolist(),
+            "scores": scores[top],
+            "total_hits": len(ids),
             "relation": "EQ",
         }
 
@@ -2595,8 +2451,8 @@ class IndexSearcher:
         """Facet counting over the query's match set — the
         ``lucene/facet`` ``Facets.getTopChildren`` role
         (``lucene/facet/src/java/org/apache/lucene/facet/Facets.java``)
-        expressed over the segment doc-values column: per segment,
-        gather the match set's DV values and count; sum across segments.
+        expressed over the doc-values column: gather the match set's
+        values (``_matches``, ``_column``) and count them once.
 
         A list-typed DV column is the SORTED_SET / SORTED_NUMERIC role
         (``core/index/DocValuesType.java:25-51``,
@@ -2609,29 +2465,15 @@ class IndexSearcher:
         → table (value, n) sorted by (n desc, value asc)."""
         import pyarrow.compute as pc
 
-        if isinstance(query, str):
-            query = parse_query(query, self.analyzer)
-        else:
-            query = localize_query(query)
-        query = deduplicate_clauses(query, self.sim.compute_query_term_weight)
-        states = self.term_states(query_terms(query))
-        counts: Dict[object, int] = {}
-        for si, seg in enumerate(self.segments):
-            r = self._eval(query, si, states)
-            if len(r.docids) == 0:
-                continue
-            vals = seg.dv(facet_field).take(pa.array(r.docids.astype(np.int64)))
-            if isinstance(vals, pa.ChunkedArray):
-                vals = vals.combine_chunks()
-            if pa.types.is_list(vals.type) or pa.types.is_large_list(
-                vals.type
-            ):
-                vals = pc.list_flatten(vals)
-            vc = pc.value_counts(vals)
-            for item in vc:
-                v = item["values"].as_py()
-                counts[v] = counts.get(v, 0) + int(item["counts"].as_py())
-        rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        ids, _ = self._matches(self._query(query))
+        vals = self._column(facet_field, ids)
+        if pa.types.is_list(vals.type) or pa.types.is_large_list(vals.type):
+            vals = pc.list_flatten(vals)
+        vc = pc.value_counts(vals)
+        rows = sorted(
+            zip(vc.field("values").to_pylist(), vc.field("counts").to_pylist()),
+            key=lambda kv: (-kv[1], kv[0]),
+        )
         return pa.table(
             {
                 "value": pa.array([v for v, _ in rows]),
@@ -2648,33 +2490,23 @@ class IndexSearcher:
         """Numeric range faceting over the match set — the
         ``LongRangeFacetCounts`` role
         (``lucene/facet/src/java/org/apache/lucene/facet/range/LongRangeFacetCounts.java``):
-        per segment, gather the match set's numeric DV values and count
-        how many fall inside each ``(label, lo, hi)`` range (both bounds
-        inclusive, ``LongRange(label, min, true, max, true)``). Ranges
-        may overlap — each doc counts once per containing range. Docs
-        with a null DV value are skipped, as in Lucene.
+        gather the match set's numeric DV values and count how many fall
+        inside each ``(label, lo, hi)`` range (both bounds inclusive,
+        ``LongRange(label, min, true, max, true)``). Ranges may overlap —
+        each doc counts once per containing range. Docs with a null DV
+        value are skipped, as in Lucene.
 
         → table (range, n) preserving the caller's range order."""
-        if isinstance(query, str):
-            query = parse_query(query, self.analyzer)
-        else:
-            query = localize_query(query)
-        query = deduplicate_clauses(query, self.sim.compute_query_term_weight)
-        states = self.term_states(query_terms(query))
-        totals = np.zeros(len(ranges), np.int64)
-        for si, seg in enumerate(self.segments):
-            r = self._eval(query, si, states)
-            if len(r.docids) == 0:
-                continue
-            vals = seg.dv(field).take(pa.array(r.docids.astype(np.int64)))
-            vals = vals.combine_chunks() if isinstance(vals, pa.ChunkedArray) else vals
-            v = vals.drop_null().cast(pa.int64()).to_numpy(zero_copy_only=False)
-            for i, (_, lo, hi) in enumerate(ranges):
-                totals[i] += int(np.count_nonzero((v >= lo) & (v <= hi)))
+        ids, _ = self._matches(self._query(query))
+        v = self._column(field, ids).drop_null().cast(pa.int64())
+        v = v.to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "range": pa.array([lab for lab, _, _ in ranges], pa.string()),
-                "n": pa.array(totals, pa.int64()),
+                "n": pa.array(
+                    [np.count_nonzero((v >= lo) & (v <= hi)) for _, lo, hi in ranges],
+                    pa.int64(),
+                ),
             }
         )
 
@@ -2692,37 +2524,22 @@ class IndexSearcher:
         → table (path, n) sorted by (n desc, path asc)."""
         import pyarrow.compute as pc
 
-        if isinstance(query, str):
-            query = parse_query(query, self.analyzer)
-        else:
-            query = localize_query(query)
-        query = deduplicate_clauses(query, self.sim.compute_query_term_weight)
-        states = self.term_states(query_terms(query))
+        ids, _ = self._matches(self._query(query))
         counts: Dict[str, int] = {}
-        for si, seg in enumerate(self.segments):
-            r = self._eval(query, si, states)
-            if len(r.docids) == 0:
-                continue
-            ids = pa.array(r.docids.astype(np.int64))
-            prefix = None
-            for f in path_fields:
-                vals = seg.dv(f).take(ids)
-                vals = (
-                    vals.combine_chunks()
-                    if isinstance(vals, pa.ChunkedArray)
-                    else vals
-                )
-                vals = vals.cast(pa.string())
-                prefix = (
-                    vals
-                    if prefix is None
-                    else pc.binary_join_element_wise(prefix, vals, "/")
-                )
-                for item in pc.value_counts(prefix):
-                    v = item["values"].as_py()
-                    if v is None:
-                        continue  # null path component: doc has no dim value
-                    counts[v] = counts.get(v, 0) + int(item["counts"].as_py())
+        prefix = None
+        for f in path_fields:
+            vals = self._column(f, ids).cast(pa.string())
+            prefix = (
+                vals
+                if prefix is None
+                else pc.binary_join_element_wise(prefix, vals, "/")
+            )
+            vc = pc.value_counts(prefix)
+            for v, n in zip(
+                vc.field("values").to_pylist(), vc.field("counts").to_pylist()
+            ):
+                if v is not None:  # null path component: doc has no dim value
+                    counts[v] = counts.get(v, 0) + n
         rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         return pa.table(
             {
@@ -2830,40 +2647,20 @@ class IndexSearcher:
         """
         import pyarrow.compute as pc
 
-        if isinstance(base_query, str):
-            base_query = parse_query(base_query, self.analyzer)
-        else:
-            base_query = localize_query(base_query)
-        states = self.term_states(query_terms(base_query))
-        dd_fields = [f for f, _ in drill_downs]
-        facets: Dict[str, Dict[object, int]] = {f: {} for f in facet_fields}
-        hits = 0
-        for si, seg in enumerate(self.segments):
-            base = self._eval(base_query, si, states).docids
-            if len(base) == 0:
-                continue
-            dd_sets = [
-                self._eval(q, si, self.term_states(query_terms(q))).docids
-                for q in (TermQuery(v, field=f) for f, v in drill_downs)
-            ]
-            drilled = base
-            for m in dd_sets:
-                drilled = np.intersect1d(drilled, m, assume_unique=True)
-            hits += len(drilled)
-            for f in facet_fields:
-                sel = base
-                for (df, _), m in zip(drill_downs, dd_sets):
-                    if df != f:  # sideways: drop the dim's own filter
-                        sel = np.intersect1d(sel, m, assume_unique=True)
-                if len(sel) == 0:
-                    continue
-                vals = seg.dv(f).take(pa.array(sel.astype(np.int64)))
-                for item in pc.value_counts(vals):
-                    v = item["values"].as_py()
-                    facets[f][v] = facets[f].get(v, 0) + int(
-                        item["counts"].as_py()
-                    )
-        return {"facets": facets, "hits": hits}
+        base = self._matches(self._query(base_query))[0]
+        dd_sets = [self._matches(TermQuery(v, field=f))[0] for f, v in drill_downs]
+        drilled = reduce(np.intersect1d, dd_sets, base)
+        facets: Dict[str, Dict[object, int]] = {}
+        for f in facet_fields:
+            sel = base
+            for (df, _), m in zip(drill_downs, dd_sets):
+                if df != f:  # sideways: drop the dim's own filter
+                    sel = np.intersect1d(sel, m, assume_unique=True)
+            vc = pc.value_counts(self._column(f, sel))
+            facets[f] = dict(
+                zip(vc.field("values").to_pylist(), vc.field("counts").to_pylist())
+            )
+        return {"facets": facets, "hits": len(drilled)}
 
     def group_topk(
         self, query, group_field: str, k_per_group: int = 3
@@ -2871,43 +2668,21 @@ class IndexSearcher:
         """Grouped top-k — the ``lucene/grouping`` two-pass collector role
         (``FirstPassGroupingCollector`` → ``TopGroupsCollector``):
         score the match set, then keep the best ``k_per_group`` docs per
-        group value with the (score desc, segment, docid) tie-break.
+        group value with the (score desc, global docid) tie-break; groups
+        by value asc, null last.
 
         → table (group, rank, key, docid, score)."""
-        if isinstance(query, str):
-            query = parse_query(query, self.analyzer)
-        else:
-            query = localize_query(query)
-        query = deduplicate_clauses(query, self.sim.compute_query_term_weight)
-        states = self.term_states(query_terms(query))
-        per_group: Dict[object, List] = {}
-        for si, seg in enumerate(self.segments):
-            r = self._eval(query, si, states)
-            if len(r.docids) == 0:
-                continue
-            vals = seg.dv(group_field).take(
-                pa.array(r.docids.astype(np.int64))
-            ).to_pylist()
-            for d, s, g in zip(r.docids, r.scores, vals):
-                heap = per_group.setdefault(g, [])
-                heap.append((-float(s), si, int(d)))
-        out_g, out_rank, out_key, out_docid, out_score = [], [], [], [], []
-        for g in sorted(per_group, key=lambda x: (x is None, x)):
-            rows = sorted(per_group[g])[:k_per_group]
-            for rank, (ns, si, d) in enumerate(rows):
-                seg = self.segments[si]
-                out_g.append(g)
-                out_rank.append(rank)
-                out_key.append(seg.docmap[d].as_py())
-                out_docid.append(seg.base_docid + d)
-                out_score.append(-ns)
+        ids, scores = self._matches(self._query(query))
+        values, codes = self._groups(self._column(group_field, ids))
+        order, rank = self._ranked(codes, ids, scores)
+        top, rank = order[rank < k_per_group], rank[rank < k_per_group]
         return pa.table(
             {
-                "group": pa.array(out_g),
-                "rank": pa.array(out_rank, pa.int32()),
-                "key": pa.array(out_key),
-                "docid": pa.array(out_docid, pa.int64()),
-                "score": pa.array(out_score, pa.float32()),
+                "group": pa.array([values[c] for c in codes[top]]),
+                "rank": pa.array(rank.astype(np.int32)),
+                "key": self._column(None, ids[top]),
+                "docid": pa.array(ids[top]),
+                "score": pa.array(scores[top]),
             }
         )
 

@@ -31,9 +31,13 @@ throughput. ``SearcherService`` keeps the actors alive across calls:
   timed query doesn't pay lazy numpy/module init.
 
 At cluster scale this is the serving tier: one pool per index
-generation, refreshed by swapping index_dir after a merge round
-(segment files are write-once, so old actors stay consistent while
-draining)."""
+generation, refreshed by ``maybe_refresh`` after a commit. Refresh after
+a merge before serving on: the merge deletes its source segment
+directories, and a ``SegmentReader`` loads several files lazily on first
+touch (term-dictionary parts, docmap, doc values, term vectors, point,
+geo and range sidecars), so an actor opened before the merge fails with
+``FileNotFoundError`` on any of them it has not loaded yet; only what is
+already loaded or mmapped survives the unlink."""
 
 from __future__ import annotations
 
@@ -66,10 +70,11 @@ class SearcherWorker:
     def maybe_refresh(self) -> bool:
         """``SearcherManager.maybeRefresh`` (``core/search/
         SearcherManager.java:28-120``): reopen over the CURRENT committed
-        manifest if its generation advanced — segments are write-once, so
-        the new searcher mmaps new segment dirs and drops merged-away
-        ones; in-flight batches on the old searcher stay consistent
-        (acquire/release swap). → True if a new searcher was opened."""
+        manifest if its generation advanced — the new searcher opens the
+        new segment dirs and drops merged-away ones. The old searcher is
+        not safe to keep after a merge: the merge deleted its source
+        segment dirs, so it fails on every file it had not loaded yet (see
+        the module docstring). → True if a new searcher was opened."""
         man = load_manifest(self.index_dir)
         if man is None or man.generation == self.generation():
             return False

@@ -259,3 +259,37 @@ class TestSpanDedup:
         # doc 9 chunks: ['a b','x y'] -> 'a b' already owned by doc 5
         assert got.loc[9, "kept_text"] == "x y"
         assert (got.loc[9, "n_chunks"], got.loc[9, "n_kept"]) == (2, 1)
+
+
+class TestPointerJumpingChain:
+    """``propagate_min_labels`` uses pointer jumping: chain-shaped
+    clusters whose eccentricity exceeds ``max_rounds`` still converge."""
+
+    def test_long_chain_converges(self, ray_session):
+        import ray.data
+
+        from lucene_ray.pipelines.dedup import propagate_min_labels
+
+        # path graph 0-1-2-...-n: eccentricity n-1 from the min node;
+        # one-hop propagation needs ~n rounds, pointer jumping O(log n)
+        n = 200
+        pairs = ray.data.from_items(
+            [{"a": i, "b": i + 1} for i in range(n - 1)]
+        )
+        labels = propagate_min_labels(pairs, max_rounds=12).to_pandas()
+        assert len(labels) == n
+        assert (labels["l"] == 0).all()
+
+    def test_two_components(self, ray_session):
+        import ray.data
+
+        from lucene_ray.pipelines.dedup import propagate_min_labels
+
+        pairs = ray.data.from_items(
+            [{"a": i, "b": i + 1} for i in range(0, 49)]
+            + [{"a": i, "b": i + 1} for i in range(100, 149)]
+        )
+        lab = propagate_min_labels(pairs, max_rounds=10).to_pandas()
+        lab = dict(zip(lab["u"], lab["l"]))
+        assert all(lab[i] == 0 for i in range(50))
+        assert all(lab[i] == 100 for i in range(100, 150))

@@ -56,3 +56,25 @@ class TestExport:
         assert n1 == n2
         for p, ts in stamps.items():
             assert os.path.getmtime(os.path.join(out, p, "part.parquet")) == ts
+
+
+class TestExportQueryScopedResume:
+    """Resume markers are query-scoped: a partition written by an export
+    of a DIFFERENT query into the same out_dir is discarded, not counted
+    as done."""
+
+    def test_different_query_partitions_discarded(self, ray_session, tmp_path):
+        idx = str(tmp_path / "idx")
+        build_index(DOCS, idx, IndexConfig(rows_per_segment=200))
+
+        out = str(tmp_path / "exp")
+        n_a = export_matches(idx, "data", out)
+        # re-run same query: resume path counts finished partitions
+        assert export_matches(idx, "data", out) == n_a
+
+        fresh = str(tmp_path / "exp_fresh")
+        n_b_fresh = export_matches(idx, "search", fresh)
+        # different query into the SAME dir must not reuse query-A partitions
+        n_b = export_matches(idx, "search", out)
+        assert n_b == n_b_fresh
+        assert n_b != n_a  # distinct match sets, else the test is vacuous

@@ -1,5 +1,10 @@
 """Facet counting + grouped top-k over match sets (lucene/facet and
-lucene/grouping roles over doc-values columns)."""
+lucene/grouping roles over doc-values columns), and every consumer of a
+query's match set (counts, facets, field and expression sorts, groups,
+block joins, diversified top-k, drill-sideways) against a reference built
+from ``search(q, mode="exhaustive")`` on an index with tombstones."""
+
+from collections import Counter
 
 import numpy as np
 import pyarrow.parquet as pq
@@ -7,6 +12,14 @@ import pytest
 
 from lucene_ray.index.build import build_index
 from lucene_ray.index.config import IndexConfig
+from lucene_ray.index.deletes import delete_by_keys
+from lucene_ray.search.query import (
+    SHOULD,
+    BooleanQuery,
+    RangeQuery,
+    TermQuery,
+    WildcardQuery,
+)
 from lucene_ray.search.searcher import IndexSearcher
 
 DOCS = "/root/testdata/sf0.001/documents.parquet"
@@ -250,3 +263,214 @@ class TestDiversifiedTopK:
         t = searcher.search_diversified("data", "lang", max_per_key=1, k=10)
         vals = t.column("key_value").to_pylist()
         assert len(vals) == len(set(vals))
+
+
+# -- every consumer of a query's match set, on an index with tombstones --
+
+# (query, whether the index-wide evaluator covers it): a term, an OR,
+# +a +b, +a -b, msm=2, an exact phrase, a nested boolean, then a keyword
+# term, a wildcard and a range, which run per segment
+QUERIES = [
+    ("data", True),
+    ("data spark", True),
+    ("+data +spark", True),
+    ("+data -spark", True),
+    (
+        BooleanQuery(
+            tuple((SHOULD, TermQuery(t)) for t in ("data", "spark", "dup")), 2
+        ),
+        True,
+    ),
+    ('"order fast"', True),
+    ('+data +("order fast" dup) -window', True),
+    (TermQuery("en", field="lang"), False),
+    (WildcardQuery("sp*"), False),
+    (RangeQuery("n_chars", 200, 400), False),
+]
+RANGES = (("a", 0, 249), ("b", 250, 449), ("c", 400, 10**12))
+DRILL = (("lang", "en"), ("source", "src0"))
+
+
+@pytest.fixture(scope="module")
+def deleted_index(ray_session, tmp_path_factory):
+    """sf0.001 in four segments, every 7th document deleted through the
+    writer before any searcher opens it."""
+    d = str(tmp_path_factory.mktemp("fgdel"))
+    build_index(
+        DOCS,
+        d,
+        IndexConfig(
+            rows_per_segment=150,
+            keyword_cols=("lang", "source"),
+            dv_cols=("lang", "source", "n_chars", "doc_id"),
+            point_cols=("n_chars",),
+        ),
+    )
+    delete_by_keys(d, range(0, 500, 7))
+    return d
+
+
+@pytest.fixture(params=QUERIES, ids=[str(q) for q, _ in QUERIES])
+def query(request):
+    return request.param
+
+
+def exhaustive_hits(s, q):
+    """The reference match set: the hits of ``search(q,
+    mode="exhaustive")`` in global docid order, each with its key and
+    doc values read through ``seg.dv``."""
+    r = s.search(q, k=10**9, mode="exhaustive")
+    hits = []
+    for d, sc in sorted(zip(r["docids"].tolist(), r["scores"])):
+        seg = next(g for g in s.segments if g.base_docid <= d < g.base_docid + g.n_docs)
+        local = d - seg.base_docid
+        hit = {f: seg.dv(f)[local].as_py() for f in ("lang", "source", "n_chars", "doc_id")}
+        hits.append(dict(hit, docid=d, score=sc, key=seg.docmap[local].as_py()))
+    return hits
+
+
+def f32(scores):
+    return np.asarray(scores, np.float32).tobytes()
+
+
+def sorted_page(hits, key, k, after=None):
+    """Top k of ``hits`` by ``key`` then docid, past the cursor hit."""
+    ranked = sorted(hits, key=lambda h: (key(h), h["docid"]))
+    if after is not None:
+        ranked = ranked[ranked.index(after) + 1 :]
+    return ranked[:k]
+
+
+def assert_sorted(got, want, field):
+    assert got["docids"].tolist() == [h["docid"] for h in want]
+    assert got["keys"] == [h["key"] for h in want]
+    assert got["sort_values"] == [h[field] for h in want]
+
+
+def consumers(s, q):
+    """Every match-set consumer but ``drill_sideways`` (its drill-downs
+    are keyword terms, which run per segment)."""
+    return {
+        "count": s.count(q),
+        "facet": s.facet_counts(q, "lang"),
+        "ranges": s.facet_ranges(q, "n_chars", RANGES),
+        "taxonomy": s.facet_taxonomy(q, ("source", "lang")),
+        "sorted": {
+            (desc, walk): s.search_sorted(
+                q, "n_chars", k=10, descending=desc, point_walk_min=walk
+            )
+            for desc in (True, False)
+            for walk in (1, 1024)
+        },
+        "sorted_str": s.search_sorted(q, "source", k=10),
+        "multi": s.search_sorted_multi(q, [("n_chars", "asc"), ("doc_id", "desc")], k=10),
+        "expr": s.search_expr(q, "n_chars * 0.5 + _score", k=10),
+        "group": s.group_topk(q, "lang", k_per_group=2),
+        "parent": s.parent_topk(q, "source", k=5),
+        "agg": s.parent_topk_agg(q, "source", k=5),
+        "diversified": s.search_diversified(q, "lang", max_per_key=2, k=10),
+    }
+
+
+class TestConsumersEqualExhaustive:
+    """Each consumer equals a reference built from the exhaustive hits;
+    a query the index-wide evaluator covers leaves every reader's decode
+    cache empty, as ``search`` does."""
+
+    def test_consumers(self, deleted_index, query):
+        q, wide = query
+        s = IndexSearcher(deleted_index)
+        assert IndexSearcher._wide_eligible(s._query(q)) == wide
+        got = consumers(s, q)
+        if wide:
+            assert all(len(seg.decode_cache) == 0 for seg in s.segments)
+        ds = s.drill_sideways(q, DRILL, ("lang", "source"))
+        hits = exhaustive_hits(s, q)
+        assert all(h["doc_id"] % 7 for h in hits)  # tombstones apply
+        assert got["count"] == len(hits) > 0
+
+        def counted(values):
+            return sorted(Counter(values).items(), key=lambda kv: (-kv[1], kv[0]))
+
+        t = got["facet"]
+        assert list(zip(t["value"].to_pylist(), t["n"].to_pylist())) == counted(
+            h["lang"] for h in hits
+        )
+        assert got["ranges"]["n"].to_pylist() == [
+            sum(lo <= h["n_chars"] <= hi for h in hits) for _, lo, hi in RANGES
+        ]
+        t = got["taxonomy"]
+        assert list(zip(t["path"].to_pylist(), t["n"].to_pylist())) == counted(
+            [h["source"] for h in hits] + [f"{h['source']}/{h['lang']}" for h in hits]
+        )
+
+        for (desc, walk), r in got["sorted"].items():
+            key = (lambda h: -h["n_chars"]) if desc else (lambda h: h["n_chars"])
+            want = sorted_page(hits, key, 10)
+            assert r["total_hits"] == len(hits)
+            assert_sorted(r, want, "n_chars")
+            page2 = s.search_sorted(
+                q, "n_chars", k=10, descending=desc, point_walk_min=walk,
+                after=(want[-1]["n_chars"], want[-1]["docid"]),
+            )
+            assert_sorted(page2, sorted_page(hits, key, 10, after=want[-1]), "n_chars")
+        by_source = sorted(sorted(hits, key=lambda h: h["docid"]), key=lambda h: h["source"], reverse=True)
+        assert_sorted(got["sorted_str"], by_source[:10], "source")
+        want = sorted_page(hits, lambda h: (h["n_chars"], -h["doc_id"]), 10)
+        r = got["multi"]
+        assert r["docids"].tolist() == [h["docid"] for h in want]
+        assert r["sort_values"] == [(h["n_chars"], h["doc_id"]) for h in want]
+
+        val = {h["docid"]: h["n_chars"] * 0.5 + np.float64(h["score"]) for h in hits}
+        want = sorted_page(hits, lambda h: -val[h["docid"]], 10)
+        r = got["expr"]
+        assert r["docids"].tolist() == [h["docid"] for h in want]
+        assert r["keys"] == [h["key"] for h in want]
+        assert r["expr_values"] == [val[h["docid"]] for h in want]
+        assert r["scores"].tobytes() == f32([h["score"] for h in want])
+
+        by_score = sorted(hits, key=lambda h: (-h["score"], h["docid"]))
+        rows = []
+        for g in sorted({h["lang"] for h in hits}):
+            rows += [(g, i, h) for i, h in enumerate([h for h in by_score if h["lang"] == g][:2])]
+        t = got["group"]
+        assert t["group"].to_pylist() == [g for g, _, _ in rows]
+        assert t["rank"].to_pylist() == [i for _, i, _ in rows]
+        assert t["docid"].to_pylist() == [h["docid"] for *_, h in rows]
+        assert t["key"].to_pylist() == [h["key"] for *_, h in rows]
+        assert t["score"].to_numpy().tobytes() == f32([h["score"] for *_, h in rows])
+
+        best = {}
+        for h in by_score:
+            best.setdefault(h["source"], h)
+        want = sorted(best.items(), key=lambda kv: (-kv[1]["score"], kv[0]))[:5]
+        t = got["parent"]
+        assert t["parent"].to_pylist() == [p for p, _ in want]
+        assert t["docid"].to_pylist() == [h["docid"] for _, h in want]
+        assert t["key"].to_pylist() == [h["key"] for _, h in want]
+        assert t["score"].to_numpy().tobytes() == f32([h["score"] for _, h in want])
+
+        total, n = Counter(), Counter()
+        for h in hits:
+            total[h["source"]] += int(np.floor(np.float64(h["score"]) * 10000 + 0.5))
+            n[h["source"]] += 1
+        want = sorted(total.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
+        t = got["agg"]
+        assert list(zip(t["parent"].to_pylist(), t["total_bp"].to_pylist())) == want
+        assert t["n_children"].to_pylist() == [n[p] for p, _ in want]
+        assert t["avg_bp"].to_pylist() == [tb // n[p] for p, tb in want]
+
+        taken, want = Counter(), []
+        for h in by_score:
+            if taken[h["lang"]] < 2 and len(want) < 10:
+                taken[h["lang"]] += 1
+                want.append(h)
+        t = got["diversified"]
+        assert t["docid"].to_pylist() == [h["docid"] for h in want]
+        assert t["key_value"].to_pylist() == [h["lang"] for h in want]
+        assert t["score"].to_numpy().tobytes() == f32([h["score"] for h in want])
+
+        en, src0 = ([h for h in hits if h[f] == v] for f, v in DRILL)
+        assert ds["facets"]["lang"] == Counter(h["lang"] for h in src0)
+        assert ds["facets"]["source"] == Counter(h["source"] for h in en)
+        assert ds["hits"] == sum(h["source"] == "src0" for h in en)

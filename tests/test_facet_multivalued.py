@@ -14,6 +14,7 @@ import pyarrow.parquet as pq
 from lucene_ray.index.build import build_index
 from lucene_ray.index.config import IndexConfig
 from lucene_ray.index.merge import force_merge
+from lucene_ray.index.segment import normalize_sorted_set_dv
 from lucene_ray.pipelines.facet_multi import TAG_MIN_LEN, TAG_TOKENS, derive_tags
 from lucene_ray.search.searcher import IndexSearcher
 
@@ -126,3 +127,67 @@ class TestSortedSetFacets:
         assert len(s2.segments) == 1
         after = s2.facet_counts("data", "tags")
         assert before.equals(after)
+
+
+class TestSortedSetDVNormalize:
+    """List-typed DV columns get the ``SortedSetDocValuesWriter``
+    discipline (per-doc dedup + sort) at segment-write time, so
+    ``facet_counts`` counts a doc once per distinct value even when the
+    caller supplies duplicates."""
+
+    def test_dedup_and_sort(self):
+        t = pa.table(
+            {
+                "tags": pa.array(
+                    [["b", "a", "b", "a"], ["z"], [], None],
+                    pa.list_(pa.string()),
+                ),
+                "plain": pa.array([1, 2, 3, 4], pa.int64()),
+            }
+        )
+        out = normalize_sorted_set_dv(t)
+        assert out.column("tags").to_pylist() == [["a", "b"], ["z"], [], []]
+        # non-list columns untouched
+        assert out.column("plain").to_pylist() == [1, 2, 3, 4]
+
+    def test_numeric_lists(self):
+        t = pa.table(
+            {"nums": pa.array([[3, 1, 3, 2], [5, 5]], pa.list_(pa.int64()))}
+        )
+        out = normalize_sorted_set_dv(t)
+        assert out.column("nums").to_pylist() == [[1, 2, 3], [5]]
+
+    def test_all_empty(self):
+        t = pa.table({"x": pa.array([[], []], pa.list_(pa.string()))})
+        out = normalize_sorted_set_dv(t)
+        assert out.column("x").to_pylist() == [[], []]
+
+    def test_facet_counts_dedup_duplicates_at_build(self, ray_session, tmp_path):
+        # duplicates supplied by the CALLER must count once per doc
+        # (SortedSetDocValuesFacetCounts semantics)
+        n = 30
+        tbl = pa.table(
+            {
+                "doc_id": pa.array(range(n), pa.int64()),
+                "text": ["data point"] * n,
+                "tags": pa.array(
+                    [["dup", "dup", "other"]] * n, pa.list_(pa.string())
+                ),
+            }
+        )
+        src = str(tmp_path / "docs.parquet")
+        pq.write_table(tbl, src)
+        idx = str(tmp_path / "idx")
+        build_index(
+            src,
+            idx,
+            IndexConfig(rows_per_segment=15, num_buckets=2, dv_cols=("tags",)),
+        )
+        s = IndexSearcher(idx)
+        got = dict(
+            zip(
+                s.facet_counts("data", "tags").column("value").to_pylist(),
+                s.facet_counts("data", "tags").column("n").to_pylist(),
+            )
+        )
+        assert got == {"dup": n, "other": n}

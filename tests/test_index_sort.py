@@ -223,3 +223,46 @@ class TestStringFieldSort:
         assert [int(x) for x in r2["keys"]] == [
             int(x) for x in full["keys"][10:20]
         ]
+
+
+class TestStringIndexSortEarlyTermination:
+    """``search_sorted`` on a string-index-sorted index takes the string
+    ordinal path, not the numeric early exit (which raised TypeError
+    descending and skipped the string merge ascending)."""
+
+    @pytest.fixture(scope="class")
+    def indexes(self, ray_session, tmp_path_factory):
+        base = tmp_path_factory.mktemp("stridx")
+        plain_d = str(base / "plain")
+        sorted_d = str(base / "sorted")
+        cfg = IndexConfig(rows_per_segment=300, dv_cols=("lang",))
+        build_index(DOCS, plain_d, cfg)
+        build_index(
+            DOCS,
+            sorted_d,
+            IndexConfig(
+                rows_per_segment=300,
+                dv_cols=("lang",),
+                index_sort=("lang", "asc"),
+            ),
+        )
+        return IndexSearcher(plain_d), IndexSearcher(sorted_d)
+
+    # keys can differ between the two indexes on ties (different docid
+    # order), but the ordered top-k VALUE sequence and total are unique
+
+    def test_descending_no_typeerror_and_matches(self, indexes):
+        plain, srt = indexes
+        a = plain.search_sorted("data", "lang", k=10, descending=True)
+        b = srt.search_sorted("data", "lang", k=10, descending=True)
+        assert b["sort_values"] == sorted(b["sort_values"], reverse=True)
+        assert a["sort_values"] == b["sort_values"]
+        assert a["total_hits"] == b["total_hits"]
+
+    def test_ascending_matches_plain(self, indexes):
+        plain, srt = indexes
+        a = plain.search_sorted("data", "lang", k=10, descending=False)
+        b = srt.search_sorted("data", "lang", k=10, descending=False)
+        assert b["sort_values"] == sorted(b["sort_values"])
+        assert a["sort_values"] == b["sort_values"]
+        assert a["total_hits"] == b["total_hits"]

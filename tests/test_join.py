@@ -6,7 +6,13 @@ import pytest
 
 from lucene_ray.index.build import build_index
 from lucene_ray.index.config import IndexConfig
-from lucene_ray.search.query import JoinQuery
+from lucene_ray.search.query import (
+    MUST,
+    SHOULD,
+    BooleanQuery,
+    JoinQuery,
+    TermQuery,
+)
 from lucene_ray.search.searcher import IndexSearcher
 
 
@@ -76,6 +82,30 @@ def test_join_empty_from_side(join_index):
         mode="exhaustive",
     )
     assert len(r["keys"]) == 0
+
+
+def test_join_composes_with_every_consumer(join_index):
+    """A JoinQuery is rewritten wherever it sits, so every consumer of a
+    match set answers it as it answers the keyword-term disjunction it
+    rewrites to, and it works as a clause of a boolean."""
+    s = IndexSearcher(join_index)
+    join = JoinQuery(from_query="alpha", from_field="source", to_field="source")
+    terms = BooleanQuery(
+        tuple((SHOULD, TermQuery(v, field="source")) for v in ("s1", "s3"))
+    )
+    assert s._rewrite_join(join) == terms
+    assert s.count(join) == s.count(terms) == 4
+    assert s.facet_counts(join, "lang").equals(s.facet_counts(terms, "lang"))
+    assert s.group_topk(join, "lang").equals(s.group_topk(terms, "lang"))
+    got, want = (s.search_sorted(q, "source", k=10) for q in (join, terms))
+    assert got["docids"].tolist() == want["docids"].tolist()
+    assert got["keys"] == want["keys"] and got["sort_values"] == want["sort_values"]
+    drill = (("lang", "fr"),)
+    assert s.drill_sideways(join, drill, ("lang", "source")) == s.drill_sideways(
+        terms, drill, ("lang", "source")
+    )
+    r = s.search(BooleanQuery(((MUST, join), (MUST, TermQuery("delta")))), k=10)
+    assert r["keys"] == [4]  # s1/s3 docs 0, 1, 4, 5 ∩ delta docs 3, 4
 
 
 def test_parent_topk_max_scoremode(join_index):

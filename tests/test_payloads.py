@@ -19,6 +19,7 @@ import pytest
 from lucene_ray.index.build import build_index
 from lucene_ray.index.config import IndexConfig
 from lucene_ray.index.merge import force_merge
+from lucene_ray.index.segment import invert_token_lists
 from lucene_ray.pipelines.payloads import derive_token_payloads
 from lucene_ray.search.searcher import IndexSearcher
 
@@ -239,3 +240,30 @@ class TestPayloadConfigValidation:
     def test_requires_payload_col(self):
         with pytest.raises(ValueError, match="payload_col"):
             IndexConfig(payloads=True, pretokenized=True, positions=True)
+
+
+class TestPayloadAlignment:
+    """``invert_token_lists`` checks payload/token alignment PER DOC (not
+    just the total flattened length) and narrows 64-bit-offset payload
+    types."""
+
+    def test_per_doc_mismatch_rejected(self):
+        toks = pa.array([["a", "b"], ["c", "d"]], pa.list_(pa.string()))
+        pays = pa.array(
+            [[b"x", b"y", b"z"], [b"w"]], pa.list_(pa.binary())
+        )  # total 4 payloads for 4 tokens — per-doc counts still mismatch
+        with pytest.raises(ValueError, match="misaligned at doc 0"):
+            invert_token_lists(toks, True, payloads=pays)
+
+    def test_large_binary_payloads_narrowed(self):
+        toks = pa.array([["a"], ["b"]], pa.list_(pa.string()))
+        pays = pa.array([[b"x"], [b"yy"]], pa.list_(pa.large_binary()))
+        inv = invert_token_lists(toks, True, payloads=pays)
+        assert inv.pay_lens.tolist() == [1, 2]
+        assert bytes(inv.pay_bytes.tobytes()) == b"xyy"
+
+    def test_aligned_still_works(self):
+        toks = pa.array([["a", "b"], ["c"]], pa.list_(pa.string()))
+        pays = pa.array([[b"1", b"2"], [b"3"]], pa.list_(pa.binary()))
+        inv = invert_token_lists(toks, True, payloads=pays)
+        assert int(inv.pay_lens.sum()) == 3

@@ -5,11 +5,13 @@ detects corruption, and pruning drops merged-away segments
 
 import os
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
 from lucene_ray.index.build import build_index
 from lucene_ray.index.config import IndexConfig
+from lucene_ray.index.deletes import delete_by_keys
 from lucene_ray.index.manifest import load_manifest
 from lucene_ray.search.replicate import PrimaryNode, ReplicaNode
 from lucene_ray.search.searcher import IndexSearcher
@@ -119,3 +121,58 @@ class TestReplication:
         # and a later healthy sync completes the round
         r = replica.sync(primary)
         assert r["generation"] > gen0
+
+
+class TestReplicationTombstonePinning:
+    """Replication pins the tombstone generation recorded in the
+    manifest: a newer tombstone landing between manifest load and the
+    listing does not ship with the older manifest."""
+
+    def test_newer_tombstone_not_shipped(self, ray_session, tmp_path):
+        n = 20
+        tbl = pa.table(
+            {
+                "doc_id": pa.array(range(n), pa.int64()),
+                "text": [f"word{i} common" for i in range(n)],
+            }
+        )
+        src = str(tmp_path / "docs.parquet")
+        pq.write_table(tbl, src)
+        idx = str(tmp_path / "idx")
+        build_index(src, idx, IndexConfig(rows_per_segment=n, num_buckets=2))
+        delete_by_keys(idx, [1, 2])
+        man = load_manifest(idx)
+        assert man.segments[0].get("del_gen") == 1
+        # simulate a commit racing the listing: a NEWER tombstone lands
+        # on disk after the manifest we serve
+        seg_rel = os.path.join("segments", "seg_000000")
+        newer = os.path.join(idx, seg_rel, "deleted_000002.bits")
+        with open(newer, "wb") as f:
+            f.write(b"\xff\xff\xff")
+        state = PrimaryNode(idx).current_state()
+        files = state["files"]
+        assert os.path.join(seg_rel, "deleted_000001.bits") in files
+        assert os.path.join(seg_rel, "deleted_000002.bits") not in files
+
+    def test_replica_visibility_matches_manifest(self, ray_session, tmp_path):
+        n = 16
+        tbl = pa.table(
+            {
+                "doc_id": pa.array(range(n), pa.int64()),
+                "text": ["common text"] * n,
+            }
+        )
+        src = str(tmp_path / "docs.parquet")
+        pq.write_table(tbl, src)
+        idx = str(tmp_path / "idx")
+        build_index(src, idx, IndexConfig(rows_per_segment=n, num_buckets=2))
+        delete_by_keys(idx, [0])
+        primary = PrimaryNode(idx)
+        state = primary.current_state()
+        # a second deletion lands AFTER the state snapshot
+        delete_by_keys(idx, [1, 2, 3])
+        rep = ReplicaNode(str(tmp_path / "replica"))
+        rep.sync(primary, state=state)
+        s = IndexSearcher(str(tmp_path / "replica"))
+        r = s.count("common")
+        assert r == n - 1  # the snapshot's visibility, not the later commit's

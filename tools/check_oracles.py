@@ -37,6 +37,81 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
+def compare(got: pd.DataFrame, want: pd.DataFrame) -> list:
+    """The mismatches of an entry's ``canon`` result against its oracle's
+    (empty when they agree): row count, schema, then each column's
+    values — floats bit for bit in the same dtype, integers by value
+    whatever their width, anything else in the same dtype."""
+    if len(got) != len(want) or list(got.columns) != list(want.columns):
+        return [
+            f"rows={len(got)}/{len(want)} "
+            f"schema={list(got.columns)}/{list(want.columns)}"
+        ]
+    bad = []
+    for c in got.columns:
+        g, w = got[c].values, want[c].values
+        if np.issubdtype(got[c].dtype, np.floating):
+            ok = got[c].dtype == want[c].dtype and np.array_equal(
+                g, w.astype(got[c].dtype)
+            )
+        elif np.issubdtype(got[c].dtype, np.integer) and np.issubdtype(
+            want[c].dtype, np.integer
+        ):
+            # integer WIDTH differences (int64 engine vs DuckDB int32
+            # literals) hash-match in the driver — evidenced by green
+            # r2/r3 rows for these exact pairs; only conversions that
+            # change the value representation (HUGEINT → float64) ever
+            # failed
+            ok = np.array_equal(g.astype(np.int64), w.astype(np.int64))
+        elif got[c].dtype != want[c].dtype:
+            # cross-kind dtype changes (e.g. DuckDB HUGEINT→float64 vs
+            # engine int64) DO fail the driver's value-hash
+            bad.append(f"  col {c}: dtype {got[c].dtype} vs {want[c].dtype}")
+            continue
+        else:
+            ok = bool((g == w).all())
+        if not ok:
+            diffs = np.flatnonzero(~(g == w))[:5]
+            bad.append(
+                f"  col {c}: first diffs at {diffs}\n"
+                f"    got  {g[diffs]}\n    want {w[diffs]}"
+            )
+    return bad
+
+
+def check_entry(name: str, fn, sql, con, sf_dir: str) -> tuple:
+    """Run one gate entry on ``sf_dir`` and its oracle SQL (None: rows
+    only) on the DuckDB connection ``con`` → ``(ok, report)``, the
+    report being the tool's line for the entry."""
+    try:
+        got = canon(to_pandas(fn(sf_dir)))
+    except Exception as e:
+        return False, f"{name}: RAY FAILED: {type(e).__name__}: {e}"
+    if sql is None:
+        return True, f"{name}: rows-only check, {len(got)} rows"
+    try:
+        want = canon(con.execute(sql).df())
+    except Exception as e:
+        return False, f"{name}: SQL FAILED: {type(e).__name__}: {e}"
+    try:
+        bad = compare(got, want)
+    except Exception as e:
+        bad = [f"  compare failed: {type(e).__name__}: {e}"]
+    if bad:
+        return False, "\n".join([f"{name}: MISMATCH"] + bad)
+    return True, f"{name}: OK ({len(got)} rows)"
+
+
+def connect(sf_dir: str):
+    """A DuckDB connection with a view per table of ``sf_dir``."""
+    con = duckdb.connect()
+    for t in TABLES:
+        p = os.path.join(sf_dir, f"{t}.parquet")
+        if os.path.exists(p):
+            con.execute(f"create view {t} as select * from '{p}'")
+    return con
+
+
 def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
@@ -53,84 +128,14 @@ def main():
 
     qs = entrymod.queries()
     sqls = entrymod.oracle_sql()
-
-    con = duckdb.connect()
-    for t in TABLES:
-        p = os.path.join(sf_dir, f"{t}.parquet")
-        if os.path.exists(p):
-            con.execute(f"create view {t} as select * from '{p}'")
-
+    con = connect(sf_dir)
     failures = 0
     for name, fn in qs.items():
         if only and name not in only:
             continue
-        try:
-            got = canon(to_pandas(fn(sf_dir)))
-        except Exception as e:
-            print(f"{name}: RAY FAILED: {type(e).__name__}: {e}")
-            failures += 1
-            continue
-        if name not in sqls:
-            print(f"{name}: rows-only check, {len(got)} rows")
-            continue
-        try:
-            want = canon(con.execute(sqls[name]).df())
-        except Exception as e:
-            print(f"{name}: SQL FAILED: {type(e).__name__}: {e}")
-            failures += 1
-            continue
-        ok_rows = len(got) == len(want)
-        ok_schema = list(got.columns) == list(want.columns)
-        ok_vals = False
-        if ok_rows and ok_schema:
-            try:
-                gv, wv = got.values, want.values
-                ok_vals = True
-                for c in got.columns:
-                    g, w = got[c].values, want[c].values
-                    if np.issubdtype(got[c].dtype, np.floating):
-                        if got[c].dtype != want[c].dtype or not np.array_equal(
-                            g, w.astype(got[c].dtype)
-                        ):
-                            ok_vals = False
-                    elif (
-                        np.issubdtype(got[c].dtype, np.integer)
-                        and np.issubdtype(want[c].dtype, np.integer)
-                    ):
-                        # integer WIDTH differences (int64 engine vs
-                        # DuckDB int32 literals) hash-match in the
-                        # driver — evidenced by green r2/r3 rows for
-                        # these exact pairs; only conversions that
-                        # change the value representation (HUGEINT →
-                        # float64) ever failed
-                        if not np.array_equal(
-                            g.astype(np.int64), w.astype(np.int64)
-                        ):
-                            ok_vals = False
-                    elif got[c].dtype != want[c].dtype:
-                        # cross-kind dtype changes (e.g. DuckDB
-                        # HUGEINT→float64 vs engine int64) DO fail the
-                        # driver's value-hash
-                        ok_vals = False
-                        print(f"  col {c}: dtype {got[c].dtype} vs {want[c].dtype}")
-                    elif not (g == w).all():
-                        ok_vals = False
-            except Exception:
-                ok_vals = False
-        status = "OK" if (ok_rows and ok_schema and ok_vals) else "MISMATCH"
-        if status != "OK":
-            failures += 1
-            print(f"{name}: {status} rows={len(got)}/{len(want)} "
-                  f"schema={list(got.columns)}/{list(want.columns)}")
-            if ok_rows and ok_schema:
-                for c in got.columns:
-                    if not (got[c].values == want[c].values).all():
-                        bad = np.flatnonzero(~(got[c].values == want[c].values))[:5]
-                        print(f"  col {c}: first diffs at {bad}")
-                        print(f"    got  {got[c].values[bad]}")
-                        print(f"    want {want[c].values[bad]}")
-        else:
-            print(f"{name}: OK ({len(got)} rows)")
+        ok, report = check_entry(name, fn, sqls.get(name), con, sf_dir)
+        failures += not ok
+        print(report)
     ray.shutdown()
     sys.exit(1 if failures else 0)
 
