@@ -33,6 +33,7 @@ shards can scale out on a real cluster.
 
 from __future__ import annotations
 
+import gc
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -214,14 +215,21 @@ def search_dataset_sharded(
         return out.union(*parts[1:]) if len(parts) > 1 else out
 
     plan = shard_plan(index_dir, n_shards)
-    # each shard gets its own pool, so per-pool size divides the CLUSTER
-    # by shard count — 4 pools must not each claim the whole node (4×
-    # oversubscription = actor spin-up dominating the query leg)
+    # Every shard's pool must place its first actor at once, with a CPU
+    # left for the merge's tasks: a pool whose actor cannot be placed
+    # waits for CPUs that only finished pools give back, and Ray Data
+    # drops a finished pool's actors without ray.kill, so they hold
+    # their CPUs until the driver collects the handles' reference
+    # cycles. Per-pool size divides the rest of the cluster by shard
+    # count, so 4 pools do not each claim the whole node.
     from lucene_ray.cluster import cluster_cpus
 
-    conc = concurrency or actor_pool(
-        cap=max(1, cluster_cpus() // max(1, len(plan)))
-    )
+    spare = max(1, cluster_cpus() - 1)
+    per_pool = max(1, spare // len(plan))
+    actor_cpus = min(1.0, spare / len(plan))
+    conc = concurrency or actor_pool(per_actor_cpus=actor_cpus, cap=per_pool)
+    # the actors of earlier calls, still held by uncollected cycles
+    gc.collect()
     queries_ds = queries_ds.materialize()  # consumed once per shard, twice
     # coalesce the query stream: from_items-style inputs arrive as
     # hundreds of tiny blocks, and every block becomes a task in EVERY
@@ -240,7 +248,8 @@ def search_dataset_sharded(
                 "segment_ids": p,
                 "shard": si,
             },
-            concurrency=(1, 2),
+            concurrency=(1, min(2, per_pool)),
+            num_cpus=actor_cpus,
             batch_format="pyarrow",
             batch_size=512,  # parse-only stage: fewer, fatter tasks
         )
@@ -265,6 +274,7 @@ def search_dataset_sharded(
         d, t = stats.get(term, (0, 0))
         stats[term] = (d + df, t + ttf)
     stats_ref = ray.put(stats)
+    gc.collect()  # phase 0's actors give their CPUs back to phase 1's
     if os.environ.get("LUCENE_RAY_PROFILE"):
         print(f"[sharded] phase0 {_time.time() - _t0:.2f}s", flush=True)
         _t0 = _time.time()
@@ -281,6 +291,7 @@ def search_dataset_sharded(
                 "similarity": similarity,
             },
             concurrency=conc,
+            num_cpus=actor_cpus,
             batch_format="pyarrow",
             # large batches: per-task dispatch costs ~ms and every query
             # visits EVERY shard, so small batches multiply into
