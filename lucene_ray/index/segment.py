@@ -68,7 +68,6 @@ from lucene_ray.index.deletes import load_deleted
 from lucene_ray.index.points import build_point_files
 from lucene_ray.index.geo import GeoBlocks, build_geo_files
 from lucene_ray.index.ranges import RangeBlocks, build_range_files
-from lucene_ray.search.querycache import LRUCache
 
 META_NAME = "meta.json"
 
@@ -1310,7 +1309,6 @@ class SegmentReader:
         self._points_cache: Dict[str, tuple] = {}
         self._geo_cache: Dict[str, GeoBlocks] = {}
         self._ranges_cache: Dict[str, RangeBlocks] = {}
-        self.decode_cache = LRUCache(self.DECODE_CACHE_BYTES)
         self._bucket_cfg_n = self.n_parts
 
     # -- term dict ---------------------------------------------------------
@@ -1475,57 +1473,17 @@ class SegmentReader:
         """A term's encoded postings (a view of the mmapped part file)."""
         return self._post_mm[info.part][info.post_off : info.post_off + info.post_len]
 
-    # decode cache: what's worth caching per reader is the DECODED
-    # posting/position arrays of hot terms, reused across queries in the
-    # same searcher actor. Keys are ("post", part, post_off) and
-    # ("pos", part, pos_off).
-    DECODE_CACHE_BYTES = 128 << 20
-
     def decoded(self, info: TermInfo) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached ``postings(info).decode_all()``."""
-        key = ("post", info.part, info.post_off)
-        hit = self.decode_cache.get(key)
-        if hit is None:
-            hit = self.postings(info).decode_all()
-            self.decode_cache.put(key, hit, hit[0].nbytes + hit[1].nbytes)
-        return hit
-
-    def decoded_many(
-        self, infos: List[TermInfo]
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Batched :meth:`decoded` for term-expansion consumers
-        (MultiTermQuery / TermInSetQuery unions, ``IntersectTermsEnum``
-        bulk-read role): the cache misses decode together through
-        :func:`read_postings`."""
-        keys = [("post", info.part, info.post_off) for info in infos]
-        out = [self.decode_cache.get(key) for key in keys]
-        miss = [i for i, hit in enumerate(out) if hit is None]
-        for i, hit in zip(miss, read_postings([(self, infos[i]) for i in miss])):
-            out[i] = self.decode_cache.put(keys[i], hit, hit[0].nbytes + hit[1].nbytes)
-        return out
-
-    def positional(
-        self, info: TermInfo
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A term's ``(ids, offs, pos)``: its docids, the uint32 start of
-        each doc's run in ``pos`` (``len(ids) + 1`` entries, the freqs'
-        exclusive cumsum) and its positions — one decode-cache entry,
-        counted at the bytes of all three arrays."""
-        key = ("pos", info.part, info.pos_off)
-        hit = self.decode_cache.get(key)
-        if hit is None:
-            pos = self.positions(info)
-            ids, freqs = self.decoded(info)
-            offs = np.zeros(len(ids) + 1, dtype=np.uint32)
-            np.cumsum(freqs, out=offs[1:])
-            hit = self.decode_cache.put(
-                key, (ids, offs, pos), ids.nbytes + offs.nbytes + pos.nbytes
-            )
-        return hit
+        """A term's ``(docids, freqs)``, uncached:
+        ``postings(info).decode_all()``. Queries read postings from the
+        searcher's index-wide entries; this one-blob decode serves the
+        readers that need postings aligned with the term's payload and
+        offset streams."""
+        return self.postings(info).decode_all()
 
     def positions(self, info: TermInfo) -> np.ndarray:
         """A term's positions, each doc's run in docid order (a run is
-        the doc's freq long), decoded without the decode cache."""
+        the doc's freq long), uncached."""
         return read_positions([(self, info)])[0]
 
     def offsets_for(self, info: TermInfo) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,55 +1,51 @@
-"""The engine's one cache policy: ``LRUCache``, a byte-bounded LRU with
-hit/miss counters, and ``LRUQueryCache`` on top of it — per-(query,
-segment) match-set caching for constant-score clauses, the role of
-``LRUQueryCache``
-(``lucene/core/src/java/org/apache/lucene/search/LRUQueryCache.java:61-120``).
+"""The engine's one query-time cache: ``LRUCache``, an LRU bounded by the
+summed bytes of its entries, with hit/miss counters.
 
-``LRUCache`` holds every cross-query reuse in a searcher process: the
-reader's decoded postings/positions (``SegmentReader``), the searcher's
-term states, index-wide term arrays (docids, BM25 denominators, run
-maxima, freqs), exact-phrase entries in the same layout (matches,
-denominators, run maxima, phrase freqs) and the "seen" markers of
-phrases searched once, term positions, position signatures, norm
-inverses and similarity scorers (``IndexSearcher``), and the query
-cache below. Segments are
-immutable, so entries never go stale; the bounds only cap memory in
-long-lived serving actors. This module imports nothing from the package,
-so the index layer can use it.
+One ``LRUCache`` per ``IndexSearcher`` (``IndexSearcher.cache``, sized by
+``IndexSearcher.CACHE_BYTES``) holds every cross-query reuse of a
+searcher process, so one number bounds a long-lived actor's query-time
+memory:
 
-What the query cache holds mirrors the reference's
-``UsageTrackingQueryCachingPolicy`` intuition (cheap to reuse, expensive
-to recompute): doc-values range filters and dictionary-expanding
-multi-term queries (prefix / wildcard / fuzzy), whose evaluation cost is
-dominated by term-dict scans and dv column compares, and whose results
-are constant-score docid sets. Scoring term queries are NOT cached
-(scores are cheap to recompute and caching them defeats pruning).
+- term states (``("states", t)``): per-segment ``TermInfo`` and the
+  summed df/ttf;
+- one postings entry per term key (``("postings", t)``): the term's live
+  postings as ascending global docids and freqs, for every field and
+  every similarity; positions row-aligned beside it (``("pos", t)``),
+  their position signatures (``("sig", t)``), and for default-field
+  terms the BM25 denominators and run maxima derived from it
+  (``("bm25", t)``). A query scored per segment reads one segment's
+  postings as a slice of these entries;
+- exact-phrase entries in the same layout (``("phrase", terms)``) and the
+  "seen" markers of phrases searched once;
+- the raw match sets of constant-score leaves per segment (``("match",
+  repr(q), seg_dir)``): multi-term expansions, term-in-set unions,
+  doc-values ranges, geo and range-field filters — dictionary scans and
+  column compares, expensive to recompute and cheap to reuse (the role
+  of the reference's query cache). A match set
+  keeps its segment's deleted docs: tombstones are applied after the
+  lookup, as the reference applies live docs at collection, so a set
+  stays valid when only the segment's deletions change and can be
+  carried to a reopened searcher;
+- norm inverses and similarity scorers.
 
-Policy knobs follow the reference's defaults scaled to this engine:
-``max_entries`` bounds the number of cached (query, segment) sets and
-``min_segment_docs`` skips tiny segments where recomputation is cheaper
-than cache bookkeeping (``LRUQueryCache.java`` skips leaves < 10k docs /
-3% of the index). Deletes are applied AFTER cache lookup (live-docs
-filtering happens at collection, like the reference — the cache stores
-the raw match set).
+Segments are immutable, so entries never go stale; the bound only caps
+memory. This module imports nothing from the package.
 """
 
 from __future__ import annotations
 
 import collections
-from typing import Hashable, Optional
-
-import numpy as np
+from typing import Hashable
 
 
 class LRUCache:
     """Least-recently-used cache bounded by the summed ``nbytes`` of its
-    entries (and optionally by their count). ``get`` counts a hit or a
-    miss and marks a hit most recent; ``in`` does neither. An entry
-    larger than ``max_bytes`` is handed back by ``put`` but not kept."""
+    entries. ``get`` counts a hit or a miss and marks a hit most recent;
+    ``in`` does neither. An entry larger than ``max_bytes`` is handed
+    back by ``put`` but not kept."""
 
-    def __init__(self, max_bytes: float, max_entries: Optional[int] = None):
+    def __init__(self, max_bytes: float):
         self.max_bytes = max_bytes
-        self.max_entries = max_entries
         self._data: "collections.OrderedDict[Hashable, tuple]" = (
             collections.OrderedDict()
         )
@@ -69,7 +65,7 @@ class LRUCache:
 
     def put(self, key: Hashable, value, nbytes: int):
         """Store ``value`` as the most recent entry, evicting the least
-        recent ones past the bounds; returns ``value``."""
+        recent ones past the bound; returns ``value``."""
         old = self._data.pop(key, None)
         if old is not None:
             self.nbytes -= old[1]
@@ -77,9 +73,7 @@ class LRUCache:
             return value
         self._data[key] = (value, nbytes)
         self.nbytes += nbytes
-        while self.nbytes > self.max_bytes or (
-            self.max_entries is not None and len(self._data) > self.max_entries
-        ):
+        while self.nbytes > self.max_bytes:
             self.nbytes -= self._data.popitem(last=False)[1][1]
         return value
 
@@ -88,27 +82,3 @@ class LRUCache:
 
     def __len__(self) -> int:
         return len(self._data)
-
-
-class LRUQueryCache(LRUCache):
-    """Match sets keyed by (query, segment), bounded by entry count."""
-
-    def __init__(self, max_entries: int = 1000, min_segment_docs: int = 10_000):
-        super().__init__(float("inf"), max_entries)
-        self.min_segment_docs = min_segment_docs
-
-    @staticmethod
-    def cache_key(query) -> str:
-        """Stable identity of a constant-score query plan — dataclass
-        repr is deterministic over field values (Query.equals/hashCode
-        role)."""
-        return repr(query)
-
-    def get(self, query, seg) -> Optional[np.ndarray]:  # type: ignore[override]
-        if seg.n_docs < self.min_segment_docs:
-            return None
-        return super().get((self.cache_key(query), seg.seg_dir))
-
-    def put(self, query, seg, docids: np.ndarray) -> None:  # type: ignore[override]
-        if seg.n_docs >= self.min_segment_docs:
-            super().put((self.cache_key(query), seg.seg_dir), docids, docids.nbytes)

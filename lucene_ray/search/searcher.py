@@ -104,11 +104,8 @@ from lucene_ray.search.query import (
     rewrite as rewrite_query,
 )
 from lucene_ray.search.explain import Explanation
-from lucene_ray.search.querycache import LRUCache, LRUQueryCache
+from lucene_ray.search.querycache import LRUCache
 from lucene_ray.search.sloppy import sloppy_phrase_freq
-
-# sentinel: "caller did not pass query_cache" (None means disabled)
-_DEFAULT_CACHE = object()
 from lucene_ray.search.multiterm import (
     damerau_levenshtein,
     levenshtein,
@@ -154,6 +151,12 @@ def _position_signatures(offs: np.ndarray, pos: np.ndarray) -> np.ndarray:
     bits = (pos & 63).astype(np.uint64)
     np.left_shift(np.uint64(1), bits, out=bits)
     return np.bitwise_or.reduceat(bits, offs[:-1].astype(np.intp))
+
+
+def _narrowest(vals: np.ndarray) -> np.ndarray:
+    """Unsigned ``vals`` in the narrowest unsigned dtype that holds their
+    largest value."""
+    return vals.astype(np.min_scalar_type(int(vals.max()) if len(vals) else 0))
 
 
 def _rotr64(sig: np.ndarray, r: int) -> np.ndarray:
@@ -281,7 +284,6 @@ class IndexSearcher:
         self,
         index_dir,
         similarity=None,
-        query_cache=_DEFAULT_CACHE,
         segment_ids=None,
     ):
         """``index_dir``: one committed index directory, or a SEQUENCE of
@@ -298,9 +300,6 @@ class IndexSearcher:
         (classic TF-IDF, LMDirichlet, boolean — term/boolean/range/match-all
         queries, exhaustive path). A registry name string also works
         (``Codec.forName`` analogue).
-
-        ``query_cache``: an ``LRUQueryCache`` (default: fresh instance),
-        or None to disable constant-score match-set caching.
 
         ``segment_ids``: open only these seg_ids (single-index mode) —
         the SHARD role for the distributed query tier
@@ -402,24 +401,19 @@ class IndexSearcher:
             self.config if not getattr(self.config, "synonyms", ())
             else replace(self.config, synonyms=())
         )
-        # cross-query reuse: term states, index-wide term arrays (docids,
-        # BM25 denominators, run maxima, freqs) and positions, the index-wide
-        # norm inverses, similarity scorers
+        # the one query-time store (``search/querycache.py``): term
+        # states, index-wide term entries and what derives from them,
+        # phrase entries, constant-score match sets, norm inverses and
+        # similarity scorers, bounded by CACHE_BYTES
         self.cache = LRUCache(self.CACHE_BYTES)
-        # constant-score match-set cache (LRUQueryCache role); pass
-        # query_cache=None to disable
-        self.query_cache: Optional[LRUQueryCache] = (
-            query_cache if query_cache is not _DEFAULT_CACHE else LRUQueryCache()
-        )
 
     # -- stats gathering (TermStates analogue) -----------------------------
 
     def term_states(self, terms: Sequence[str]) -> Dict[str, List[Optional[TermInfo]]]:
         """term → per-segment TermInfo (None where absent); df summed from
         these gives the global df. Cached per searcher — the role of
-        ``TermStates`` reuse + ``LRUQueryCache`` (``core/index/TermStates.java``,
-        ``core/search/LRUQueryCache.java``); segments are immutable so
-        entries never go stale."""
+        ``TermStates`` reuse (``core/index/TermStates.java``); segments are
+        immutable so entries never go stale."""
         out = {}
         for t in set(terms):
             hit = self.cache.get(("states", t))
@@ -574,15 +568,15 @@ class IndexSearcher:
     ) -> SegmentResult:
         seg = self.segments[seg_idx]
         if isinstance(q, TermQuery):
-            infos, df, ttf = states[term_key(q.field, q.term)]
-            ti = infos[seg_idx]
-            if ti is None or df == 0:
+            key = term_key(q.field, q.term)
+            infos, df, ttf = states[key]
+            if infos[seg_idx] is None or df == 0:
                 return SegmentResult(np.empty(0, np.uint32), np.empty(0, F32))
-            ids, freqs = seg.decoded(ti)
+            ids, freqs = self._seg_postings(key, seg_idx, states)
             scores = self._score_postings(
                 seg, ids, freqs, df, ttf, q.boost, q.field
             )
-            return self._live(seg, SegmentResult(ids, scores))
+            return SegmentResult(ids, scores)
         if isinstance(q, PhraseQuery):
             return self._eval_phrase(q, seg_idx, states)
         if isinstance(q, MultiPhraseQuery):
@@ -679,21 +673,19 @@ class IndexSearcher:
         self, q: TermInSetQuery, seg_idx: int, states
     ) -> SegmentResult:
         """Union of the member terms' postings, constant score
-        (``TermInSetQuery.java:48-74`` constant-score rewrite)."""
-        seg = self.segments[seg_idx]
-        infos = [
-            ti
-            for t in q.terms
-            if (ti := states[term_key(q.field, t)][0][seg_idx]) is not None
-        ]
-        id_sets = [d[0] for d in seg.decoded_many(infos)]
-        if not id_sets:
-            return SegmentResult(np.empty(0, np.uint32), np.empty(0, F32))
-        ids = (
-            np.unique(np.concatenate(id_sets)) if len(id_sets) > 1 else id_sets[0]
-        ).astype(np.uint32)
-        return self._live(
-            seg, SegmentResult(ids, np.full(len(ids), F32(q.boost)))
+        (``TermInSetQuery.java:48-74`` constant-score rewrite), its match
+        set cached (``_match_set``)."""
+        return self._match_set(
+            q,
+            seg_idx,
+            lambda seg: self._union_postings(
+                seg,
+                [
+                    ti
+                    for t in q.terms
+                    if (ti := states[term_key(q.field, t)][0][seg_idx]) is not None
+                ],
+            ),
         )
 
     def _eval_dismax(
@@ -733,11 +725,9 @@ class IndexSearcher:
         minimal window holding one occurrence of every term with width −
         n ≤ slop (``NearSpansUnordered.java``). Constant-score (see
         SpanNearQuery docstring)."""
-        seg = self.segments[seg_idx]
-        infos = [states[t][0][seg_idx] for t in q.terms]
-        if any(ti is None for ti in infos):
+        decoded = self._seg_slots(q.terms, seg_idx, states)
+        if decoded is None:
             return SegmentResult(np.empty(0, np.uint32), np.empty(0, F32))
-        decoded = [seg.positional(ti) for ti in infos]
         common = self._doc_conjunction([d[0] for d in decoded])
         rows = [np.searchsorted(ids, common) for ids, _, _ in decoded]
         out: List[int] = []
@@ -752,37 +742,40 @@ class IndexSearcher:
                 out.append(int(d))
         if not out:
             return SegmentResult(np.empty(0, np.uint32), np.empty(0, F32))
-        ids = np.array(out, dtype=np.uint32)
-        return self._live(
-            seg, SegmentResult(ids, np.full(len(ids), F32(q.boost)))
+        return SegmentResult(
+            np.array(out, dtype=np.uint32), np.full(len(out), F32(q.boost))
         )
 
     def _eval_multiterm(self, q, seg_idx: int) -> SegmentResult:
         """MultiTermQuery: dictionary expansion → union of matched terms'
         doc sets, constant score = boost (``MultiTermQuery`` constant-
         score rewrite; ``PrefixQuery.java`` / ``WildcardQuery.java`` /
-        ``FuzzyQuery.java``). Match sets are LRU-cached per (query,
-        segment) — dictionary scans are the expensive-to-recompute,
-        cheap-to-reuse case ``LRUQueryCache`` exists for."""
-        seg = self.segments[seg_idx]
-        cached = self.query_cache.get(q, seg) if self.query_cache is not None else None
-        if cached is not None:
-            return self._live(
-                seg,
-                SegmentResult(cached, np.full(len(cached), F32(q.boost))),
-            )
+        ``FuzzyQuery.java``). The match set is cached (``_match_set``) —
+        dictionary scans are the expensive-to-recompute, cheap-to-reuse
+        case the match-set cache exists for."""
+        return self._match_set(
+            q,
+            seg_idx,
+            lambda seg: self._union_postings(
+                seg, [ti for _, ti in self._expand(q, seg)]
+            ),
+        )
+
+    @staticmethod
+    def _expand(q, seg) -> list:
+        """The sorted ``(key, TermInfo)`` pairs of ``seg``'s dictionary
+        that the multi-term query ``q`` matches."""
         fprefix = term_key(q.field, "")
         if isinstance(q, TermRangeQuery):
             # seekCeil(lower) + bounded scan — no predicate needed, the
             # dictionary order IS the match condition
-            matches = seg.expand_terms_range(
+            return seg.expand_terms_range(
                 None if q.lower is None else term_key(q.field, q.lower),
                 None if q.upper is None else term_key(q.field, q.upper),
                 q.include_lower,
                 q.include_upper,
                 exclude_field_sep=(q.field == DEFAULT_FIELD),
             )
-            return self._finish_multiterm(q, seg, matches)
         if isinstance(q, PrefixQuery):
             key_prefix = term_key(q.field, q.prefix)
             match = None
@@ -808,32 +801,37 @@ class IndexSearcher:
             def match(key):
                 return dist(key[len(fprefix):], term, cap=k) <= k
 
-        matches = seg.expand_terms(
+        return seg.expand_terms(
             key_prefix, match, exclude_field_sep=(q.field == DEFAULT_FIELD)
         )
-        return self._finish_multiterm(q, seg, matches)
 
-    def _finish_multiterm(self, q, seg, matches) -> SegmentResult:
-        """Union of expanded terms' doc sets, constant score, match-set
-        cached (shared tail of every MultiTermQuery evaluation)."""
-        if not matches:
-            ids = np.empty(0, np.uint32)
-            if self.query_cache is not None:
-                self.query_cache.put(q, seg, ids)
-            return SegmentResult(ids, np.empty(0, F32))
-        id_sets = [d[0] for d in seg.decoded_many([ti for _, ti in matches])]
-        ids = (
-            np.unique(np.concatenate(id_sets))
-            if len(id_sets) > 1
-            else id_sets[0]
-        )
-        if self.query_cache is not None:
-            self.query_cache.put(q, seg, ids.astype(np.uint32))
+    @staticmethod
+    def _union_postings(seg, infos: List[TermInfo]) -> np.ndarray:
+        """The sorted uint32 local docids in any of the postings ``infos``
+        of ``seg``, deleted docs included, decoded in one uncached
+        ``read_postings`` call."""
+        id_sets = [ids for ids, _ in read_postings([(seg, ti) for ti in infos])]
+        if not id_sets:
+            return np.empty(0, np.uint32)
+        ids = np.unique(np.concatenate(id_sets)) if len(id_sets) > 1 else id_sets[0]
+        return ids.astype(np.uint32)
+
+    def _match_set(self, q, seg_idx: int, build) -> SegmentResult:
+        """A constant-score leaf on one segment: its raw match set
+        ``build(seg)`` (ascending uint32 local docids, deleted docs
+        included), cached under ``("match", repr(q), seg_dir)`` (the
+        dataclass repr is deterministic over field values, the
+        ``Query.equals/hashCode`` role), scored ``q.boost``; deletes apply
+        after the lookup (``_live``), as the reference applies live docs
+        at collection."""
+        seg = self.segments[seg_idx]
+        key = ("match", repr(q), seg.seg_dir)
+        ids = self.cache.get(key)
+        if ids is None:
+            ids = build(seg)
+            self.cache.put(key, ids, ids.nbytes + self._OBJ_BYTES)
         return self._live(
-            seg,
-            SegmentResult(
-                ids.astype(np.uint32), np.full(len(ids), F32(q.boost))
-            ),
+            seg, SegmentResult(ids, np.full(len(ids), F32(q.boost)))
         )
 
     def _eval_feature(self, q, seg_idx: int, states) -> SegmentResult:
@@ -842,17 +840,16 @@ class IndexSearcher:
         freqs back to float32 feature values and apply the scoring
         function — no idf, no norms (the reference omits norms on
         FeatureField and passes norm=1L)."""
-        seg = self.segments[seg_idx]
-        infos, df, _ = states[term_key(q.field, q.feature)]
-        ti = infos[seg_idx]
-        if ti is None or df == 0:
+        key = term_key(q.field, q.feature)
+        infos, df, _ = states[key]
+        if infos[seg_idx] is None or df == 0:
             return SegmentResult(np.empty(0, np.uint32), np.empty(0, F32))
-        ids, freqs = seg.decoded(ti)
+        ids, freqs = self._seg_postings(key, seg_idx, states)
         vals = decode_feature_values(freqs)
         scores = feature_scores(
             q.function, vals, q.weight, q.pivot, q.scale, q.exp
         )
-        return self._live(seg, SegmentResult(ids, scores.astype(F32)))
+        return SegmentResult(ids, scores.astype(F32))
 
     def _eval_synonym(self, q, seg_idx: int, states) -> SegmentResult:
         """``SynonymQuery`` semantics (``core/search/SynonymQuery.java``):
@@ -865,7 +862,7 @@ class IndexSearcher:
         if df == 0:
             return SegmentResult(np.empty(0, np.uint32), np.empty(0, F32))
         pairs = [
-            seg.decoded(states[k][0][seg_idx])
+            self._seg_postings(k, seg_idx, states)
             for k in keys
             if states[k][0][seg_idx] is not None
         ]
@@ -887,7 +884,7 @@ class IndexSearcher:
         scores = self._score_postings(
             seg, ids, freqs, df, ttf, q.boost, q.field
         )
-        return self._live(seg, SegmentResult(ids.astype(np.uint32), scores))
+        return SegmentResult(ids.astype(np.uint32), scores)
 
     def _eval_combined_field(self, q, seg_idx: int, states) -> SegmentResult:
         """BM25F — ``CombinedFieldQuery`` semantics
@@ -927,10 +924,10 @@ class IndexSearcher:
         # per-field postings on this segment
         field_pairs = []  # (weight_f32, ids, freqs, norm_bytes[n_docs])
         for f, w in q.fields:
-            ti = states[term_key(f, q.term)][0][seg_idx]
-            if ti is None:
+            key = term_key(f, q.term)
+            if states[key][0][seg_idx] is None:
                 continue
-            ids, freqs = seg.decoded(ti)
+            ids, freqs = self._seg_postings(key, seg_idx, states)
             field_pairs.append((F32(w), ids, freqs, seg.norms_for(f)))
         if not field_pairs:
             return empty
@@ -960,21 +957,20 @@ class IndexSearcher:
             np.searchsorted(LENGTH_TABLE_INT, rounded, side="right") - 1
         ).astype(np.uint8)
         scores = wgt - wgt / (F32(1.0) + comb_freq * inv_table[nb])
-        return self._live(seg, SegmentResult(u_ids.astype(np.uint32), scores))
+        return SegmentResult(u_ids.astype(np.uint32), scores)
 
     def _eval_range(self, q: RangeQuery, seg_idx: int) -> SegmentResult:
         """Doc-values range filter, constant-score (``PointRangeQuery`` /
-        ``SortedNumericDocValuesRangeQuery`` role). Match sets are
-        LRU-cached per (query, segment) (``LRUQueryCache``)."""
+        ``SortedNumericDocValuesRangeQuery`` role), its match set cached
+        (``_match_set``)."""
+        return self._match_set(q, seg_idx, lambda seg: self._range_ids(q, seg))
+
+    @staticmethod
+    def _range_ids(q: RangeQuery, seg) -> np.ndarray:
+        """The ascending uint32 local docids of ``seg`` whose value of
+        ``q.field`` lies in ``q``'s range."""
         import pyarrow.compute as pc
 
-        seg = self.segments[seg_idx]
-        cached = self.query_cache.get(q, seg) if self.query_cache is not None else None
-        if cached is not None:
-            return self._live(
-                seg,
-                SegmentResult(cached, np.full(len(cached), F32(q.boost))),
-            )
         pi = seg.point_index(q.field)
         if pi is not None:
             # 1-D point index (LongPoint/BKD role): two binary searches
@@ -986,11 +982,7 @@ class IndexSearcher:
                 pi[0], pi[1], q.lo, q.hi, q.include_lo, q.include_hi, pi[2]
             )
             if ids is not None:
-                if self.query_cache is not None:
-                    self.query_cache.put(q, seg, ids)
-                return self._live(
-                    seg, SegmentResult(ids, np.full(len(ids), F32(q.boost)))
-                )
+                return ids
         col = seg.dv(q.field)
         mask: Optional[pa.ChunkedArray] = None
 
@@ -1006,73 +998,44 @@ class IndexSearcher:
         if mask is None:  # fully open range: matches docs with a value
             mask = pc.is_valid(col)
         m = np.asarray(pc.fill_null(mask, False))
-        ids = np.flatnonzero(m).astype(np.uint32)
-        if self.query_cache is not None:
-            self.query_cache.put(q, seg, ids)
-        return self._live(
-            seg, SegmentResult(ids, np.full(len(ids), F32(q.boost)))
-        )
+        return np.flatnonzero(m).astype(np.uint32)
 
     def _eval_geo(self, q, seg_idx: int) -> SegmentResult:
         """Geo box/distance filter against the segment's morton-block
         sidecar (``LatLonPointBox/DistanceQuery`` role): the stored block
-        directory prunes, surviving blocks refine vectorized. Match sets
-        are LRU-cached per (query, segment) like every constant-score
-        filter."""
-        seg = self.segments[seg_idx]
-        cached = (
-            self.query_cache.get(q, seg)
-            if self.query_cache is not None
-            else None
-        )
-        if cached is not None:
-            return self._live(
-                seg,
-                SegmentResult(cached, np.full(len(cached), F32(q.boost))),
-            )
-        gi = seg.geo_index(q.field)
-        if gi is None:
-            raise KeyError(
-                f"segment {seg.seg_dir} has no geo sidecar for field "
-                f"{q.field!r} (IndexConfig.geo_cols at build time)"
-            )
-        if isinstance(q, GeoBoxQuery):
-            ids = gi.box(q.min_lat, q.max_lat, q.min_lon, q.max_lon)
-        else:
-            ids = gi.distance(q.lat, q.lon, q.radius_m)
-        ids = np.sort(np.asarray(ids)).astype(np.uint32)
-        if self.query_cache is not None:
-            self.query_cache.put(q, seg, ids)
-        return self._live(
-            seg, SegmentResult(ids, np.full(len(ids), F32(q.boost)))
-        )
+        directory prunes, surviving blocks refine vectorized. Its match
+        set is cached like every constant-score filter's."""
+
+        def build(seg):
+            gi = seg.geo_index(q.field)
+            if gi is None:
+                raise KeyError(
+                    f"segment {seg.seg_dir} has no geo sidecar for field "
+                    f"{q.field!r} (IndexConfig.geo_cols at build time)"
+                )
+            if isinstance(q, GeoBoxQuery):
+                ids = gi.box(q.min_lat, q.max_lat, q.min_lon, q.max_lon)
+            else:
+                ids = gi.distance(q.lat, q.lon, q.radius_m)
+            return np.sort(np.asarray(ids)).astype(np.uint32)
+
+        return self._match_set(q, seg_idx, build)
 
     def _eval_range_field(self, q: RangeFieldQuery, seg_idx: int) -> SegmentResult:
         """Interval-relation filter against the segment's lo-sorted
-        interval sidecar (``RangeFieldQuery`` role, index/ranges.py)."""
-        seg = self.segments[seg_idx]
-        cached = (
-            self.query_cache.get(q, seg)
-            if self.query_cache is not None
-            else None
-        )
-        if cached is not None:
-            return self._live(
-                seg,
-                SegmentResult(cached, np.full(len(cached), F32(q.boost))),
-            )
-        ri = seg.range_index(q.field)
-        if ri is None:
-            raise KeyError(
-                f"segment {seg.seg_dir} has no range sidecar for field "
-                f"{q.field!r} (IndexConfig.range_cols at build time)"
-            )
-        ids = ri.relate(q.relation, q.a, q.b).astype(np.uint32)
-        if self.query_cache is not None:
-            self.query_cache.put(q, seg, ids)
-        return self._live(
-            seg, SegmentResult(ids, np.full(len(ids), F32(q.boost)))
-        )
+        interval sidecar (``RangeFieldQuery`` role, index/ranges.py), its
+        match set cached."""
+
+        def build(seg):
+            ri = seg.range_index(q.field)
+            if ri is None:
+                raise KeyError(
+                    f"segment {seg.seg_dir} has no range sidecar for field "
+                    f"{q.field!r} (IndexConfig.range_cols at build time)"
+                )
+            return ri.relate(q.relation, q.a, q.b).astype(np.uint32)
+
+        return self._match_set(q, seg_idx, build)
 
     @staticmethod
     def _member(sorted_ids: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -1158,17 +1121,16 @@ class IndexSearcher:
         minimal-interval kernels (search/intervals.py),
         ``IntervalScorer``'s float32 freq accumulation, and the
         saturation score function."""
-        seg = self.segments[seg_idx]
         terms = interval_source_terms(q.source)
         empty = SegmentResult(np.empty(0, np.uint32), np.empty(0, F32))
         no_pos = np.empty(0, dtype=np.int64)
-        decoded = []  # per term: (ids, offs, pos) or None (term absent)
-        for t in terms:
-            ti = states[t][0][seg_idx]
-            if ti is None:
-                decoded.append(None)
-                continue
-            decoded.append(seg.positional(ti))
+        # per term: (ids, offs, pos) or None (term absent)
+        decoded = [
+            None
+            if states[t][0][seg_idx] is None
+            else self._seg_positions(t, seg_idx, states)
+            for t in terms
+        ]
         # candidates: intersect the REQUIRED leaves' postings (terms a
         # match must contain — interval_required_terms handles or /
         # not_containing asymmetries); nothing required → union of all
@@ -1214,12 +1176,8 @@ class IndexSearcher:
             out_scores.append(saturation_score(f, q.pivot, q.boost))
         if not out_ids:
             return empty
-        return self._live(
-            seg,
-            SegmentResult(
-                np.array(out_ids, dtype=np.uint32),
-                np.array(out_scores, dtype=F32),
-            ),
+        return SegmentResult(
+            np.array(out_ids, dtype=np.uint32), np.array(out_scores, dtype=F32)
         )
 
     def _phrase_matches(
@@ -1228,12 +1186,10 @@ class IndexSearcher:
         """→ (docids, phrase freqs) on one segment — exact (integer
         counts) or sloppy (float sloppyWeight freqs). Shared by scoring
         and ``explain`` (the freq is the Explanation's tf factor)."""
-        seg = self.segments[seg_idx]
-        infos = [states[t][0][seg_idx] for t in q.terms]
         empty = (np.empty(0, np.uint32), np.empty(0, F32))
-        if any(ti is None for ti in infos):
+        decoded = self._seg_slots(q.terms, seg_idx, states)
+        if decoded is None:
             return empty
-        decoded = [seg.positional(ti) for ti in infos]
         if q.slop == 0:
             ids, freqs = self._exact_phrase_hits(decoded)
             if len(ids) == 0:
@@ -1285,7 +1241,7 @@ class IndexSearcher:
                 q.boost, [(states[t][1], states[t][2]) for t in q.terms]
             )
             scores = sc.score(freqs, seg.norms[ids])
-        return self._live(seg, SegmentResult(ids, scores))
+        return SegmentResult(ids, scores)
 
     @staticmethod
     def _exact_phrase_hits(
@@ -1421,28 +1377,23 @@ class IndexSearcher:
         seg = self.segments[seg_idx]
         decoded = []
         for slot in q.positions:
-            infos = [
-                ti
+            members = [
+                self._seg_positions(t, seg_idx, states)
                 for t in slot
-                if (ti := states[t][0][seg_idx]) is not None
+                if states[t][0][seg_idx] is not None
             ]
-            if not infos:
+            if not members:
                 # a slot none of whose terms exist can never match
                 return SegmentResult(np.empty(0, np.uint32), np.empty(0, F32))
-            if len(infos) == 1:
-                decoded.append(seg.positional(infos[0]))
+            if len(members) == 1:
+                decoded.append(members[0])
                 continue
             # union the slot: merge (docid, pos) pairs of every member,
             # sorted + deduped — one pseudo-term posting list
-            doc_parts, pos_parts = [], []
-            for ti in infos:
-                ids, freqs = seg.decoded(ti)
-                doc_parts.append(
-                    np.repeat(ids.astype(np.int64), freqs.astype(np.int64))
-                )
-                pos_parts.append(seg.positional(ti)[2].astype(np.int64))
-            alldocs = np.concatenate(doc_parts)
-            allpos = np.concatenate(pos_parts)
+            alldocs = np.concatenate(
+                [np.repeat(ids.astype(np.int64), np.diff(offs)) for ids, offs, _ in members]
+            )
+            allpos = np.concatenate([pos.astype(np.int64) for _, _, pos in members])
             max_pos = int(allpos.max()) if len(allpos) else 0
             shift = max(21, int(max_pos + 1).bit_length())
             keys = np.unique((alldocs << shift) | allpos)
@@ -1601,9 +1552,10 @@ class IndexSearcher:
 
         1. a term or a SHOULD disjunction of terms (msm ≤ 1) with run-max
            bounds (``_search_wand``);
-        2. a top-level exact phrase of 2+ terms with boost > 0 and no
-           cursor (``_search_phrase``): on its first search with per-doc
-           bounds before positions, from then on from its cached entry
+        2. a top-level exact phrase of 2+ terms with boost > 0
+           (``_search_phrase``): on its first search without a cursor
+           with per-doc bounds before positions, from then on (and on
+           any search with a cursor) from its cached entry
            (``_phrase_postings``, the matches in a term's layout) through
            the term path's run-max bounds;
         3. any other boolean tree of text terms and exact phrases, every
@@ -1622,8 +1574,7 @@ class IndexSearcher:
 
         ``after=(score, global_docid)`` — cursor pagination: only hits
         strictly after that sort position are returned
-        (``IndexSearcher.searchAfter``, ``core/search/IndexSearcher.java:587-599``);
-        a phrase with a cursor takes case 3."""
+        (``IndexSearcher.searchAfter``, ``core/search/IndexSearcher.java:587-599``)."""
         if k < 1:
             r = self.search(query, 1, mode, after)
             return {
@@ -1651,9 +1602,8 @@ class IndexSearcher:
                     and query.slop == 0
                     and len(query.terms) >= 2
                     and query.boost > 0
-                    and after is None
                 ):
-                    return self._search_phrase(query, k)
+                    return self._search_phrase(query, k, after)
         ids, scores = self._matches(query, exhaustive=mode == "exhaustive")
         total = len(ids)
         if after is not None:
@@ -1954,9 +1904,9 @@ class IndexSearcher:
                     sc, f"{label} [{type(self.sim).__name__}]"
                 )
             # BM25Similarity.explainScore detail shape
-            infos, df, ttf = states[term_key(q.field, q.term)]
-            ti = infos[si]
-            ids, freqs = seg.decoded(ti)
+            key = term_key(q.field, q.term)
+            df = states[key][1]
+            ids, freqs = self._seg_postings(key, si, states)
             freq = int(freqs[np.nonzero(ids == np.uint32(local))[0][0]])
             if q.field == DEFAULT_FIELD:
                 nb = int(seg.norms[local])
@@ -2080,10 +2030,10 @@ class IndexSearcher:
                 )
             freq_nodes = []
             for t in q.terms:
-                ti = states[term_key(q.field, t)][0][si]
-                if ti is None:
+                key = term_key(q.field, t)
+                if states[key][0][si] is None:
                     continue
-                ids, freqs = seg.decoded(ti)
+                ids, freqs = self._seg_postings(key, si, states)
                 hit = np.nonzero(ids == np.uint32(local))[0]
                 if len(hit):
                     freq_nodes.append(
@@ -2688,88 +2638,99 @@ class IndexSearcher:
 
     def _term_postings(
         self, term: str, infos: List[Optional[TermInfo]]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Index-wide arrays of one text term, cached under ``("term",
-        term)``: its live postings' global docids (uint32, ascending, as
-        segment bases ascend with segment index), their BM25
-        denominators ``1 + freq·normInv``, the largest denominator of
-        each run of ``RUN`` postings, and their freqs (the narrowest
-        unsigned dtype that holds them). None depends on the query
-        weight w: a posting scores ``w - w/den``, and ``w - w/max(den)``
-        is the exact float32 maximum of a run's scores (both float32
-        steps are monotone in ``den``). Every segment's blob decodes in
-        one ``read_postings`` call, straight from the codec, so the
-        readers' decode caches keep no copy; norms and deletions apply
-        per segment on slices of its output."""
-        key = ("term", term)
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Index-wide postings of one term key of any field, cached under
+        ``("postings", term)`` → ``(ids, tf)``: the global docids of its
+        live postings (uint32, ascending, as segment bases ascend with
+        segment index) and their freqs (the narrowest unsigned dtype that
+        holds them). The entry is similarity-free: BM25 denominators
+        derive from it (``_term_bm25``), positions lie row-aligned beside
+        it (``_term_positions``), and a query scored per segment reads
+        one segment's postings as a slice of it (``_seg_postings``).
+        Every segment's blob decodes in one ``read_postings`` call,
+        straight from the codec; deletions apply per segment on slices
+        of its output."""
+        key = ("postings", term)
         hit = self.cache.get(key)
         if hit is None:
-            ids, dens, tfs = [np.empty(0, np.uint32)], [np.empty(0, F32)], []
+            ids, tfs = [np.empty(0, np.uint32)], [np.empty(0, np.uint32)]
             segs = [(s, ti) for s, ti in zip(self.segments, infos) if ti is not None]
             for (seg, _), (sids, freqs) in zip(segs, read_postings(segs)):
-                den = F32(1.0) + freqs.astype(F32) * self.norm_inverse[seg.norms[sids]]
                 if seg.deleted is not None:
                     live = ~seg.deleted[sids]
-                    sids, den, freqs = sids[live], den[live], freqs[live]
+                    sids, freqs = sids[live], freqs[live]
                 ids.append(sids.astype(np.uint32) + np.uint32(seg.base_docid))
-                dens.append(den)
                 tfs.append(freqs)
-            hit = self._put_postings(
-                key,
-                np.concatenate(ids),
-                np.concatenate(dens),
-                np.concatenate([np.empty(0, np.uint8)] + tfs),
-            )
+            ids, tf = np.concatenate(ids), _narrowest(np.concatenate(tfs))
+            hit = self.cache.put(key, (ids, tf), ids.nbytes + tf.nbytes)
         return hit
 
-    def _put_postings(
-        self, key, ids: np.ndarray, den: np.ndarray, tf: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Cache index-wide postings under ``key`` in the layout of
-        ``_term_postings`` → ``(ids, den, run_max, tf)``: the run maxima
-        of ``den`` are added and ``tf`` is narrowed to the smallest
-        unsigned dtype that holds it."""
-        tf = tf.astype(np.min_scalar_type(int(tf.max()) if len(tf) else 0))
-        run_max = (
-            np.maximum.reduceat(den, np.arange(0, len(den), self.RUN))
-            if len(den)
-            else den
-        )
-        return self.cache.put(
-            key,
-            (ids, den, run_max, tf),
-            ids.nbytes + den.nbytes + run_max.nbytes + tf.nbytes,
-        )
+    def _term_bm25(
+        self, term: str, infos: List[Optional[TermInfo]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The BM25 part of a default-field text term's entry, cached
+        under ``("bm25", term)`` → ``(den, run_max)``, row-aligned with
+        its ``_term_postings``: each posting's denominator ``1 +
+        freq·normInv`` and the largest denominator of each run of ``RUN``
+        postings. Neither depends on the query weight w: a posting scores
+        ``w - w/den``, and ``w - w/max(den)`` is the exact float32 maximum
+        of a run's scores (both float32 steps are monotone in ``den``)."""
+        key = ("bm25", term)
+        hit = self.cache.get(key)
+        if hit is None:
+            den, run_max = self._bm25_part(*self._term_postings(term, infos))
+            hit = self.cache.put(key, (den, run_max), den.nbytes + run_max.nbytes)
+        return hit
+
+    def _bm25_part(
+        self, ids: np.ndarray, freqs: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(den, run_max)`` of index-wide postings ``(ids, freqs)``: each
+        posting's default-field BM25 denominator ``1 + freq·normInv`` and
+        the largest denominator of each run of ``RUN`` postings."""
+        den = F32(1.0) + freqs.astype(F32) * self._doc_norm_inverse()[ids]
+        if not len(den):
+            return den, den
+        return den, np.maximum.reduceat(den, np.arange(0, len(den), self.RUN))
 
     def _phrase_postings(
         self, terms: Sequence[str], states, cand=None, verify=None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Index-wide arrays of an exact phrase in the layout of
-        ``_term_postings``, cached under ``("phrase", terms)``: the global
-        docids of its live matches (ascending), their BM25 denominators
-        ``1 + freq·normInv`` at the phrase freq, the largest denominator
-        of each run of ``RUN`` matches, and the phrase freqs. A match
-        scores ``w - w/den``, the float32 sequence of ``_phrase_scores``,
-        so the term path scores a phrase from here on. Built from one
-        ``verify(None)`` over the phrase's ``_phrase_candidates`` (taken
-        here unless given), so the candidates are still
-        signature-filtered and verified in position blocks."""
+        """Index-wide arrays of an exact phrase, a term's postings and
+        BM25 parts (``_term_postings``, ``_term_bm25``) in one entry,
+        cached under ``("phrase", terms)`` → ``(ids, den, run_max, tf)``:
+        the global docids of its live matches (ascending), their BM25
+        denominators ``1 + freq·normInv`` at the phrase freq, the largest
+        denominator of each run of ``RUN`` matches, and the phrase freqs.
+        A match scores ``w - w/den``, the float32 sequence of
+        ``_phrase_scores``, so the term path scores a phrase from here
+        on. Built from one ``verify(None)`` over the phrase's
+        ``_phrase_candidates`` (taken here unless given), so the
+        candidates are still signature-filtered and verified in position
+        blocks."""
         if verify is None:
             cand, _, _, verify = self._phrase_candidates(terms, states)
         ids, freqs = verify(None) if len(cand) else (_NO_HITS[0], _NO_HITS[0])
-        den = F32(1.0) + freqs.astype(F32) * self._doc_norm_inverse()[ids]
-        return self._put_postings(("phrase", tuple(terms)), ids, den, freqs)
+        den, run_max = self._bm25_part(ids, freqs)
+        tf = _narrowest(freqs)
+        return self.cache.put(
+            ("phrase", tuple(terms)),
+            (ids, den, run_max, tf),
+            ids.nbytes + den.nbytes + run_max.nbytes + tf.nbytes,
+        )
 
     def _clause(self, q, states):
         """``(w, ids, den, run_max)`` of a text term or exact phrase leaf,
-        its weight and index-wide arrays (``_term_postings``,
-        ``_phrase_postings``); None for a term no doc holds. A phrase
+        its weight and index-wide arrays (``_term_postings`` with
+        ``_term_bm25``, ``_phrase_postings``); None for a term no doc
+        holds. A phrase
         without an entry builds it."""
         if isinstance(q, TermQuery):
             infos, df, _ = states[q.term]
             if df == 0:
                 return None
-            ids, den, run_max, _ = self._term_postings(q.term, infos)
+            ids, _ = self._term_postings(q.term, infos)
+            den, run_max = self._term_bm25(q.term, infos)
             return self._term_weight(df, q.boost), ids, den, run_max
         entry = self.cache.get(("phrase", tuple(q.terms)))
         if entry is None or entry is _SEEN:
@@ -2787,7 +2748,7 @@ class IndexSearcher:
 
     def _search_clauses(self, clauses, k: int, after=None) -> dict:
         """Top-k of clauses ``(w, ids, den, run_max)`` over index-wide
-        arrays (``_term_postings`` and ``_phrase_postings`` layout) in one
+        arrays (``_clause``) in one
         pass, with exact hit counts (relation EQ):
 
         - a clause scores ``w - w/den``; several add their scores in
@@ -2905,11 +2866,11 @@ class IndexSearcher:
     def _term_positions(
         self, term: str, infos: List[Optional[TermInfo]]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Positions of one text term's live postings, cached under
-        ``("pos", term)`` and row-aligned with its ``("term", term)``
-        arrays: posting i's positions are ``pos[offs[i] : offs[i + 1]]``,
-        ``offs`` the exclusive cumsum of the term arrays' freqs, ``pos``
-        in the narrowest unsigned dtype that holds its largest value.
+        """Positions of one term's live postings, cached under ``("pos",
+        term)`` and row-aligned with its ``_term_postings`` entry:
+        posting i's positions are ``pos[offs[i] : offs[i + 1]]``, ``offs``
+        the exclusive cumsum of the entry's freqs, ``pos`` in the
+        narrowest unsigned dtype that holds its largest value.
         Every segment's run decodes in one ``read_positions`` call,
         straight from the codec; the segments with deletions decode their
         postings again (one ``read_postings`` call), for the freqs of the
@@ -2917,7 +2878,7 @@ class IndexSearcher:
         key = ("pos", term)
         hit = self.cache.get(key)
         if hit is None:
-            freqs = self._term_postings(term, infos)[3]
+            freqs = self._term_postings(term, infos)[1]
             segs = [(s, ti) for s, ti in zip(self.segments, infos) if ti is not None]
             pos = read_positions(segs)
             dels = [i for i, (seg, _) in enumerate(segs) if seg.deleted is not None]
@@ -2935,6 +2896,53 @@ class IndexSearcher:
             np.cumsum(freqs, dtype=offs.dtype, out=offs[1:])
             hit = self.cache.put(key, (offs, pos), offs.nbytes + pos.nbytes)
         return hit
+
+    def _seg_span(self, ids: np.ndarray, seg_idx: int) -> Tuple[int, int]:
+        """The rows ``[lo, hi)`` of segment ``seg_idx``'s docids in the
+        ascending global docids ``ids`` of an index-wide entry."""
+        seg = self.segments[seg_idx]
+        lo, hi = np.searchsorted(ids, (seg.base_docid, seg.base_docid + seg.n_docs))
+        return int(lo), int(hi)
+
+    def _seg_postings(
+        self, term: str, seg_idx: int, states
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One segment's live postings of a term key → ``(ids, freqs)``,
+        uint32 local docids and freqs: a slice of the term's index-wide
+        entry (``_term_postings``), shifted by the segment base."""
+        ids, tf = self._term_postings(term, states[term][0])
+        lo, hi = self._seg_span(ids, seg_idx)
+        base = np.uint32(self.segments[seg_idx].base_docid)
+        return ids[lo:hi] - base, tf[lo:hi].astype(np.uint32)
+
+    def _seg_positions(
+        self, term: str, seg_idx: int, states
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One segment's live postings of a term key with positions →
+        ``(ids, offs, pos)``: uint32 local docids, the uint32 start of each
+        doc's run in ``pos`` (``len(ids) + 1`` entries) and the uint32
+        positions — slices of the term's ``_term_postings`` and
+        ``_term_positions`` entries."""
+        ids, _ = self._term_postings(term, states[term][0])
+        offs, pos = self._term_positions(term, states[term][0])
+        lo, hi = self._seg_span(ids, seg_idx)
+        base = np.uint32(self.segments[seg_idx].base_docid)
+        offs = offs[lo : hi + 1]
+        start = offs[0]
+        return (
+            ids[lo:hi] - base,
+            (offs - start).astype(np.uint32),
+            pos[start : offs[-1]].astype(np.uint32),
+        )
+
+    def _seg_slots(self, terms: Sequence[str], seg_idx: int, states):
+        """Per term of ``terms`` (a phrase's or a span's), its
+        ``_seg_positions`` on segment ``seg_idx``, one tuple per distinct
+        term; None when a term is absent from the segment."""
+        if any(states[t][0][seg_idx] is None for t in terms):
+            return None
+        slots = {t: self._seg_positions(t, seg_idx, states) for t in dict.fromkeys(terms)}
+        return [slots[t] for t in terms]
 
     def _rows_of(self, ids: np.ndarray, cand: np.ndarray) -> np.ndarray:
         """The indices of the global docids ``cand`` in the ascending
@@ -2984,7 +2992,7 @@ class IndexSearcher:
         signatures rule out.
 
         A term's signatures are one uint64 per live posting, row-aligned
-        with its ``("term", t)`` arrays and cached under ``("sig", t)``:
+        with its ``("postings", t)`` entry and cached under ``("sig", t)``:
         bit ``p & 63`` is set for each position p of the posting
         (``_position_signatures``). They are built from the term's cached
         ``_term_positions`` entry when a phrase reads it again, never on
@@ -3140,8 +3148,9 @@ class IndexSearcher:
         scores = acc[cand]
         return cand, lambda rows: scores[rows]
 
-    def _search_phrase(self, q: PhraseQuery, k: int) -> dict:
-        """Top-k of an exact BM25 phrase of 2+ terms, boost > 0.
+    def _search_phrase(self, q: PhraseQuery, k: int, after=None) -> dict:
+        """Top-k of an exact BM25 phrase of 2+ terms, boost > 0, past
+        the cursor ``after`` when given.
 
         A phrase with a cached entry (``_phrase_postings``: its matches
         in the layout of a term's arrays) scores it through the term path
@@ -3150,8 +3159,8 @@ class IndexSearcher:
         verification of every candidate:
 
         - on the first search when that verification is the whole search
-          anyway: at most ``2 · TOTAL_HITS_THRESHOLD`` candidates, or a
-          weight ≤ 0 (no bounds);
+          anyway: at most ``2 · TOTAL_HITS_THRESHOLD`` candidates, a
+          weight ≤ 0 (no bounds), or a cursor (the term path takes it);
         - otherwise on the second search: the first leaves a "seen"
           marker under the entry's key, the role of the reference's
           ``UsageTrackingQueryCachingPolicy`` (a costly query is cached
@@ -3199,10 +3208,10 @@ class IndexSearcher:
         step = 2 * TOTAL_HITS_THRESHOLD
         if entry is None or entry is _SEEN:
             cand, rows, post, verify = self._phrase_candidates(q.terms, states)
-            if entry is _SEEN or len(cand) <= step or w <= 0:
+            if after is not None or entry is _SEEN or len(cand) <= step or w <= 0:
                 entry = self._phrase_postings(q.terms, states, cand, verify)
         if entry is not None:
-            return self._search_clauses([(w, *entry[:3])], k)
+            return self._search_clauses([(w, *entry[:3])], k, after)
         # the first search of a phrase past a lone chunk: bounded
         self.cache.put(key, _SEEN, self._OBJ_BYTES)
         slots_of = Counter(q.terms)
@@ -3210,7 +3219,7 @@ class IndexSearcher:
         inv = self._doc_norm_inverse()
         min_tf = None
         for t, r in rows.items():
-            tf = post[t][3] if r is None else post[t][3][r]
+            tf = post[t][1] if r is None else post[t][1][r]
             if slots_of[t] > 1:
                 tf = np.maximum(tf.astype(np.int64) - (slots_of[t] - 1), 0)
             min_tf = tf if min_tf is None else np.minimum(min_tf, tf)

@@ -23,8 +23,10 @@ throughput. ``SearcherService`` keeps the actors alive across calls:
   candidate anyway; a repeated phrase then reads no positions) with the
   "seen" markers of phrases searched once, and the index-wide norm
   inverses (phrase bounds and entries), all persisting across queries:
-  the production steady state. Each reader's decode cache fills only for
-  queries scored per segment (exhaustive scoring, other query types);
+  the production steady state. Queries scored per segment (exhaustive
+  scoring, other query types) read slices of the same term entries, and
+  constant-score leaves cache their per-segment match sets in the same
+  byte-bounded LRU (``IndexSearcher.CACHE_BYTES``);
 - queries submitted as pyarrow-table shards round-robin across the pool
   (``submit`` returns object refs; ``search`` gathers);
 - ``warmup`` pushes one tiny batch through every actor so the first

@@ -267,14 +267,14 @@ def test_uint_blocks_batch_matches_scalar():
             )
 
 
-def test_segment_decoded_many_matches_scalar(ray_session, tmp_path):
-    """SegmentReader.decoded_many == per-term decoded == the scalar
-    reference on a real segment, cold cache and warm cache, across every
-    term of the dictionary."""
+def test_read_postings_matches_scalar(ray_session, tmp_path):
+    """read_postings of every term of the dictionary, in one call ==
+    per-term SegmentReader.decoded == the scalar reference on a real
+    segment."""
     from lucene_ray.index.build import build_index
     from lucene_ray.index.config import IndexConfig
     from lucene_ray.index.manifest import segment_dir
-    from lucene_ray.index.segment import SegmentReader
+    from lucene_ray.index.segment import SegmentReader, read_postings
 
     d = str(tmp_path / "dm")
     build_index(
@@ -289,19 +289,14 @@ def test_segment_decoded_many_matches_scalar(ray_session, tmp_path):
         for i in range(len(terms)):
             infos.append(seg.term_info_at(b, i, term=terms[i]))
     assert len(infos) > 20
-    got = seg.decoded_many(infos)
-    fresh = SegmentReader(segment_dir(d, 0))
+    got = read_postings([(seg, info) for info in infos])
     for info, (gi, gt) in zip(infos, got):
-        ri, rt = fresh.decoded(info)
+        ri, rt = seg.decoded(info)
         np.testing.assert_array_equal(gi, ri)
         np.testing.assert_array_equal(gt, rt)
         ref = _reference_postings(bytes(seg.postings_blob(info)))
         np.testing.assert_array_equal(gi, np.concatenate([i for i, _ in ref]))
         np.testing.assert_array_equal(gt, np.concatenate([t for _, t in ref]))
-    # warm path: every entry now cached, same arrays come back
-    again = seg.decoded_many(infos)
-    for (gi, gt), (ai, at) in zip(got, again):
-        assert gi is ai and gt is at
 
 
 @st.composite

@@ -7,8 +7,8 @@ the exact count), on generated indexes with deletes, opened whole, as a
 MultiReader and as a shard holding a subset of the segments. Also:
 ``k=0`` returns no hits with the count of ``k=1``; ``count`` of such a
 tree equals the per-segment count; cached positions past 255 and 65,535
-keep their values in a wider dtype; and the index-wide arrays leave the
-readers' decode caches empty."""
+keep their values in a wider dtype; and an exhaustive search after the
+auto ones reads the same cached entries and decodes nothing."""
 
 from unittest import mock
 
@@ -159,9 +159,8 @@ trees = st.one_of(booleans(leaves), booleans(st.one_of(leaves, booleans(leaves))
 )
 def test_nested_trees_match_exhaustive(tmp_path_factory, corpus, qs, k, data):
     """3 pages through ``after`` of every tree equal the exhaustive
-    pages, each with the exact count, ``count`` equals the per-segment
-    match count, and the auto searches and counts leave the readers'
-    decode caches empty."""
+    pages, each with the exact count, and ``count`` equals the
+    per-segment match count."""
     segments, deleted = corpus
     root = tmp_path_factory.mktemp("nested")
     whole = str(root / "whole")
@@ -189,7 +188,6 @@ def test_nested_trees_match_exhaustive(tmp_path_factory, corpus, qs, k, data):
                     break
                 cursor = (float(got["scores"][-1]), int(got["docids"][-1]))
         counts = [s.count(q) for q in qs]  # through the evaluator too
-        assert all(len(seg.decode_cache) == 0 for seg in s.segments)
         states = s.term_states(
             query_terms(BooleanQuery(tuple((SHOULD, q) for q in qs)))
         )
@@ -269,7 +267,6 @@ def test_count_skips_the_decode_caches(searcher):
         "+xa +(xb xc)",
     ]
     counts = [searcher.count(q) for q in queries]
-    assert all(len(seg.decode_cache) == 0 for seg in searcher.segments)
     for q, c in zip(queries, counts):
         assert c == searcher.search(q, 1, mode="exhaustive")["total_hits"] > 0
 
@@ -305,11 +302,18 @@ def test_positions_past_uint8(tmp_path, gap):
 
 def test_index_wide_arrays_skip_the_decode_caches(searcher):
     """Auto-mode term, disjunction, conjunction and phrase searches read
-    the codec straight into the searcher cache; exhaustive scoring still
-    goes through the readers' decode caches."""
-    for q in QUERIES.values():
-        searcher.search(q, 10)
-    assert all(len(seg.decode_cache) == 0 for seg in searcher.segments)
+    the codec straight into the searcher cache; exhaustive scoring then
+    reads one segment at a time as slices of the same entries, so it
+    decodes no postings or positions again."""
+    want = {c: searcher.search(q, 10) for c, q in QUERIES.items()}
+    searcher.search(QUERIES["phrase"], 10)  # the phrase's positions, cached
     assert searcher.cache.nbytes > 0
-    searcher.search(QUERIES["phrase"], 10, mode="exhaustive")
-    assert all(len(seg.decode_cache) > 0 for seg in searcher.segments)
+
+    def no_decode(pairs):
+        raise AssertionError("decoded again")
+
+    with mock.patch.object(searcher_mod, "read_postings", no_decode), mock.patch.object(
+        searcher_mod, "read_positions", no_decode
+    ):
+        for c, q in QUERIES.items():
+            assert_like_exhaustive(want[c], searcher.search(q, 10, mode="exhaustive"))

@@ -74,7 +74,10 @@ def test_lifecycle_of_pinned_phrases(tmp_path, monkeypatch):
     lookup."""
     texts = _zipf_corpus(5, 4500)
     s = build(str(tmp_path), [texts[:1500], texts[1500:3000], texts[3000:]])
-    want = {q: s.search(q, 10, mode="exhaustive") for q in PINNED}
+    # the reference on its own searcher: exhaustive scoring caches the
+    # terms' positions, which would give the pinned searcher signatures
+    ref = IndexSearcher(str(tmp_path))
+    want = {q: ref.search(q, 10, mode="exhaustive") for q in PINNED}
     terms = {q: parse_query(q, s.analyzer).terms for q in PINNED}
     log = watch(s, monkeypatch)
     first = {}
@@ -101,6 +104,33 @@ def test_lifecycle_of_pinned_phrases(tmp_path, monkeypatch):
         assert (got["total_hits"], got["relation"]) == (want[q]["total_hits"], "EQ")
     assert log["kernel"] == [] and log["built"] == []
     assert {key[0] for key in log["lookups"]} == {"states", "phrase"}
+
+
+def test_paged_phrase_reads_its_entry(tmp_path, monkeypatch):
+    """A top-level exact phrase with an ``after`` cursor reads or builds
+    its entry and takes the term path's run-max selection with the
+    cursor, never the index-wide evaluator (``_wide``), which would score
+    every match of the entry: pages 2 and 3 first (a fresh searcher's
+    cursor search builds the entry), then pages 1-3, equal exhaustive."""
+    texts = _zipf_corpus(5, 4500)
+    s = build(str(tmp_path), [texts[:2000], texts[2000:]])
+    q = '"xa xb"'
+    full = s.search(q, 30, mode="exhaustive")
+    cursors = [None] + [
+        (float(full["scores"][i]), int(full["docids"][i])) for i in (9, 19)
+    ]
+    want = [s.search(q, 10, mode="exhaustive", after=c) for c in cursors]
+
+    def no_wide(self, q, states):
+        raise AssertionError("a paged phrase went through _wide")
+
+    monkeypatch.setattr(IndexSearcher, "_wide", no_wide)
+    log = watch(s, monkeypatch)
+    for i in (1, 2, 0, 1, 2):
+        got = s.search(q, 10, after=cursors[i])
+        assert_like_exhaustive(got, want[i])
+        assert got["relation"] == "EQ"
+    assert log["built"] == [("xa", "xb")]
 
 
 def test_evaluator_leaf_builds_on_first_search(tmp_path, monkeypatch):

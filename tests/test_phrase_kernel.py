@@ -3,7 +3,8 @@ brute-force per-doc reference, over generated postings: 2-4 slots, the same
 term in several slots, matches at position 0, empty intersections, holes in
 the position stream, positions at and above 2^21 (and the int64 key path),
 deduplicated multi-phrase union slots (several terms stacked at one
-position), and candidate subsets of the conjunction."""
+position), and candidate subsets of the conjunction; and end to end, a
+phrase matching at position 0 of a built index."""
 
 from unittest import mock
 
@@ -12,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lucene_ray.search.searcher as searcher_mod
+from lucene_ray.index.build import build_index
+from lucene_ray.index.config import IndexConfig
 from lucene_ray.search.searcher import IndexSearcher
 
 VOCAB = ("zzw", "a", "b", "c")
@@ -136,3 +139,28 @@ def test_fixed_cases():
     # stacked terms: a union slot counts the shared position once
     stacked = {5: {0: {"a", "b"}, 1: {"c"}}}
     assert kernel(stacked, [frozenset({"a", "b"}), frozenset({"c"})]) == {5: 1}
+
+
+class TestPhraseKeyPacking:
+    def test_high_positions_and_underflow(self, ray_session, tmp_path):
+        # doc long enough that pos > 2^21 would previously be required to
+        # break; here we exercise the dynamic-shift path with a doc whose
+        # phrase occurs at position 0 (pos < term_index underflow case).
+        docs = tmp_path / "docs.parquet"
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        text0 = "beta alpha " + "filler " * 50 + "alpha beta"
+        text1 = "alpha beta gamma"
+        pq.write_table(
+            pa.table({"doc_id": [0, 1], "text": [text0, text1]}),
+            str(docs),
+        )
+        d = str(tmp_path / "idx")
+        build_index(str(docs), d, IndexConfig())
+        s = IndexSearcher(d)
+        r = s.search('"alpha beta"', k=10)
+        assert set(r["keys"]) == {0, 1}
+        # "beta alpha" matches only doc 0 (at position 0 — underflow guard)
+        r2 = s.search('"beta alpha"', k=10)
+        assert set(r2["keys"]) == {0}

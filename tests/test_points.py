@@ -51,7 +51,7 @@ def scan_idx(ray_session, tmp_path_factory):
 
 
 def hits(idx_dir, q, k=500):
-    r = IndexSearcher(idx_dir, query_cache=None).search(q, k=k)
+    r = IndexSearcher(idx_dir).search(q, k=k)
     return sorted(zip(r["keys"], [float(s) for s in r["scores"]]))
 
 
@@ -83,7 +83,7 @@ class TestPointVsScan:
         assert hits(point_idx, q) == hits(scan_idx, q)
 
     def test_point_path_actually_used(self, point_idx):
-        s = IndexSearcher(point_idx, query_cache=None)
+        s = IndexSearcher(point_idx)
         seg = s.segments[0]
         pi = seg.point_index("n_chars")
         assert pi is not None and len(pi[0]) == seg.n_docs
@@ -97,7 +97,7 @@ class TestPointVsScan:
         avoid)."""
         from lucene_ray.index.segment import SegmentReader
 
-        s = IndexSearcher(point_idx, query_cache=None)
+        s = IndexSearcher(point_idx)
 
         def boom(self, col):
             raise AssertionError(f"DV scan of {col!r} on the point path")
@@ -199,10 +199,10 @@ class TestNullsAndTimestamps:
         column, walk path vs scan path identical (datetime64 keys sort
         via the order-preserving int64 view)."""
         pdir, sdir = ts_idx
-        a = IndexSearcher(pdir, query_cache=None).search_sorted(
+        a = IndexSearcher(pdir).search_sorted(
             "alpha", "warc_ts", k=9, descending=desc, point_walk_min=0
         )
-        b = IndexSearcher(sdir, query_cache=None).search_sorted(
+        b = IndexSearcher(sdir).search_sorted(
             "alpha", "warc_ts", k=9, descending=desc
         )
         assert a["keys"] == b["keys"]
@@ -219,10 +219,10 @@ class TestNullsAndTimestamps:
         point sidecar drops nulls; ints with nulls come back as float64
         with NaN from arrow→numpy, whose keys sort last)."""
         pdir, sdir = ts_idx
-        a = IndexSearcher(pdir, query_cache=None).search_sorted(
+        a = IndexSearcher(pdir).search_sorted(
             "alpha", "maybe", k=8, descending=desc, point_walk_min=0
         )
-        b = IndexSearcher(sdir, query_cache=None).search_sorted(
+        b = IndexSearcher(sdir).search_sorted(
             "alpha", "maybe", k=8, descending=desc
         )
         assert a["keys"] == b["keys"]
@@ -250,10 +250,10 @@ class TestNullsAndTimestamps:
             rows_per_segment=80, dv_cols=("when",), point_cols=("when",)))
         build_index(src, sdir, IndexConfig(
             rows_per_segment=80, dv_cols=("when",)))
-        a = IndexSearcher(pdir, query_cache=None).search_sorted(
+        a = IndexSearcher(pdir).search_sorted(
             "alpha", "when", k=10, descending=desc, point_walk_min=0
         )
-        b = IndexSearcher(sdir, query_cache=None).search_sorted(
+        b = IndexSearcher(sdir).search_sorted(
             "alpha", "when", k=10, descending=desc
         )
         assert a["keys"] == b["keys"]
@@ -283,10 +283,10 @@ class TestSortedWalk:
 
         query = MatchAllQuery() if q == "*:*" else q
         for k in (1, 7, 25):
-            a = IndexSearcher(point_idx, query_cache=None).search_sorted(
+            a = IndexSearcher(point_idx).search_sorted(
                 query, "n_chars", k=k, descending=desc, point_walk_min=0
             )
-            b = IndexSearcher(scan_idx, query_cache=None).search_sorted(
+            b = IndexSearcher(scan_idx).search_sorted(
                 query, "n_chars", k=k, descending=desc
             )
             assert a["keys"] == b["keys"]
@@ -300,12 +300,12 @@ class TestSortedWalk:
         at a time (walk path, with cursor seek) must reproduce the
         one-shot full ranking, and must match the scan path page by
         page. n_chars has many ties → exercises the docid tie rules."""
-        full = IndexSearcher(scan_idx, query_cache=None).search_sorted(
+        full = IndexSearcher(scan_idx).search_sorted(
             q, "n_chars", k=10**6, descending=desc
         )
         want = list(zip(full["keys"], full["sort_values"], full["docids"]))
         for idx_dir, walk_min in ((point_idx, 0), (scan_idx, 1024)):
-            s = IndexSearcher(idx_dir, query_cache=None)
+            s = IndexSearcher(idx_dir)
             got, after, k = [], None, 7
             while True:
                 r = s.search_sorted(
@@ -329,10 +329,10 @@ class TestSortedWalk:
         n_chars is tie-heavy so the secondary field decides often."""
         spec = (("n_chars", d1), ("doc_id", d2))
         for q in ("the", "#lang:en"):
-            a = IndexSearcher(point_idx, query_cache=None).search_sorted_multi(
+            a = IndexSearcher(point_idx).search_sorted_multi(
                 q, spec, k=15, point_walk_min=0
             )
-            b = IndexSearcher(scan_idx, query_cache=None).search_sorted_multi(
+            b = IndexSearcher(scan_idx).search_sorted_multi(
                 q, spec, k=15
             )
             assert a["keys"] == b["keys"]
@@ -394,7 +394,7 @@ class TestReviewRegressions:
             d,
             IndexConfig(dv_cols=("score",), point_cols=("score",)),
         )
-        s = IndexSearcher(d, query_cache=None)
+        s = IndexSearcher(d)
         assert all(
             seg.point_index("score") is None for seg in s.segments
         )

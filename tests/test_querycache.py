@@ -1,19 +1,18 @@
-"""LRUCache, the one cache policy, and its users: LRUQueryCache
-(constant-score match-set caching for range and multi-term queries, LRU
-eviction, deletes applied after cache lookup), the reader's decode cache
-and the searcher's term-state / term-array / scorer cache."""
+"""LRUCache, the one query-time cache, and what the searcher keeps in
+it: per-segment match sets of constant-score range and multi-term
+queries (LRU eviction under the byte bound, deletes applied after the
+lookup), term states, index-wide term entries and scorers."""
 
 import numpy as np
 import pytest
 
+import lucene_ray.search.searcher as searcher_mod
 from lucene_ray.index.build import build_index
 from lucene_ray.index.config import IndexConfig
 from lucene_ray.index.deletes import delete_by_keys
-from lucene_ray.search.query import PrefixQuery, RangeQuery, parse_query
-from lucene_ray.codecs.postings import PostingsView
+from lucene_ray.search.query import RangeQuery
 from lucene_ray.index.config import FIELD_SEP
-from lucene_ray.index.segment import SegmentReader
-from lucene_ray.search.querycache import LRUCache, LRUQueryCache
+from lucene_ray.search.querycache import LRUCache
 from lucene_ray.search.searcher import IndexSearcher
 
 DOCS = "/root/testdata/sf0.001/documents.parquet"
@@ -32,73 +31,83 @@ def idx(ray_session, tmp_path_factory):
     return d
 
 
-def searcher_with_cache(idx):
-    return IndexSearcher(
-        idx, query_cache=LRUQueryCache(max_entries=8, min_segment_docs=0)
-    )
+def match_keys(s):
+    """The searcher cache's match-set keys ``("match", repr(q), seg_dir)``."""
+    return [key for key in s.cache._data if key[0] == "match"]
 
 
 class TestCaching:
     def test_range_hit_and_identical_results(self, idx):
-        s = searcher_with_cache(idx)
+        s = IndexSearcher(idx)
         q = "data #n_chars:[100 TO 300]"
         a = s.search(q, k=10**9, mode="exhaustive")
-        misses0 = s.query_cache.misses
-        assert misses0 > 0 and s.query_cache.hits == 0
+        assert len(match_keys(s)) == len(s.segments)
+        hits0, misses0 = s.cache.hits, s.cache.misses
         b = s.search(q, k=10**9, mode="exhaustive")
-        assert s.query_cache.hits >= len(s.segments)
-        assert s.query_cache.misses == misses0  # no new misses
+        assert s.cache.hits >= hits0 + len(s.segments)
+        assert s.cache.misses == misses0  # no new misses
         assert list(a["docids"]) == list(b["docids"])
         assert np.array_equal(a["scores"], b["scores"])
 
     def test_multiterm_cached(self, idx):
-        s = searcher_with_cache(idx)
+        s = IndexSearcher(idx)
         r1 = s.search("st*", k=10**9, mode="exhaustive")
+        hits0, misses0 = s.cache.hits, s.cache.misses
         r2 = s.search("st*", k=10**9, mode="exhaustive")
-        assert s.query_cache.hits >= len(s.segments)
+        assert s.cache.hits >= hits0 + len(s.segments)
+        assert s.cache.misses == misses0
         assert list(r1["docids"]) == list(r2["docids"])
 
-    def test_results_match_uncached(self, idx):
-        cached = searcher_with_cache(idx)
-        plain = IndexSearcher(idx, query_cache=None)
+    def test_results_match_uncached(self, idx, monkeypatch):
+        cached = IndexSearcher(idx)
+        monkeypatch.setattr(IndexSearcher, "CACHE_BYTES", 0)
+        plain = IndexSearcher(idx)  # keeps nothing
         for q in ["s?an data", "fuzzy~1", "#n_chars:[150 TO *] the"]:
             a = cached.search(q, k=10**9, mode="exhaustive")
             a = cached.search(q, k=10**9, mode="exhaustive")  # 2nd = from cache
             b = plain.search(q, k=10**9, mode="exhaustive")
             assert list(a["docids"]) == list(b["docids"]), q
             assert np.array_equal(a["scores"], b["scores"]), q
+        assert len(plain.cache) == 0
 
-    def test_lru_eviction(self, idx):
-        s = searcher_with_cache(idx)  # max_entries=8
+    def test_lru_eviction(self, idx, monkeypatch):
+        monkeypatch.setattr(IndexSearcher, "CACHE_BYTES", 4 << 10)
+        s = IndexSearcher(idx)
         for lo in range(0, 120, 10):
             s.search(f"#n_chars:[{lo} TO *]", k=5, mode="exhaustive")
-        assert len(s.query_cache) <= 8
-
-    def test_min_segment_docs_skips_small_leaves(self, idx):
-        s = IndexSearcher(
-            idx, query_cache=LRUQueryCache(min_segment_docs=10_000)
-        )
-        s.search("#n_chars:[100 TO 300] data", k=5, mode="exhaustive")
-        assert len(s.query_cache) == 0  # 150-doc segments all below threshold
+            assert s.cache.nbytes <= 4 << 10
+        # 12 queries x 4 segments of ~150-doc sets: the byte bound evicted
+        assert 0 < len(match_keys(s)) < 12 * len(s.segments)
 
     def test_boost_differs_key(self, idx):
-        s = searcher_with_cache(idx)
+        s = IndexSearcher(idx)
         qa = RangeQuery(field="n_chars", lo=100, hi=300)
         qb = RangeQuery(field="n_chars", lo=100, hi=300, boost=2.0)
-        assert LRUQueryCache.cache_key(qa) != LRUQueryCache.cache_key(qb)
+        assert repr(qa) != repr(qb)
+        a = s.search(qa, k=10**9, mode="exhaustive")
+        b = s.search(qb, k=10**9, mode="exhaustive")
+        assert len(match_keys(s)) == 2 * len(s.segments)
+        assert list(a["docids"]) == list(b["docids"])
+        assert np.array_equal(a["scores"] * np.float32(2), b["scores"])
 
 
 class TestDeletesAfterCache:
     def test_deletes_applied_on_cached_path(self, ray_session, tmp_path):
         d = str(tmp_path / "qcdel")
         build_index(DOCS, d, CFG)
-        s = searcher_with_cache(d)
+        s = IndexSearcher(d)
         before = s.search("st*", k=10**9, mode="exhaustive")
         victims = [int(k) for k in before["keys"][:3]]
         delete_by_keys(d, victims)
-        # fresh searcher (new reader generation) with a warm shared cache
-        s2 = IndexSearcher(d, query_cache=s.query_cache)
+        # fresh searcher (new reader generation) carrying the old
+        # searcher's match sets, which keep the deleted docs
+        s2 = IndexSearcher(d)
+        for key in match_keys(s):
+            ids = s.cache.get(key)
+            s2.cache.put(key, ids, ids.nbytes)
+        misses0 = s2.cache.misses
         after = s2.search("st*", k=10**9, mode="exhaustive")
+        assert s2.cache.misses == misses0  # every match set was carried
         assert not set(victims) & set(after["keys"])
         assert len(after["keys"]) == len(before["keys"]) - 3
 
@@ -116,12 +125,6 @@ class TestLRUCache:
         c.put("e", "E", 20)  # evicts c, then a
         assert "c" not in c and "a" not in c
         assert c.nbytes == 30 and len(c) == 2
-
-    def test_max_entries(self):
-        c = LRUCache(max_bytes=10**9, max_entries=2)
-        for key in "abc":
-            c.put(key, key, 1)
-        assert "a" not in c and len(c) == 2
 
     def test_replacing_a_key_recounts_its_bytes(self):
         c = LRUCache(max_bytes=100)
@@ -154,35 +157,37 @@ class TestLRUCache:
         assert (c.hits, c.misses) == (2, 2)
 
 
-def _text_infos(seg):
-    """The default-field terms of ``seg``'s first bucket."""
-    return [seg.lookup(t) for t in seg.terms_list(0) if FIELD_SEP not in t]
+def _text_terms(s):
+    """The default-field terms of ``s``'s first segment's first bucket."""
+    return [t for t in s.segments[0].terms_list(0) if FIELD_SEP not in t]
 
 
 class TestCacheBounds:
-    def test_reader_keeps_a_hot_term_past_the_byte_bound(
+    def test_searcher_keeps_a_hot_term_past_the_byte_bound(
         self, idx, monkeypatch
     ):
-        monkeypatch.setattr(SegmentReader, "DECODE_CACHE_BYTES", 4096)
-        seg = IndexSearcher(idx).segments[0]
+        monkeypatch.setattr(IndexSearcher, "CACHE_BYTES", 4096)
+        s = IndexSearcher(idx)
         calls = []
-        orig = PostingsView.decode_all
+        orig = searcher_mod.read_postings
 
-        def counting(view):
+        def counting(pairs):
             calls.append(1)
-            return orig(view)
+            return orig(pairs)
 
-        monkeypatch.setattr(PostingsView, "decode_all", counting)
-        hot, *others = _text_infos(seg)
-        seg.decoded(hot)
+        monkeypatch.setattr(searcher_mod, "read_postings", counting)
+        states = s.term_states(_text_terms(s))
+        # the rarest term is hot: it fits beside any other term's entry
+        hot, *others = sorted(states, key=lambda t: (states[t][1], t))
+        s._term_postings(hot, states[hot][0])
         total = 0
-        for info in others:
-            ids, freqs = seg.decoded(info)
-            total += ids.nbytes + freqs.nbytes
-            seg.decoded(hot)  # re-touched after every other term
+        for t in others:
+            ids, tf = s._term_postings(t, states[t][0])
+            total += ids.nbytes + tf.nbytes
+            s._term_postings(hot, states[hot][0])  # re-touched after every other term
         assert total > 4 * 4096  # the bound overflowed several times
         assert len(calls) == 1 + len(others)  # hot was decoded once
-        assert seg.decode_cache.nbytes <= 4096
+        assert s.cache.nbytes <= 4096
 
     def test_searcher_caches_new_terms_after_the_bound_fills(
         self, idx, monkeypatch
@@ -218,12 +223,7 @@ class TestCacheWork:
 
     @staticmethod
     def _counts(s):
-        return (
-            sum(seg.decode_cache.hits for seg in s.segments),
-            sum(seg.decode_cache.misses for seg in s.segments),
-            s.cache.hits,
-            s.cache.misses,
-        )
+        return s.cache.hits, s.cache.misses
 
     def test_pinned_hits_and_misses(self, idx):
         s = IndexSearcher(idx)
@@ -234,35 +234,43 @@ class TestCacheWork:
         for q in WORK_QUERIES:
             s.search(q, k=10)
         second = tuple(b - a for a, b in zip(first, self._counts(s)))
-        # (reader hits, reader misses, searcher hits, searcher misses);
-        # the term, conjunction and phrase queries read only the searcher
-        # cache: per text term one ("states", t) and one ("term", t)
-        # entry (data, stream, window, batch: 8 misses), per phrase one
-        # ("phrase", terms) lookup, which misses (2 misses): both phrases
-        # have few candidates, so the first search verifies them all at
-        # once and builds the phrase's entry, never a "seen" marker; per
-        # phrase term one ("pos", t) entry (data, stream, window: 3
-        # misses), one ("norm_inv",) entry for the entries' denominators
-        # (1 miss), and per distinct phrase term a ("sig", t) lookup
-        # before positions are read, which misses until the term's
-        # positions are cached and then builds the entry: '"data
-        # stream"' misses data and stream, '"stream window"' misses
-        # stream (built now) and window (4 misses). Every other lookup of
-        # the first pass hits (0 + 2 + 2 + 4 + 4 + 6 + 8: a positions
-        # miss reads its term's freqs from the term entry, and building
-        # stream's signatures reads its positions entry once more).
-        # Only "st*" (exhaustive multi-term scoring) reads the 4 readers'
-        # decode caches
-        assert first == (0, 4, 26, 18)
-        # the second pass reads each phrase's entry: per phrase 2 states
-        # hits and 1 ("phrase", terms) hit, and no term, positions,
-        # signature or norm lookup, so no signature is built; the rest
-        # hits as before (2 + 4 + 6 + 4 + 4 + 3 + 3)
-        assert second == (4, 0, 26, 0)
+        # (hits, misses) of the searcher's one cache, per query of the
+        # first pass:
+        # - "data": ("states", t), ("postings", t) and ("bm25", t) miss;
+        #   building the BM25 part reads the postings entry (hit) and the
+        #   ("norm_inv",) entry (miss): 1 hit, 4 misses;
+        # - "data stream": data's states, postings and BM25 part hit;
+        #   stream's miss, and its BM25 build reads its postings and the
+        #   norm inverses (2 hits): 5 hits, 3 misses;
+        # - "stream window batch": stream's 3 lookups hit; window and
+        #   batch miss 3 each and hit 2 each: 7 hits, 6 misses;
+        # - "+data +stream", "+data -window": 2 states, 2 postings and 2
+        #   BM25 parts, all hits: 6 hits each;
+        # - '"data stream"': 2 states hits, then ("phrase", terms) misses
+        #   (few candidates: the first search builds the entry, never a
+        #   "seen" marker); the conjunction reads 2 postings (hits); a
+        #   ("sig", t) lookup per term misses and builds nothing, as no
+        #   positions are cached yet; ("pos", t) misses for both terms,
+        #   each build reading its postings (hit); the entry's
+        #   denominators read the norm inverses (hit): 7 hits, 5 misses;
+        # - '"stream window"': 2 states hits, the phrase entry misses, 2
+        #   postings hits; stream's signatures miss and are built from its
+        #   cached positions (hit), window's miss; the slots read stream's
+        #   positions (hit) and window's (miss, its freqs from the
+        #   postings entry: hit); the norm inverses hit: 8 hits, 4 misses;
+        # - "st*": a prefix query has no query terms; its match set
+        #   misses on each of the 4 segments (one uncached read_postings
+        #   call each): 4 misses.
+        assert first == (1 + 5 + 7 + 6 + 6 + 7 + 8 + 0, 4 + 3 + 6 + 0 + 0 + 5 + 4 + 4)
+        # the second pass reads each term's states, postings and BM25
+        # part, each phrase's states and entry (no postings, positions,
+        # signatures or norm inverses) and the 4 match sets, and misses
+        # nothing
+        assert second == (3 + 6 + 9 + 6 + 6 + 3 + 3 + 4, 0)
         for q in WORK_QUERIES:
             s.search(q, k=10)
         third = tuple(
             c - a - b for a, b, c in zip(first, second, self._counts(s))
         )
         # a third pass reads the same entries as the second
-        assert third == (4, 0, 26, 0)
+        assert third == second

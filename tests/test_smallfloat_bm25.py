@@ -1,4 +1,5 @@
-"""SmallFloat intToByte4/byte4ToInt and float32 BM25 conformance.
+"""SmallFloat intToByte4/byte4ToInt and float32 BM25 conformance, and
+k3 query-term weighting of repeated clauses (``deduplicate_clauses``).
 
 Expectations computed independently from the published algorithm
 (``SmallFloat.java:103-168``, ``BM25Similarity.java:138-286``).
@@ -20,7 +21,26 @@ from lucene_ray.codecs.smallfloat import (
     encode_norms,
     int_to_byte4,
 )
+from lucene_ray.index.build import build_index
+from lucene_ray.index.config import IndexConfig
 from lucene_ray.search.bm25 import BM25Similarity, avg_field_length, idf
+from lucene_ray.search.query import (
+    MUST,
+    SHOULD,
+    BooleanQuery,
+    TermQuery,
+    deduplicate_clauses,
+    parse_query,
+)
+from lucene_ray.search.searcher import IndexSearcher
+from test_add_indexes import DOCS
+
+
+@pytest.fixture(scope="module")
+def searcher(ray_session, tmp_path_factory):
+    d = str(tmp_path_factory.mktemp("advidx"))
+    build_index(DOCS, d, IndexConfig(rows_per_segment=200))
+    return IndexSearcher(d)
 
 
 class TestSmallFloat:
@@ -138,3 +158,54 @@ class TestBM25:
         """
         oracle = duckdb.sql(sql).fetchone()[0]
         assert np.float32(oracle) == np.float32(got)
+
+
+class TestClauseDedup:
+    def test_linear_qtf_when_k3_disabled(self):
+        sim = BM25Similarity()  # k3 = -1 (disabled)
+        q = parse_query("data data data")
+        dq = deduplicate_clauses(q, sim.compute_query_term_weight)
+        assert isinstance(dq, BooleanQuery)
+        terms = [s for _, s in dq.clauses]
+        assert len(terms) == 1
+        assert terms[0] == TermQuery("data", boost=3.0)
+
+    def test_saturated_when_k3_enabled(self):
+        sim = BM25Similarity(k3=8.0)
+        q = parse_query("data data data")
+        dq = deduplicate_clauses(q, sim.compute_query_term_weight)
+        (_, t), = dq.clauses
+        # ((k3+1)*qtf)/(k3+qtf) = (9*3)/(8+3)
+        assert t.boost == pytest.approx(27.0 / 11.0)
+
+    def test_explicit_boosts_sum_linearly(self):
+        sim = BM25Similarity(k3=8.0)
+        q = parse_query("data^2 data^3")
+        dq = deduplicate_clauses(q, sim.compute_query_term_weight)
+        (_, t), = dq.clauses
+        assert t.boost == pytest.approx(5.0)
+
+    def test_must_clauses_dedup_too(self):
+        sim = BM25Similarity()
+        q = BooleanQuery(
+            ((MUST, TermQuery("a")), (MUST, TermQuery("a")), (SHOULD, TermQuery("b")))
+        )
+        dq = deduplicate_clauses(q, sim.compute_query_term_weight)
+        musts = [s for o, s in dq.clauses if o == MUST]
+        assert musts == [TermQuery("a", boost=2.0)]
+
+    def test_msm_gt1_should_not_deduped(self):
+        sim = BM25Similarity()
+        q = BooleanQuery(
+            ((SHOULD, TermQuery("a")), (SHOULD, TermQuery("a"))),
+            minimum_should_match=2,
+        )
+        dq = deduplicate_clauses(q, sim.compute_query_term_weight)
+        assert len(dq.clauses) == 2
+
+    def test_duplicate_query_scores_match_boosted(self, searcher):
+        """'data data' == 'data^2' bit-for-bit (linear qtf path)."""
+        a = searcher.search("data data", k=10, mode="exhaustive")
+        b = searcher.search("data^2", k=10, mode="exhaustive")
+        assert list(a["docids"]) == list(b["docids"])
+        assert np.array_equal(a["scores"], b["scores"])

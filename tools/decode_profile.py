@@ -4,8 +4,8 @@ Takes the distinct text terms of the seeded ``serve_zipf`` query stream
 (``perfbench.common.zipf_queries``) that the index holds, and prints,
 each the best of ``--repeat`` passes:
 
-- single blob: microseconds per call of ``SegmentReader.decoded`` (its
-  decode cache bypassed) and ``SegmentReader.positions``, one call per
+- single blob: microseconds per call of ``SegmentReader.decoded`` and
+  ``SegmentReader.positions`` (both uncached), one call per
   (segment, term), by the class of the term's df in that segment;
 - index-wide: microseconds per term of a fresh searcher's
   ``_term_postings`` and ``_term_positions`` (every segment of one
@@ -32,7 +32,6 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from lucene_ray.index import merge
 from lucene_ray.search.query import parse_query, query_terms
-from lucene_ray.search.querycache import LRUCache
 from lucene_ray.search.searcher import IndexSearcher
 from perfbench.common import zipf_queries
 
@@ -103,8 +102,6 @@ def main() -> int:
 
     def single(method):
         def run():
-            for seg in s.segments:
-                seg.decode_cache = LRUCache(0)
             return {
                 (si, t): timed(getattr(s.segments[si], method), states[t][0][si])
                 for si, t in blobs

@@ -7,15 +7,18 @@ then a seeded stream of ``N_MIXED`` "mixed" queries (``mixed_queries``:
 nested booleans and terms beside phrases, in the shapes of
 ``MIXED_SHAPES``, over the same vocabulary and Zipf skew). It prints the
 mean milliseconds per class (term / disjunction / conjunction / phrase,
-``perfbench.common.query_class``, and mixed), then one line per cache
-(the readers' decode caches summed, the searcher cache, the query cache)
-with its hits, misses and megabytes held. For the phrase and mixed
-classes it also prints deterministic work counters: the candidates
-handed to the exact-phrase kernel (``_exact_phrase_hits``) per query,
-the share of doc-conjunction candidates the position-signature filter
-(``_signature_filter``) passes, and the cached phrase entries
-(``("phrase", terms)``, built by ``_phrase_postings``) the class's
-queries hit and built, with the built entries' megabytes.
+``perfbench.common.query_class``, and mixed), then one line for the
+searcher's one cache: its hits, misses and megabytes held, and per entry
+kind (``KINDS``: term states, postings, BM25 parts, positions,
+signatures, phrase entries, match sets, the rest as "other") the hits
+and misses of the stream's lookups and the megabytes held. For the
+phrase and mixed classes it also prints deterministic work counters:
+the candidates handed to the exact-phrase kernel
+(``_exact_phrase_hits``) per query, the share of doc-conjunction
+candidates the position-signature filter (``_signature_filter``)
+passes, and the cached phrase entries (``("phrase", terms)``, built by
+``_phrase_postings``) the class's queries hit and built, with the built
+entries' megabytes.
 
 ``--check`` then re-runs every query with ``mode="exhaustive"`` and
 asserts that the top-10 docids and float32 scores are equal, and that the
@@ -74,6 +77,45 @@ def mixed_queries(seed: int, n: int, vocab_seed: int = 42) -> list:
         MIXED_SHAPES[s].format(**{v: vocab[r] for v, r in zip("abc", rk)})
         for s, rk in zip(shapes, ranks)
     ]
+
+
+# the searcher cache's entry kinds, by the first element of their keys
+KINDS = ("states", "postings", "bm25", "pos", "sig", "phrase", "match")
+
+
+def kind_of(key) -> str:
+    return key[0] if key[0] in KINDS else "other"
+
+
+def count_cache_traffic(searcher: IndexSearcher) -> dict:
+    """Wrap ``searcher.cache.get`` as an instance attribute (drop it to
+    unwrap) → per entry kind (``kind_of``), the ``[hits, misses]`` of its
+    lookups."""
+    traffic = {k: [0, 0] for k in KINDS + ("other",)}
+    get = searcher.cache.get
+
+    def counting_get(key):
+        hit = get(key)
+        traffic[kind_of(key)][hit is None] += 1
+        return hit
+
+    searcher.cache.get = counting_get
+    return traffic
+
+
+def cache_line(cache, traffic: dict) -> str:
+    """The cache's hits, misses and MB held, then per entry kind the
+    ``traffic`` hits/misses and the MB it holds."""
+    held = dict.fromkeys(traffic, 0)
+    for key, (_, nbytes) in cache._data.items():
+        held[kind_of(key)] += nbytes
+    kinds = "  ".join(
+        f"{k} {h}/{m} {held[k] / 2**20:.1f}" for k, (h, m) in traffic.items()
+    )
+    return (
+        f"cache hits {cache.hits} misses {cache.misses} "
+        f"{cache.nbytes / 2**20:.1f} MB; by kind hits/misses MB: {kinds}"
+    )
 
 
 def count_phrase_work(searcher: IndexSearcher) -> dict:
@@ -158,6 +200,7 @@ def main() -> int:
     searcher = IndexSearcher(args.index_dir)
     ms = {c: [] for c in classes}
     work = count_phrase_work(searcher)
+    traffic = count_cache_traffic(searcher)
     by_class = {c: dict.fromkeys(work, 0) for c in classes}
     results = []
     t_all = time.perf_counter()
@@ -191,16 +234,7 @@ def main() -> int:
             f" {w['entry_builds']} {w['entry_bytes'] / 2**20:.1f} MB"
         )
 
-    caches = {
-        "decode": [seg.decode_cache for seg in searcher.segments],
-        "searcher": [searcher.cache],
-        "query": [searcher.query_cache] if searcher.query_cache else [],
-    }
-    for name, cs in caches.items():
-        hits = sum(c.hits for c in cs)
-        misses = sum(c.misses for c in cs)
-        mb = sum(c.nbytes for c in cs) / 2**20
-        print(f"cache {name:<9} hits {hits:>7} misses {misses:>7} {mb:>8.1f} MB")
+    print(cache_line(searcher.cache, traffic))
 
     if not args.check:
         return 0
