@@ -26,7 +26,19 @@ memory:
   lookup, as the reference applies live docs at collection, so a set
   stays valid when only the segment's deletions change and can be
   carried to a reopened searcher;
-- norm inverses and similarity scorers.
+- norm inverses and similarity scorers;
+- answers (``("topk", query, k, mode, after)``): the top-k dict that
+  ``IndexSearcher.search`` returned for a query string (the role of
+  Solr's ``queryResultCache``), its arrays read-only. An answer is
+  valid because a searcher is point-in-time: its segments, deletions
+  and statistics never change. Left out: ``mode="exhaustive"``, the
+  uncached reference that checks the other paths; searches while
+  ``stats_override`` is set, the one attribute changed after
+  construction, whose statistics the key does not name; and GTE
+  answers, so a large phrase's second search still runs, builds its
+  phrase entry and counts exactly. A reopened searcher could carry
+  them only across a commit that changes no doc, deletion or
+  statistic (a merge-only one).
 
 Segments are immutable, so entries never go stale; the bound only caps
 memory. This module imports nothing from the package.

@@ -26,6 +26,8 @@ Semantics:
   search of a large exact phrase (``_search_phrase``), which reports GTE
   past the 1000-hit threshold (``core/search/IndexSearcher.java:100``);
   a phrase searched again has a cached entry and an exact count.
+- answers: a query string's top-k with an exact count is cached per
+  searcher, so a repeat is one lookup (``search``).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 import pyarrow as pa
 
 from lucene_ray.analysis.analyzer import analyzer_for_config
-from lucene_ray.index.config import DEFAULT_FIELD, IndexConfig, term_key
+from lucene_ray.index.config import DEFAULT_FIELD, FIELD_SEP, IndexConfig, term_key
 from lucene_ray.index.manifest import Manifest, load_manifest
 from lucene_ray.index.points import (
     _SENTINEL as _POINT_SENTINEL,
@@ -406,6 +408,8 @@ class IndexSearcher:
         # phrase entries, constant-score match sets, norm inverses and
         # similarity scorers, bounded by CACHE_BYTES
         self.cache = LRUCache(self.CACHE_BYTES)
+        # the dense docid→row scratch map of ``_rows_of``, built on first use
+        self._row_map: Optional[np.ndarray] = None
 
     # -- stats gathering (TermStates analogue) -----------------------------
 
@@ -1574,12 +1578,53 @@ class IndexSearcher:
 
         ``after=(score, global_docid)`` — cursor pagination: only hits
         strictly after that sort position are returned
-        (``IndexSearcher.searchAfter``, ``core/search/IndexSearcher.java:587-599``)."""
+        (``IndexSearcher.searchAfter``, ``core/search/IndexSearcher.java:587-599``).
+
+        A searcher is point-in-time (its segments, deletions and
+        statistics never change), so the answer to a query string is
+        cached in ``self.cache`` under ``("topk", query, k, mode,
+        after)`` and a repeat skips parsing, term lookup, decoding and
+        scoring (the role of Solr's ``queryResultCache``). Not cached:
+        ``Query`` objects (their ``repr`` can hold object addresses),
+        ``mode="exhaustive"`` (the uncached reference), searches while
+        ``stats_override`` is set, and GTE answers (a large phrase's
+        first search; its second builds the phrase entry and counts
+        exactly). A cached answer's arrays are read-only, and each
+        caller gets its own ``keys`` list."""
         if k < 1:
             r = self.search(query, 1, mode, after)
             return {
                 **r, "docids": r["docids"][:0], "keys": [], "scores": r["scores"][:0]
             }
+        if (
+            not isinstance(query, str)
+            or mode == "exhaustive"
+            or self.stats_override is not None
+        ):
+            return self._search(query, k, mode, after)
+        if after is not None:
+            after = (float(F32(after[0])), int(after[1]))
+        key = ("topk", query, k, mode, after)
+        hit = self.cache.get(key)
+        if hit is None:
+            hit = self._search(query, k, mode, after)
+            if hit["relation"] != "EQ":
+                return hit
+            hit["docids"].flags.writeable = False
+            hit["scores"].flags.writeable = False
+            self.cache.put(
+                key,
+                hit,
+                hit["docids"].nbytes
+                + hit["scores"].nbytes
+                + self._OBJ_BYTES * (1 + len(hit["keys"]))
+                + len(query),
+            )
+        return {**hit, "keys": list(hit["keys"])}
+
+    def _search(self, query, k: int, mode: str, after) -> dict:
+        """``search``'s answer for ``k`` ≥ 1, computed without its
+        result cache."""
         query = self._query(query)
         if mode != "exhaustive":
             # the block-max impact→bound conversion is derived for the
@@ -2874,10 +2919,18 @@ class IndexSearcher:
         Every segment's run decodes in one ``read_positions`` call,
         straight from the codec; the segments with deletions decode their
         postings again (one ``read_postings`` call), for the freqs of the
-        deleted docs' runs."""
+        deleted docs' runs. A key of a field indexed without positions
+        (keyword and feature fields, or every field of an index without
+        them) raises ``ValueError``, as the reference refuses a
+        positional query on such a field."""
         key = ("pos", term)
         hit = self.cache.get(key)
         if hit is None:
+            field = term.split(FIELD_SEP, 1)[0] if FIELD_SEP in term else DEFAULT_FIELD
+            if not self.config.positions or (
+                field != DEFAULT_FIELD and field not in self.text_fields
+            ):
+                raise ValueError(f"field {field!r} was indexed without position data")
             freqs = self._term_postings(term, infos)[1]
             segs = [(s, ti) for s, ti in zip(self.segments, infos) if ti is not None]
             pos = read_positions(segs)
@@ -2946,11 +2999,23 @@ class IndexSearcher:
 
     def _rows_of(self, ids: np.ndarray, cand: np.ndarray) -> np.ndarray:
         """The indices of the global docids ``cand`` in the ascending
-        array ``ids`` (-1 where absent), through a dense int32 docid→row
-        array over the searcher's docids."""
-        row_of = np.full(self._max_doc(), -1, np.int32)
-        row_of[ids] = np.arange(len(ids), dtype=np.int32)
-        return row_of[cand]
+        array ``ids`` (-1 where absent), through the searcher's dense
+        int32 docid→row scratch map, -1 everywhere between calls: set at
+        ``ids``, gathered at ``cand``, then reset at ``ids`` again, or
+        by one fill when ``ids`` covers more than an eighth of the map,
+        where a fill is cheaper than the scatter."""
+        if self._row_map is None:
+            self._row_map = np.full(self._max_doc(), -1, np.int32)
+        row_of = self._row_map
+        ids = ids.astype(np.intp, copy=False)  # numpy converts others on every use
+        try:
+            row_of[ids] = np.arange(len(ids), dtype=np.int32)
+            return row_of[cand]
+        finally:
+            if 8 * len(ids) > len(row_of):
+                row_of.fill(-1)
+            else:
+                row_of[ids] = -1
 
     def _conjunction(
         self, id_arrays: Sequence[np.ndarray], excluded: Sequence[np.ndarray] = ()

@@ -21,8 +21,10 @@ throughput. ``SearcherService`` keeps the actors alive across calls:
   entries (a phrase's matches in the layout of a term's arrays, built on
   the phrase's second search, or its first when that verifies every
   candidate anyway; a repeated phrase then reads no positions) with the
-  "seen" markers of phrases searched once, and the index-wide norm
-  inverses (phrase bounds and entries), all persisting across queries:
+  "seen" markers of phrases searched once, the index-wide norm
+  inverses (phrase bounds and entries), and the answers to query
+  strings (a repeated string with an exact count is one lookup, no
+  parse, term lookup or scoring), all persisting across queries:
   the production steady state. Queries scored per segment (exhaustive
   scoring, other query types) read slices of the same term entries, and
   constant-score leaves cache their per-segment match sets in the same
@@ -30,7 +32,8 @@ throughput. ``SearcherService`` keeps the actors alive across calls:
 - queries submitted as pyarrow-table shards round-robin across the pool
   (``submit`` returns object refs; ``search`` gathers);
 - ``warmup`` pushes one tiny batch through every actor so the first
-  timed query doesn't pay lazy numpy/module init.
+  timed query doesn't pay lazy numpy/module init; every actor then
+  holds the answers to the warmup queries.
 
 At cluster scale this is the serving tier: one pool per index
 generation, refreshed by ``maybe_refresh`` after a commit. Refresh after
@@ -111,7 +114,8 @@ class SearcherService:
         ray.get([a.ping.remote() for a in self.actors])
 
     def warmup(self, queries: List[str]) -> None:
-        """Run ``queries`` through EVERY actor (untimed cache/module warm)."""
+        """Run ``queries`` through EVERY actor (untimed cache/module warm;
+        each actor caches their answers)."""
         batch = pa.table(
             {
                 "qid": pa.array(range(len(queries)), pa.int64()),

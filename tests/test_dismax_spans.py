@@ -6,7 +6,8 @@ import pyarrow.parquet as pq
 import pytest
 
 from lucene_ray.index.build import build_index
-from lucene_ray.index.config import IndexConfig
+from lucene_ray.index.config import IndexConfig, term_key
+from lucene_ray.index.deletes import delete_by_keys
 from lucene_ray.search.query import (
     SHOULD,
     BooleanQuery,
@@ -173,3 +174,18 @@ class TestSpanNear:
             if _brute_span(toks, terms, 4, True)
         }
         assert set(r["keys"]) == want
+
+
+def test_span_near_of_keyword_keys_names_the_field(ray_session, tmp_path):
+    """A keyword field is indexed without positions: a span over its keys
+    raises ``ValueError`` naming the field, on a segment with deletions
+    as on one without, instead of reading past the positions."""
+    d = str(tmp_path / "kwpos")
+    build_index(DOCS, d, IndexConfig(rows_per_segment=150, keyword_cols=("lang",)))
+    delete_by_keys(d, list(range(0, 500, 7)))
+    s = IndexSearcher(d)
+    assert all(seg.deleted is not None for seg in s.segments)
+    en = term_key("lang", "en")
+    for q in (SpanNearQuery((en, en)), SpanNearQuery((en, "data"), slop=3)):
+        with pytest.raises(ValueError, match="'lang' was indexed without position"):
+            s.search(q, 10)

@@ -7,8 +7,9 @@ the exact count), on generated indexes with deletes, opened whole, as a
 MultiReader and as a shard holding a subset of the segments. Also:
 ``k=0`` returns no hits with the count of ``k=1``; ``count`` of such a
 tree equals the per-segment count; cached positions past 255 and 65,535
-keep their values in a wider dtype; and an exhaustive search after the
-auto ones reads the same cached entries and decodes nothing."""
+keep their values in a wider dtype; an exhaustive search after the
+auto ones reads the same cached entries and decodes nothing; and the
+docid→row scratch map is reset after every use."""
 
 from unittest import mock
 
@@ -29,6 +30,7 @@ from lucene_ray.search.query import (
     query_terms,
 )
 from lucene_ray.search.searcher import IndexSearcher
+from test_phrase_prune import _zipf_corpus
 from test_wand import VOCAB, corpora, write_index
 
 # a conjunction: 1-3 required clauses (MUST or FILTER) and 0-2 MUST_NOT
@@ -317,3 +319,23 @@ def test_index_wide_arrays_skip_the_decode_caches(searcher):
     ):
         for c, q in QUERIES.items():
             assert_like_exhaustive(want[c], searcher.search(q, 10, mode="exhaustive"))
+
+
+def test_row_map_is_reset(tmp_path):
+    """``_rows_of``'s one docid→row scratch map per searcher is -1
+    everywhere after a conjunction, an exact phrase and an index-wide
+    AND with a SHOULD clause, over dense terms (reset by one fill) and
+    rare ones (reset at the ids it set)."""
+    texts = _zipf_corpus(5, 4500)
+    texts = [
+        t + " qa" * (i % 20 == 0) + " qa qb" * (i % 30 == 0)
+        for i, t in enumerate(texts)
+    ]
+    segments = [texts[:1500], texts[1500:3000], texts[3000:]]
+    deleted = [np.arange(len(t)) % 9 == 4 for t in segments]
+    write_index(str(tmp_path), segments, deleted)
+    s = IndexSearcher(str(tmp_path))
+    ref = IndexSearcher(str(tmp_path))
+    for q in ("+zzw +xa", "+qa +qb", '"xa xb"', '"qa qb"', "+xa +xg xb", "+qa +xa qb"):
+        assert_like_exhaustive(s.search(q, 10), ref.search(q, 10, mode="exhaustive"))
+        assert s._row_map is not None and (s._row_map == -1).all(), q

@@ -71,7 +71,7 @@ def test_lifecycle_of_pinned_phrases(tmp_path, monkeypatch):
     """First search: the pinned candidates and calls, an entry only for
     the phrase whose candidates are verified at once; second: every
     other entry built; third: no kernel call, no positions or signature
-    lookup."""
+    lookup, and through ``search`` one cached answer per phrase."""
     texts = _zipf_corpus(5, 4500)
     s = build(str(tmp_path), [texts[:1500], texts[1500:3000], texts[3000:]])
     # the reference on its own searcher: exhaustive scoring caches the
@@ -98,12 +98,21 @@ def test_lifecycle_of_pinned_phrases(tmp_path, monkeypatch):
     log["built"].clear()
     log["kernel"].clear()
     log["lookups"].clear()
+    # a third execution (``_search``, past the result cache) reads only
+    # the states and the entry
     for q in PINNED:
-        got = s.search(q, 10)
+        got = s._search(q, 10, "auto", None)
         assert_like_exhaustive(got, want[q])
         assert (got["total_hits"], got["relation"]) == (want[q]["total_hits"], "EQ")
     assert log["kernel"] == [] and log["built"] == []
     assert {key[0] for key in log["lookups"]} == {"states", "phrase"}
+    # while a third search is one lookup of its cached answer
+    log["lookups"].clear()
+    for q in PINNED:
+        got = s.search(q, 10)
+        assert_like_exhaustive(got, want[q])
+        assert (got["total_hits"], got["relation"]) == (want[q]["total_hits"], "EQ")
+    assert [key[0] for key in log["lookups"]] == ["topk"] * len(PINNED)
 
 
 def test_paged_phrase_reads_its_entry(tmp_path, monkeypatch):

@@ -222,18 +222,24 @@ class TestCacheWork:
     segment index: deterministic work counters, not wall time."""
 
     @staticmethod
-    def _counts(s):
-        return s.cache.hits, s.cache.misses
+    def _passes(s, run):
+        """The (hits, misses) of the searcher cache ``s.cache`` in each of
+        three passes of ``run`` over ``WORK_QUERIES``."""
+        out, last = [], (0, 0)
+        for _ in range(3):
+            for q in WORK_QUERIES:
+                run(q)
+            now = s.cache.hits, s.cache.misses
+            out.append(tuple(b - a for a, b in zip(last, now)))
+            last = now
+        return out
 
     def test_pinned_hits_and_misses(self, idx):
+        """The entries executions read: every pass runs ``_search``,
+        which skips the result cache."""
         s = IndexSearcher(idx)
         assert len(s.segments) == 4
-        for q in WORK_QUERIES:
-            s.search(q, k=10)
-        first = self._counts(s)
-        for q in WORK_QUERIES:
-            s.search(q, k=10)
-        second = tuple(b - a for a, b in zip(first, self._counts(s)))
+        first, second, third = self._passes(s, lambda q: s._search(q, 10, "auto", None))
         # (hits, misses) of the searcher's one cache, per query of the
         # first pass:
         # - "data": ("states", t), ("postings", t) and ("bm25", t) miss;
@@ -267,10 +273,18 @@ class TestCacheWork:
         # signatures or norm inverses) and the 4 match sets, and misses
         # nothing
         assert second == (3 + 6 + 9 + 6 + 6 + 3 + 3 + 4, 0)
-        for q in WORK_QUERIES:
-            s.search(q, k=10)
-        third = tuple(
-            c - a - b for a, b, c in zip(first, second, self._counts(s))
-        )
         # a third pass reads the same entries as the second
         assert third == second
+
+    def test_pinned_result_entries(self, idx):
+        """Through ``search``: the first pass executes every query as
+        above and misses one ``("topk", query, k, mode, after)`` entry
+        per query; later passes read that entry and nothing else."""
+        e = IndexSearcher(idx)
+        executed = self._passes(e, lambda q: e._search(q, 10, "auto", None))[0]
+        s = IndexSearcher(idx)
+        first, second, third = self._passes(s, lambda q: s.search(q, k=10))
+        n = len(WORK_QUERIES)
+        assert first == (executed[0], executed[1] + n)
+        assert second == third == (n, 0)
+        assert sum(key[0] == "topk" for key in s.cache._data) == n

@@ -5,16 +5,20 @@ workload (``perfbench.common.zipf_queries``) in order against one
 searcher, so first touches and repeats fall as they do when serving,
 then a seeded stream of ``N_MIXED`` "mixed" queries (``mixed_queries``:
 nested booleans and terms beside phrases, in the shapes of
-``MIXED_SHAPES``, over the same vocabulary and Zipf skew). It prints the
-mean milliseconds per class (term / disjunction / conjunction / phrase,
-``perfbench.common.query_class``, and mixed), then one line for the
-searcher's one cache: its hits, misses and megabytes held, and per entry
-kind (``KINDS``: term states, postings, BM25 parts, positions,
-signatures, phrase entries, match sets, the rest as "other") the hits
-and misses of the stream's lookups and the megabytes held. For the
+``MIXED_SHAPES``, over the same vocabulary and Zipf skew). Per class
+(term / disjunction / conjunction / phrase,
+``perfbench.common.query_class``, and mixed) it prints the share of
+queries answered from the searcher's result cache (a ``("topk", …)``
+hit; 0 on a checkout without result entries) and the mean and total
+milliseconds of the others, the queries it executed, so a class's mean
+times execution and not lookups. Then one line for the searcher's one
+cache: its hits, misses and megabytes held, and per entry kind
+(``KINDS``: term states, postings, BM25 parts, positions, signatures,
+phrase entries, match sets, cached answers, the rest as "other") the
+hits and misses of the stream's lookups and the megabytes held. For the
 phrase and mixed classes it also prints deterministic work counters:
 the candidates handed to the exact-phrase kernel
-(``_exact_phrase_hits``) per query, the share of doc-conjunction
+(``_exact_phrase_hits``) per executed query, the share of doc-conjunction
 candidates the position-signature filter (``_signature_filter``)
 passes, and the cached phrase entries (``("phrase", terms)``, built by
 ``_phrase_postings``) the class's queries hit and built, with the built
@@ -80,7 +84,7 @@ def mixed_queries(seed: int, n: int, vocab_seed: int = 42) -> list:
 
 
 # the searcher cache's entry kinds, by the first element of their keys
-KINDS = ("states", "postings", "bm25", "pos", "sig", "phrase", "match")
+KINDS = ("states", "postings", "bm25", "pos", "sig", "phrase", "match", "topk")
 
 
 def kind_of(key) -> str:
@@ -202,13 +206,19 @@ def main() -> int:
     work = count_phrase_work(searcher)
     traffic = count_cache_traffic(searcher)
     by_class = {c: dict.fromkeys(work, 0) for c in classes}
+    answered = dict.fromkeys(classes, 0)  # queries answered from the cache
     results = []
     t_all = time.perf_counter()
     for q, c in queries:
         before = dict(work)
+        cached = traffic["topk"][0]
         t0 = time.perf_counter()
         results.append(searcher.search(q, k=K))
-        ms[c].append((time.perf_counter() - t0) * 1e3)
+        t = (time.perf_counter() - t0) * 1e3
+        if traffic["topk"][0] > cached:
+            answered[c] += 1
+        else:
+            ms[c].append(t)
         for name, v in work.items():
             by_class[c][name] += v - before[name]
     total_s = time.perf_counter() - t_all
@@ -218,11 +228,15 @@ def main() -> int:
 
     print(f"{args.n} + {N_MIXED} mixed queries, seed {args.seed}, "
           f"{len(searcher.segments)} segments, total {total_s:.2f} s")
-    print(f"{'class':<12} {'n':>5} {'mean_ms':>9} {'total_s':>8}")
+    print(f"{'class':<12} {'n':>5} {'cached':>7} {'executed':>8} {'mean_ms':>9} {'total_s':>8}")
     for c in classes:
         v = ms[c]
+        n = len(v) + answered[c]
         mean = sum(v) / len(v) if v else 0.0
-        print(f"{c:<12} {len(v):>5} {mean:>9.2f} {sum(v) / 1e3:>8.2f}")
+        print(
+            f"{c:<12} {n:>5} {answered[c] / max(n, 1):>7.1%} {len(v):>8}"
+            f" {mean:>9.2f} {sum(v) / 1e3:>8.2f}"
+        )
 
     for c in ("phrase", "mixed"):
         w = by_class[c]
